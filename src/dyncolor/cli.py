@@ -37,6 +37,13 @@ def _load_embedding(path: str) -> embedding.EmbeddedGraph:
     return embedding.parse_rotation(_read(path))
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_graph_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", help="graph file (graph6 or edge list), '-' for stdin")
     p.add_argument("--format", choices=["auto", "graph6", "edge-list"],
@@ -59,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi-r", help="exact r-dynamic chromatic number")
     _add_graph_arg(p)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_positive, required=True)
     p.add_argument("--max-n", type=int, default=16)
     p.add_argument("--max-nodes", type=int, default=5_000_000)
     p.add_argument("--time-limit", type=float, default=None,
@@ -68,13 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a coloring for the r-dynamic property")
     _add_graph_arg(p)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_positive, required=True)
     p.add_argument("--coloring", required=True, help="file of '<vertex> <color>' lines")
 
     p = sub.add_parser("paint", help="paint number (game solve or sandwich)")
     _add_graph_arg(p)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--tokens", type=int,
+    p.add_argument("--r", type=_positive, required=True)
+    p.add_argument("--tokens", type=_positive,
                    help="solve one game at this uniform token count")
     p.add_argument("--max-n", type=int, default=7)
     p.add_argument("--max-nodes", type=int, default=None)
@@ -85,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("list-check", help="r-dynamic colorability from lists")
     _add_graph_arg(p)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_positive, required=True)
     p.add_argument("--lists", required=True, help="file of '<v>: c1 c2 ...' lines")
 
     p = sub.add_parser("find-config", help="detect reducible configurations")
@@ -110,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="genus/r bound profile")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_positive, required=True)
 
     p = sub.add_parser("mad", help="exact maximum average degree")
     _add_graph_arg(p)
@@ -126,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contract-color",
                        help="constructive r-dynamic coloring via light edges")
     _add_graph_arg(p)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_positive, required=True)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--trace-out", default=None)
     p.add_argument("--coloring-out", default=None)

@@ -24,6 +24,7 @@ from .errors import (
 from .graph import Graph, VertexRemap, add_edges, subgraph
 from .paintgame import (
     CertificationReport,
+    GameState,
     PaintSolver,
     RejectionRule,
     dull_rule,
@@ -112,15 +113,6 @@ class ConfigMatch:
     def role(self, name: str):
         return self.roles[name]
 
-    def located_vertices(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for val in self.roles.values():
-            if isinstance(val, int):
-                out.append(val)
-            else:
-                out.extend(val)
-        return tuple(dict.fromkeys(out))
-
     def render(self) -> str:
         parts = []
         for name, val in self.roles.items():
@@ -143,10 +135,6 @@ def is_expensive_4face(g: Graph, face) -> bool:
     if face.length != 4:
         return False
     return sum(1 for v in face.boundary_vertices() if g.degree(v) == 3) >= 2
-
-
-def is_costly_3face(g: Graph, face) -> bool:
-    return face.length == 3 and any(g.degree(v) == 4 for v in face.vertex_set())
 
 
 def corner_face(emb: EmbeddedGraph, v: int, i: int):
@@ -593,6 +581,10 @@ def _build_many_3_nbrs(g, emb, match):
     budgets = {v: len(reject_v)}
     budgets.update({x: CATALOG_BUDGETS[match.kind]["x"] for x in xs})
     wanted = tuple((ys[i], zs[i]) for i in range(len(xs)))
+    for y, z in wanted:
+        if {y, z} & ({v} | set(xs)) and not g.has_edge(y, z):
+            raise ValueError(f"E' edge {y}-{z} meets a deleted 3-neighbor; "
+                             "reduce the adjacent 3-vertices first")
     return _assemble(g, match.kind, match, (v,) + tuple(xs), wanted,
                      triggers, budgets, emb)
 
@@ -943,17 +935,10 @@ def suggested_tokens(g: Graph, reduction: Reduction, r: int, k: int) -> dict[int
     for t in reduction.s_order:
         tokens[t] = min(k, structural_budget(reduction, t) + 1)
     inner = reduction.gprime
+    solver = PaintSolver(inner, r)  # the memo key holds the tokens: share it across k
     need = 1
-    if inner.n:
-        solver_k = 1
-        while True:
-            verdict = PaintSolver(inner, r).painter_wins(
-                tuple([solver_k] * inner.n), frozenset(), frozenset(inner.vertices())
-            )
-            if verdict:
-                need = solver_k
-                break
-            solver_k += 1
+    while not solver.painter_wins(GameState((need,) * inner.n)):
+        need += 1
     for v in reduction.gprime_vertices:
         tokens[v] = need
     return tokens

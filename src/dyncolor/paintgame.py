@@ -3,20 +3,25 @@
 Lister marks a nonempty set of uncolored vertices each round (each marked
 vertex spends a token; marking a token-less vertex wins for Lister) and
 Painter colors an independent subset of the marked set with that round's
-color.  Painter wins if the final coloring is r-dynamic.  The solver is an
-exact minimax over canonical states: the token vector plus the unordered
-partition of colored vertices, since color names never matter.
+color.  Painter wins if the final coloring is r-dynamic.  Each round's color
+is fresh, so the past matters only through the residual need res(v) =
+max(0, min(r, d(v)) - #classes meeting N(v)), which a response lowers by one
+wherever it meets N(v).  The solver is an exact minimax over (tokens on
+uncolored vertices, res); a position where some res(v) exceeds the number of
+uncolored neighbors of v is lost, as each round adds at most one color there.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .coloring import verify_r_dynamic
+from .coloring import chi_r_exact, verify_r_dynamic
 from .errors import (
     BudgetExceeded,
     BudgetViolated,
@@ -52,7 +57,7 @@ class GameState:
     classes: tuple[frozenset[int], ...] = ()
     lister_won: bool = False
 
-    @property
+    @cached_property
     def colored(self) -> frozenset[int]:
         return frozenset(v for cls in self.classes for v in cls)
 
@@ -89,32 +94,17 @@ def play_round(
     return GameState(tokens, state.classes + (response,), state.lister_won or lost)
 
 
-@dataclass
-class RejectionLedger:
-    counts: dict[int, int] = field(default_factory=dict)
-
-    def bump(self, vertices: Iterable[int]) -> None:
-        for v in vertices:
-            self.counts[v] = self.counts.get(v, 0) + 1
-
-    def get(self, v: int) -> int:
-        return self.counts.get(v, 0)
-
-
 # -- exact minimax solver -----------------------------------------------------------
 
 
-def _independent_subsets(g: Graph, marked: tuple[int, ...]):
-    """All independent subsets of marked (including the empty set)."""
-    out: list[frozenset[int]] = [frozenset()]
-    for v in marked:
-        nv = set(g.neighbors(v))
-        out.extend(s | {v} for s in list(out) if not (s & nv))
-    return out
-
-
 class PaintSolver:
-    """Minimax oracle for one (graph, r) pair; memo shared across queries."""
+    """Minimax oracle for one (graph, r) pair; memo shared across queries.
+
+    Token and residual-need vectors are ints with a w-bit field per vertex (v
+    at bit v*w); a vertex set is the int with the low bit of each member's
+    field set, so marking a set subtracts it from the tokens.  Top field bits
+    stay clear, which lets `_nonzero` test all fields at once.
+    """
 
     def __init__(self, g: Graph, r: int, *, memo: bool = True,
                  node_budget: int | None = None, deadline: float | None = None):
@@ -124,101 +114,126 @@ class PaintSolver:
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
+        self._need = [min(r, g.degree(v)) for v in g.vertices()]
+        self._layout(max(self._need, default=0))
 
-    def _final_ok(self, partition: Partition) -> bool:
-        coloring: dict[int, int] = {}
-        for i, cls in enumerate(sorted(partition, key=sorted)):
-            for v in cls:
-                coloring[v] = i + 1
-        return verify_r_dynamic(self.g, coloring, self.r).ok
+    def _layout(self, largest: int) -> None:
+        # fields hold values up to `largest`; packed keys change, so start over
+        self._w = w = max(4, largest.bit_length() + 1)
+        self._field = (1 << w) - 1
+        low = self._mask(self.g.vertices())
+        self._high = low << (w - 1)
+        self._half = self._high - low
+        self._nbr = [self._mask(self.g.neighbors(v)) for v in self.g.vertices()]
+        self._tables: dict[int, list] = {}
+        if self.memo:
+            self.memo.clear()
 
-    def _responses(self, marked: tuple[int, ...]) -> list[frozenset[int]]:
-        subs = _independent_subsets(self.g, marked)
-        subs.sort(key=lambda s: (-len(s), sorted(s)))
-        return subs
+    def _mask(self, vertices: Iterable[int]) -> int:
+        return sum(1 << (v * self._w) for v in vertices)
 
-    def painter_wins(self, tokens: tuple[int, ...], partition: Partition,
-                     uncolored: frozenset[int]) -> bool:
+    def _vertices(self, mask: int) -> frozenset[int]:
+        return frozenset(v for v in self.g.vertices() if mask >> (v * self._w) & 1)
+
+    def _nonzero(self, packed: int) -> int:
+        """The set of vertices whose field in `packed` is not zero."""
+        return ((packed + self._half) & self._high) >> (self._w - 1)
+
+    def _responses(self, marked: int) -> list:
+        """Painter's answers to a mark, largest first, then by vertex list, as
+        (set colored, set whose neighborhood it meets, mask clearing its fields)."""
+        table = self._tables.get(marked)
+        if table is None:
+            subs = [()]
+            for v in sorted(self._vertices(marked)):
+                subs += [s + (v,) for s in subs if not self._mask(s) & self._nbr[v]]
+            subs.sort(key=lambda s: (-len(s), s))
+            table = self._tables[marked] = []
+            for s in subs:
+                colored = self._mask(s)
+                touched = self._mask({u for v in s for u in self.g.neighbors(v)})
+                table.append((colored, touched, ~(colored * self._field)))
+        return table
+
+    def _position(self, state: GameState) -> tuple[int, int, int]:
+        """Packed (tokens, residual needs, uncolored set) of a game state; one
+        call starts one solve for the node budget."""
+        self._limit = self.nodes + (self.node_budget if self.node_budget is not None
+                                    else float("inf"))
+        uncolored = state.uncolored(self.g)
+        largest = max((state.tokens[v] for v in uncolored), default=0)
+        if largest > self._field >> 1:
+            self._layout(max(largest, *self._need))
+        classes = [self._mask(cls) for cls in state.classes]
+        res = sum(max(0, need - sum(1 for cls in classes if cls & nb)) << (v * self._w)
+                  for v, (need, nb) in enumerate(zip(self._need, self._nbr)))
+        tokens = sum(state.tokens[v] << (v * self._w) for v in uncolored)
+        return tokens, res, self._mask(uncolored)
+
+    def _wins(self, tokens: int, res: int, uncolored: int) -> bool:
+        """Verdict of a position in which every uncolored vertex has a token
+        (the memo key leaves the uncolored set implicit in the tokens)."""
         if not uncolored:
-            return self._final_ok(partition)
-        if any(tokens[v] == 0 for v in uncolored):
-            return False
-        key = None
-        if self.memo is not None:
-            key = (tuple(tokens[v] if v in uncolored else 0
-                         for v in range(self.g.n)), partition)
-            hit = self.memo.get(key)
+            return not res
+        memo = self.memo
+        if memo is not None:
+            key = res << (self.g.n * self._w) | tokens
+            hit = memo.get(key)
             if hit is not None:
                 return hit
+        # dead: a vertex needs more new colors than it has uncolored
+        # neighbors, and each round adds at most one color to a neighborhood
+        if any(res >> (v * self._w) & self._field > (nb & uncolored).bit_count()
+               for v, nb in enumerate(self._nbr)):
+            return False
         self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
+        if self.nodes > self._limit:
             raise BudgetExceeded(f"game search exceeded {self.node_budget} nodes")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("game search hit the time limit")
+        needy = self._nonzero(res)
         verdict = True
-        for marked in self._lister_moves(uncolored):
-            new_tokens = tuple(
-                t - 1 if v in marked else t for v, t in enumerate(tokens)
-            )
-            if not any(
-                self.painter_wins(new_tokens,
-                                  partition | {resp} if resp else partition,
-                                  uncolored - resp)
-                for resp in self._responses(marked)
-            ):
+        marked = uncolored  # subsets in descending order: big marks refute fastest
+        while verdict and marked:
+            left = tokens - marked
+            spent = marked & ~self._nonzero(left)
+            for colored, touched, clear in self._responses(marked):
+                if not spent & ~colored and self._wins(
+                        left & clear, res - (needy & touched), uncolored ^ colored):
+                    break
+            else:
                 verdict = False
-                break
-        if self.memo is not None:
-            self.memo[key] = verdict
+            marked = (marked - 1) & uncolored
+        if memo is not None:
+            memo[key] = verdict
         return verdict
-
-    def _lister_moves(self, uncolored: frozenset[int]):
-        verts = sorted(uncolored)
-        for mask in range(1, 1 << len(verts)):
-            yield tuple(v for i, v in enumerate(verts) if (mask >> i) & 1)
 
     # -- play interfaces ---------------------------------------------------------
 
-    def state_wins(self, state: GameState) -> bool:
-        if state.lister_won:
-            return False
-        return self.painter_wins(state.tokens, state.partition(),
-                                 state.uncolored(self.g))
+    def painter_wins(self, state: GameState) -> bool:
+        """Exact verdict of the game from `state`."""
+        tokens, res, uncolored = self._position(state)
+        return (not state.lister_won and self._nonzero(tokens) & uncolored == uncolored
+                and self._wins(tokens, res, uncolored))
 
     def winning_response(self, state: GameState, marked: Iterable[int]) -> frozenset[int]:
         """First winning response in the solver's deterministic order."""
-        marked = tuple(sorted(set(marked)))
-        tokens = tuple(
-            t - 1 if v in marked else t for v, t in enumerate(state.tokens)
-        )
-        uncolored = state.uncolored(self.g)
+        marked = frozenset(marked)
         if any(state.tokens[v] == 0 for v in marked):
             raise InnerLost("a marked vertex had no tokens")
-        partition = state.partition()
-        for resp in self._responses(marked):
-            if self.painter_wins(tokens, partition | {resp} if resp else partition,
-                                 uncolored - resp):
-                return resp
+        if marked & state.colored:
+            raise IllegalMark(f"colored vertices marked: {sorted(marked & state.colored)}")
+        tokens, res, uncolored = self._position(state)
+        mask = self._mask(marked)
+        needy = self._nonzero(res)
+        for colored, touched, clear in self._responses(mask):
+            left, rest = (tokens - mask) & clear, uncolored ^ colored
+            if (self._nonzero(left) & rest == rest
+                    and self._wins(left, res - (needy & touched), rest)):
+                return self._vertices(colored)
         raise InnerLost("no winning response from this position")
 
-    def refuting_mark(self, state: GameState) -> tuple[int, ...]:
-        """A Lister mark from which every Painter response loses."""
-        uncolored = state.uncolored(self.g)
-        partition = state.partition()
-        for v in sorted(uncolored):
-            if state.tokens[v] == 0:
-                return (v,)
-        for marked in self._lister_moves(uncolored):
-            tokens = tuple(
-                t - 1 if v in marked else t for v, t in enumerate(state.tokens)
-            )
-            if not any(
-                self.painter_wins(tokens, partition | {r} if r else partition,
-                                  uncolored - r)
-                for r in self._responses(marked)
-            ):
-                return marked
-        raise ValueError("position is winning for Painter; no refuting mark")
+    respond = winning_response  # the solver is itself a Painter
 
 
 @dataclass
@@ -227,10 +242,10 @@ class GameVerdict:
     solver: PaintSolver
     tokens: tuple[int, ...]
 
-    def strategy(self) -> "SolverPainter":
+    def strategy(self) -> PaintSolver:
         if not self.painter_wins:
             raise ValueError("Painter does not win; no strategy to extract")
-        return SolverPainter(self.solver)
+        return self.solver
 
 
 def solve_xp_r(
@@ -251,21 +266,10 @@ def solve_xp_r(
     deadline = None if time_limit is None else time.monotonic() + time_limit
     solver = PaintSolver(g, r, memo=memo, node_budget=node_budget,
                          deadline=deadline)
-    wins = solver.painter_wins(tokens, frozenset(), frozenset(g.vertices()))
-    return GameVerdict(wins, solver, tokens)
+    return GameVerdict(solver.painter_wins(GameState(tokens)), solver, tokens)
 
 
 # -- painter strategies --------------------------------------------------------------
-
-
-class SolverPainter:
-    """Painter that replays the minimax solution (deterministic tie-breaking)."""
-
-    def __init__(self, solver: PaintSolver):
-        self.solver = solver
-
-    def respond(self, state: GameState, marked: frozenset[int]) -> frozenset[int]:
-        return self.solver.winning_response(state, marked)
 
 
 @dataclass(frozen=True)
@@ -336,7 +340,6 @@ class GPrimeFirstPainter:
         gprime_edges: frozenset[tuple[int, int]],
         s_order: Sequence[int],
         triggers: dict[int, tuple[RejectionRule, ...]],
-        inner_solver: PaintSolver | None = None,
     ):
         self.g = g
         self.r = r
@@ -349,7 +352,7 @@ class GPrimeFirstPainter:
         self.orig_of = {i: v for v, i in self.dense_of.items()}
         edges = [(self.dense_of[u], self.dense_of[w]) for u, w in gprime_edges]
         self.gprime = Graph(len(self.gv), edges)
-        self.inner = inner_solver or PaintSolver(self.gprime, r)
+        self.inner = PaintSolver(self.gprime, r)
 
     def inner_state(self, state: GameState) -> GameState:
         tokens = tuple(state.tokens[self.orig_of[i]] for i in range(self.gprime.n))
@@ -439,7 +442,7 @@ def run_transcript(
 ) -> Transcript:
     """Play a scripted sequence of Lister marks against a painter."""
     state = GameState(normalize_tokens(g, f))
-    ledger = RejectionLedger()
+    rejections: Counter[int] = Counter()
     rounds: list[RoundRecord] = []
     outcome = "painter"
     for i, marked in enumerate(marks, start=1):
@@ -452,7 +455,7 @@ def run_transcript(
         response = painter.respond(state, marked)
         state = play_round(g, state, marked, response)
         rejected = tuple(sorted(marked - response))
-        ledger.bump(rejected)
+        rejections.update(rejected)
         rounds.append(RoundRecord(i, tuple(sorted(marked)),
                                   tuple(sorted(response)), state.tokens, rejected))
         if not state.uncolored(g):
@@ -462,7 +465,7 @@ def run_transcript(
             outcome = "unfinished"
         elif not verify_r_dynamic(g, state.coloring(), r).ok:
             outcome = "painter-coloring-not-dynamic"
-    return Transcript(rounds, state, outcome, dict(ledger.counts))
+    return Transcript(rounds, state, outcome, dict(rejections))
 
 
 @dataclass
@@ -639,26 +642,26 @@ def xp_r_number(
     """
     if g.n == 0:
         return XpResult(0, 0, True, ("empty graph",))
+    refuted = 0  # largest token count at which the game found a Lister win
     if g.n <= max_n or force:
+        # one solver for every k: the memo key holds the tokens
+        solver = PaintSolver(g, r, node_budget=node_budget)
+        k = max(min(r, g.degree(v)) + 1 for v in g.vertices()) if g.m else 1
         try:
-            k = max(min(r, g.degree(v)) + 1 for v in g.vertices()) if g.m else 1
-            while True:
-                verdict = solve_xp_r(g, r, k, max_n=max_n, force=force,
-                                     node_budget=node_budget)
-                if verdict.painter_wins:
-                    return XpResult(k, k, True, ("exhaustive game minimax",))
-                k += 1
+            while not solver.painter_wins(GameState((k,) * g.n)):
+                refuted, k = k, k + 1
+            return XpResult(k, k, True, ("exhaustive game minimax",))
         except BudgetExceeded:
             pass
     lower, lower_note = 1, "trivial"
     try:
-        from .coloring import chi_r_exact
-
         lower = chi_r_exact(g, r).value
         lower_note = "exact chromatic side of the sandwich"
     except BudgetExceeded as exc:
         if exc.lower:
             lower, lower_note = exc.lower, "partial chromatic search"
+    if refuted + 1 > lower:
+        lower, lower_note = refuted + 1, f"game minimax: Lister wins with {refuted} tokens"
     upper, upper_note = g.n, "rainbow bound"
     if genus is not None:
         if genus <= 1 and r == 3 and 10 < upper:
@@ -676,6 +679,11 @@ def xp_r_number(
 # -- strategy trees -------------------------------------------------------------------
 
 
+def _tree_key(state: GameState) -> str:
+    """Name of a position in a serialized strategy tree."""
+    return json.dumps((state.tokens, sorted(map(sorted, state.partition()))))
+
+
 def strategy_tree(
     g: Graph, r: int, f, solver: PaintSolver, *, node_cap: int = 200_000
 ) -> dict:
@@ -685,16 +693,10 @@ def strategy_tree(
     the serialized form (nodes table plus root).
     """
     f = normalize_tokens(g, f)
-    painter = SolverPainter(solver)
     nodes: dict = {}
-    order: list = []
-
-    def key_of(state: GameState):
-        return (state.tokens, tuple(sorted(map(sorted, state.partition()))))
 
     def build(state: GameState) -> str:
-        key = key_of(state)
-        name = json.dumps(key)
+        name = _tree_key(state)
         if name in nodes:
             return name
         if len(nodes) > node_cap:
@@ -703,11 +705,10 @@ def strategy_tree(
                  "classes": sorted(sorted(c) for c in state.partition()),
                  "moves": {}}
         nodes[name] = entry
-        order.append(name)
         uncolored = sorted(state.uncolored(g))
         for mask in range(1, 1 << len(uncolored)):
             marked = frozenset(v for i, v in enumerate(uncolored) if (mask >> i) & 1)
-            resp = painter.respond(state, marked)
+            resp = solver.winning_response(state, marked)
             child = play_round(g, state, marked, resp)
             entry["moves"][" ".join(map(str, sorted(marked)))] = {
                 "color": sorted(resp),
@@ -727,9 +728,7 @@ class TreePainter:
         self.tree = tree
 
     def respond(self, state: GameState, marked: frozenset[int]) -> frozenset[int]:
-        key = json.dumps((state.tokens,
-                          tuple(sorted(map(sorted, state.partition())))))
-        node = self.tree["nodes"].get(key)
+        node = self.tree["nodes"].get(_tree_key(state))
         if node is None:
             raise InnerLost("position not in strategy tree")
         move = node["moves"].get(" ".join(map(str, sorted(marked))))

@@ -138,6 +138,25 @@ def test_usage_errors(tmp_path, capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["paint", "--r", "1", "--tokens", "0", "G"],
+    ["paint", "--r", "1", "--tokens", "-2", "G"],
+    ["paint", "--r", "0", "G"],
+    ["chi-r", "--r", "0", "G"],
+    ["verify", "--r", "-1", "--coloring", "c.col", "G"],
+    ["list-check", "--r", "0", "--lists", "l.txt", "G"],
+    ["contract-color", "--r", "0", "--genus", "0", "G"],
+    ["bound", "--genus", "1", "--r", "0"],
+])
+def test_nonpositive_r_and_tokens_are_usage_errors(tmp_path, capsys, argv):
+    c5 = tmp_path / "c5.g6"
+    c5.write_text(emit_graph6(cycle(5)))
+    with pytest.raises(SystemExit) as info:
+        main([str(c5) if a == "G" else a for a in argv])
+    assert info.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_jobs_flag_accepted(grid_rot, capsys):
     assert main(["--jobs", "4", "genus", grid_rot]) == 0
 

@@ -15,7 +15,13 @@ from dyncolor.configs import (
     structural_budget,
     suggested_tokens,
 )
-from dyncolor.embedding import c3c3_torus, find_embedding, k5_torus, petersen_torus
+from dyncolor.embedding import (
+    c3c3_torus,
+    find_embedding,
+    k5_torus,
+    parse_rotation,
+    petersen_torus,
+)
 from dyncolor.errors import EmbeddingRequired
 from dyncolor.families import (
     complete,
@@ -349,3 +355,13 @@ def test_c5_added_edge_reduction_plays_at_r2():
     rep = check_budget(g, red, 2, 10, tokens={0: 5, 1: 4, 2: 4, 3: 4, 4: 4})
     assert rep.ok
     assert rep.certification.max_rejections[0] <= 4
+
+
+def test_many_3_neighbors_refuses_edge_into_deleted_vertex():
+    # a 5-vertex corpus embedding: the 3-neighbors 0 and 1 of v=2 are adjacent,
+    # so x=0 asks for the E' edge 4-1 and 1 is deleted with it
+    emb = parse_rotation("rot 5\n0: 1 2 4\n1: 0 2 3\n2: 0 1\n3: 1\n4: 0\n")
+    (match,) = find_configs(emb, [ConfigKind.MANY_3_NBRS])
+    assert match.roles["xs"] == (0, 1)
+    with pytest.raises(ValueError, match="reduce the adjacent 3-vertices first"):
+        build_reduction(emb, match)

@@ -184,15 +184,41 @@ def test_gprime_final_colorings_dynamic_on_all_lines():
     assert report.ok  # certify checks verify_r_dynamic on every complete line
 
 
+def random_classes(g, rng, colored, palette=None):
+    """Color classes of a random proper coloring of the vertex set `colored`,
+    from `palette` colors where possible (a small palette repeats colors)."""
+    color = {}
+    for v in rng.sample(sorted(colored), len(colored)):
+        taken = {color[u] for u in g.neighbors(v) if u in color}
+        free = [c for c in range(palette or g.n) if c not in taken]
+        color[v] = rng.choice(free) if free else max(color.values()) + 1
+    return tuple(frozenset(v for v in color if color[v] == c)
+                 for c in sorted(set(color.values())))
+
+
 def test_final_partition_checked_with_verifier():
     g = cycle(5)
     solver = PaintSolver(g, 1)
-    bad = frozenset({frozenset({0, 2}), frozenset({1, 3}), frozenset({4})})
-    coloring = {}
-    for i, cls in enumerate(sorted(bad, key=sorted)):
-        for v in cls:
-            coloring[v] = i + 1
-    assert solver._final_ok(bad) == verify_r_dynamic(g, coloring, 1).ok
+    bad = (frozenset({0, 2}), frozenset({1, 3}), frozenset({4}))
+    coloring = {v: i + 1 for i, cls in enumerate(bad) for v in cls}
+    assert (solver.painter_wins(GameState((0,) * g.n, bad))
+            == verify_r_dynamic(g, coloring, 1).ok)
+
+
+def test_residual_terminal_condition_matches_verifier():
+    # a fully colored position is a Painter win exactly when every residual
+    # need is zero; that must agree with the independent verifier
+    rng = random.Random(11)
+    agree = set()
+    for _ in range(300):
+        g = random_connected_graph(rng.randrange(2, 7), rng.random(), rng)
+        r = rng.randrange(1, 4)
+        classes = random_classes(g, rng, g.vertices())
+        coloring = {v: i + 1 for i, cls in enumerate(classes) for v in cls}
+        ok = verify_r_dynamic(g, coloring, r).ok
+        assert PaintSolver(g, r).painter_wins(GameState((0,) * g.n, classes)) == ok
+        agree.add(ok)
+    assert agree == {True, False}
 
 
 def test_sandwich_chromatic_below_paint():
@@ -254,12 +280,17 @@ def test_time_limit_budget():
         solve_xp_r(g, 2, 5, time_limit=0.0)
 
 
-def reference_game_value(g, r, tokens):
-    """Independent definition: colors are literal round indices, no
-    position abstraction or memoization."""
+def reference_game_value(g, r, tokens, classes=()):
+    """Independent definition: round i colors its class with color i, and the
+    final coloring is checked with verify_r_dynamic.  Positions are memoized
+    on the tokens of uncolored vertices and the unordered color partition
+    only (color names never matter); there is no residual-need abstraction.
+    `classes` is an optional start position: the color classes so far."""
     from itertools import combinations as combos
 
     from dyncolor.coloring import verify_r_dynamic
+
+    memo = {}
 
     def independent_subsets(marked):
         out = [frozenset()]
@@ -268,30 +299,33 @@ def reference_game_value(g, r, tokens):
             out.extend(s | {v} for s in list(out) if not (s & nv))
         return out
 
-    def painter_wins(tokens, coloring, round_no):
-        uncolored = [v for v in g.vertices() if v not in coloring]
+    def painter_wins(tokens, classes):
+        colored = frozenset().union(*classes)
+        uncolored = [v for v in g.vertices() if v not in colored]
         if not uncolored:
+            coloring = {v: i + 1 for i, cls in enumerate(classes) for v in cls}
             return verify_r_dynamic(g, coloring, r).ok
+        if any(tokens[v] == 0 for v in uncolored):
+            return False  # Lister marks that vertex
+        key = (tuple(tokens[v] for v in uncolored), frozenset(c for c in classes if c))
+        if key not in memo:
+            memo[key] = lister_cannot_win(tokens, classes, uncolored)
+        return memo[key]
+
+    def lister_cannot_win(tokens, classes, uncolored):
         for size in range(1, len(uncolored) + 1):
             for marked in combos(uncolored, size):
-                if any(tokens[v] == 0 for v in marked):
-                    return False
                 nt = list(tokens)
                 for v in marked:
                     nt[v] -= 1
-                good = False
-                for resp in independent_subsets(marked):
-                    nc = dict(coloring)
-                    for v in resp:
-                        nc[v] = round_no
-                    if painter_wins(tuple(nt), nc, round_no + 1):
-                        good = True
-                        break
-                if not good:
+                # largest responses first: the empty one first is far slower
+                responses = sorted(independent_subsets(marked), key=len, reverse=True)
+                if not any(painter_wins(tuple(nt), classes + (resp,))
+                           for resp in responses):
                     return False
         return True
 
-    return painter_wins(tuple(tokens), {}, 1)
+    return painter_wins(tuple(tokens), tuple(classes))
 
 
 def test_solver_against_round_indexed_reference():
@@ -302,3 +336,83 @@ def test_solver_against_round_indexed_reference():
         k = rng.randrange(1, 3)
         assert (solve_xp_r(g, r, k).painter_wins
                 == reference_game_value(g, r, [k] * g.n))
+
+
+def test_solver_matches_reference_on_every_small_graph():
+    # every connected graph on up to five vertices, r in 1..3, k in 1..4
+    from dyncolor.families import all_connected_graphs
+
+    for n in range(1, 6):
+        for g in all_connected_graphs(n):
+            for r in (1, 2, 3):
+                for k in (1, 2, 3, 4):
+                    assert (solve_xp_r(g, r, k).painter_wins
+                            == reference_game_value(g, r, [k] * g.n)), (g.edges(), r, k)
+
+
+def test_mid_game_positions_and_dead_state_prune():
+    # random positions part-way through a game; when some vertex needs more
+    # new colors than it has uncolored neighbors, the prune declares a Lister
+    # win and the reference must agree
+    rng = random.Random(12)
+    pruned = 0
+    for i in range(300):
+        g = random_connected_graph(rng.randrange(2, 6), rng.random(), rng)
+        r = rng.randrange(1, 4)
+        # every other position is near the end of the game and reuses one
+        # color wherever it can, so dead positions are common
+        near_end = i % 2
+        left = rng.randrange(1, 3) if near_end else rng.randrange(1, g.n + 1)
+        colored = rng.sample(g.vertices(), max(0, g.n - left))
+        classes = random_classes(g, rng, colored, 1 if near_end else None)
+        tokens = tuple(rng.randrange(1, 4) for _ in g.vertices())
+        state = GameState(tokens, classes)
+        uncolored = state.uncolored(g)
+        dead = any(
+            min(r, g.degree(v)) - sum(1 for cls in classes if cls & set(g.neighbors(v)))
+            > len(uncolored & set(g.neighbors(v)))
+            for v in g.vertices()
+        )
+        want = reference_game_value(g, r, tokens, classes)
+        assert PaintSolver(g, r).painter_wins(state) == want
+        if dead:
+            pruned += 1
+            assert not want
+    assert pruned >= 15
+
+
+def test_shared_solver_paint_numbers_match_fresh_solves():
+    rng = random.Random(13)
+    for _ in range(20):
+        g = random_connected_graph(rng.randrange(2, 7), rng.random(), rng)
+        r = rng.randrange(1, 4)
+        k = 1
+        while not solve_xp_r(g, r, k).painter_wins:
+            k += 1
+        assert xp_r_number(g, r).value == k
+
+
+def test_extracted_strategies_pass_exhaustive_lister():
+    rng = random.Random(14)
+    for _ in range(30):
+        g = random_connected_graph(rng.randrange(2, 7), rng.random(), rng)
+        r = rng.randrange(1, 4)
+        k = rng.randrange(2, 5)
+        verdict = solve_xp_r(g, r, k)
+        if verdict.painter_wins:
+            report = certify_painter(g, r, k, verdict.strategy())
+            assert report.ok, (g.edges(), r, k, report.reason)
+
+
+def test_paint_number_keeps_the_game_lower_bound():
+    # K3,3 is bipartite (chi_1 = 2) but not 2-paintable; with the node budget
+    # of the k=2 solve, the k=3 solve runs out and the sandwich must keep xp >= 3
+    from dyncolor.families import complete_bipartite
+
+    g = complete_bipartite(3, 3)
+    refuted = solve_xp_r(g, 1, 2)
+    assert not refuted.painter_wins
+    res = xp_r_number(g, 1, node_budget=refuted.solver.nodes)
+    assert (res.exact, res.lower, res.upper) == (False, 3, 6)
+    assert res.provenance[0] == "game minimax: Lister wins with 2 tokens"
+    assert xp_r_number(g, 1).value == 3
