@@ -23,9 +23,10 @@ from .errors import (
     HypothesisFail,
     IsC5,
     NoLightEdge,
+    ParseError,
     TooLargeForExhaustive,
 )
-from .graph import Graph
+from .graph import Graph, subgraph
 from .paintgame import solve_xp_r
 
 
@@ -135,28 +136,38 @@ class ContractionTrace:
 
     @staticmethod
     def parse(text: str) -> "ContractionTrace":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "contraction-trace":
-            raise ValueError("not a contraction trace")
+        lines = []
+        offset = 0
+        for line in text.splitlines(keepends=True):
+            if line.strip():
+                lines.append((line.split(), offset))
+            offset += len(line)
+        if not lines or lines[0][0] != ["contraction-trace"]:
+            raise ParseError("not a contraction trace", 0)
         r = genus = None
         steps: list = []
         base: list[int] = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if parts[0] == "r":
-                r = int(parts[1])
-            elif parts[0] == "genus":
-                genus = int(parts[1])
-            elif parts[0] == "delete":
-                steps.append(DeleteStep(int(parts[1])))
-            elif parts[0] == "contract":
-                steps.append(ContractStep(int(parts[1]), int(parts[2]), int(parts[3])))
-            elif parts[0] == "base":
-                base = [int(x) for x in parts[1:]]
+        arity = {"r": 1, "genus": 1, "delete": 1, "contract": 3}
+        for parts, off in lines[1:]:
+            word, args = parts[0], parts[1:]
+            if word != "base" and arity.get(word) != len(args):
+                raise ParseError(f"bad trace line {' '.join(parts)!r}", off)
+            try:
+                values = [int(x) for x in args]
+            except ValueError:
+                raise ParseError(f"non-integer in trace line {' '.join(parts)!r}", off)
+            if word == "r":
+                r = values[0]
+            elif word == "genus":
+                genus = values[0]
+            elif word == "delete":
+                steps.append(DeleteStep(*values))
+            elif word == "contract":
+                steps.append(ContractStep(*values))
             else:
-                raise ValueError(f"bad trace line: {ln}")
+                base = values
         if r is None or genus is None:
-            raise ValueError("trace missing r/genus header")
+            raise ParseError("trace missing r/genus header", offset)
         return ContractionTrace(r, genus, steps, base)
 
 
@@ -446,10 +457,6 @@ class KpCertificate:
         }, indent=2)
 
 
-def _is_c5(adj: dict[int, set[int]], comp: list[int]) -> bool:
-    return len(comp) == 5 and all(len(adj[v]) == 2 for v in comp)
-
-
 def kp_pipeline(
     g: Graph,
     *,
@@ -541,37 +548,23 @@ def kp_pipeline(
         break
 
     remainders: list[KpRemainder] = []
-    seen: set[int] = set()
-    for s in sorted(adj):
-        if s in seen:
+    rest, _ = subgraph(g, adj)
+    label = sorted(adj)  # subgraph keeps the survivors in order
+    for part in rest.components():
+        comp = tuple(label[i] for i in part)
+        sub, _ = subgraph(rest, part)
+        if sub.n == 5 and all(sub.degree(v) == 2 for v in sub.vertices()):
+            remainders.append(KpRemainder(comp, "is-c5"))
             continue
-        comp = [s]
-        seen.add(s)
-        queue = [s]
-        while queue:
-            x = queue.pop()
-            for w in adj[x]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comp.sort()
-        if _is_c5(adj, comp):
-            remainders.append(KpRemainder(tuple(comp), "is-c5"))
+        if sub.n > game_max_n:
+            remainders.append(KpRemainder(comp, "too-large"))
             continue
-        if len(comp) > game_max_n:
-            remainders.append(KpRemainder(tuple(comp), "too-large"))
-            continue
-        index = {v: i for i, v in enumerate(comp)}
-        sub = Graph(len(comp), [(index[a], index[b])
-                                for a in comp for b in adj[a]
-                                if a in index and b in index and a < b])
         try:
             verdict = solve_xp_r(sub, 2, 4, max_n=game_max_n,
                                  node_budget=game_node_budget)
             remainders.append(KpRemainder(
-                tuple(comp), "game-pass" if verdict.painter_wins else "game-fail"
+                comp, "game-pass" if verdict.painter_wins else "game-fail"
             ))
         except BudgetExceeded:
-            remainders.append(KpRemainder(tuple(comp), "too-large"))
+            remainders.append(KpRemainder(comp, "too-large"))
     return KpCertificate(hypothesis, steps, remainders)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -26,7 +25,10 @@ def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not ASCII", exc.start) from exc
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
@@ -37,11 +39,19 @@ def _load_embedding(path: str) -> embedding.EmbeddedGraph:
     return embedding.parse_rotation(_read(path))
 
 
-def _positive(text: str) -> int:
+def _at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def _positive(text: str) -> int:
+    return _at_least(text, 1)
+
+
+def _nonnegative(text: str) -> int:
+    return _at_least(text, 0)
 
 
 def _add_graph_arg(p: argparse.ArgumentParser) -> None:
@@ -56,10 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact r-dynamic coloring, paintability games, reducible "
                     "configurations, and discharging on embedded graphs.",
     )
-    top.add_argument("--jobs", type=int,
-                     default=int(os.environ.get("DYNCOLOR_JOBS", "1")),
-                     help="worker hint; execution is single-process and "
-                          "deterministic for every value")
     top.add_argument("--seed", type=int, default=0,
                      help="seed for randomized embedding search")
     sub = top.add_subparsers(dest="command", required=True)
@@ -87,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None,
                    help="wall-clock cap in seconds for one game solve")
-    p.add_argument("--genus", type=int, default=None,
+    p.add_argument("--genus", type=_nonnegative, default=None,
                    help="declared genus enabling structural upper bounds")
 
     p = sub.add_parser("list-check", help="r-dynamic colorability from lists")
@@ -116,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rotation")
 
     p = sub.add_parser("bound", help="genus/r bound profile")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_nonnegative, required=True)
     p.add_argument("--r", type=_positive, required=True)
 
     p = sub.add_parser("mad", help="exact maximum average degree")
@@ -134,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="constructive r-dynamic coloring via light edges")
     _add_graph_arg(p)
     p.add_argument("--r", type=_positive, required=True)
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_nonnegative, required=True)
     p.add_argument("--trace-out", default=None)
     p.add_argument("--coloring-out", default=None)
 
@@ -343,8 +349,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be positive")
     try:
         return _COMMANDS[args.command](args)
     except (BudgetExceeded, TooLargeForExhaustive) as exc:

@@ -1,10 +1,13 @@
 """r-dynamic coloring: verification, exact chromatic search, list colorability.
 
 An r-dynamic coloring is a proper coloring where every vertex v sees at least
-min(r, d(v)) distinct colors on its open neighborhood.  The exact solver is a
-DSATUR-style backtracker extended with a sound dynamic-deficiency prune: a
-partial coloring dies as soon as some vertex's distinct-colored-neighbor count
-plus its uncolored-neighbor count drops below its requirement.
+min(r, d(v)) distinct colors on its open neighborhood.  One DSATUR-style
+backtracker with a sound dynamic-deficiency prune (a partial coloring dies as
+soon as some vertex's distinct-colored-neighbor count plus its
+uncolored-neighbor count drops below its requirement) answers every exact
+question: chromatic search, list colorability, and, through its precoloring
+and leaf predicate, the enumeration and extension of base colorings in
+`configs.check_extendable`.
 """
 
 from __future__ import annotations
@@ -58,92 +61,110 @@ def verify_r_dynamic(g: Graph, coloring: Mapping[int, int], r: int) -> DynamicRe
 
 
 class _Searcher:
-    """Backtracking core shared by the k-palette and list-assignment modes."""
+    """The r-dynamic backtracker behind every exact coloring question.
 
-    def __init__(self, g: Graph, r: int, node_budget: int,
+    DSATUR-style order over the uncolored vertices; each vertex keeps the
+    multiset of colors on its neighborhood and its count of uncolored
+    neighbors, so a partial coloring dies as soon as some vertex can no longer
+    reach min(r, d(v)) distinct neighbor colors.  Every leaf is therefore a
+    proper r-dynamic coloring, and with the canonical palette the leaves are
+    the r-dynamic colorings with <= k colors, one per renaming class.
+    """
+
+    def __init__(self, g: Graph, r: int, node_budget: float,
                  deadline: float | None = None):
         self.g = g
         self.r = r
-        self.need = [min(r, g.degree(v)) for v in g.vertices()]
+        self.degree = [len(nbrs) for nbrs in g.adj]
+        self.need = [min(r, d) for d in self.degree]
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
 
-    def solve(self, allowed) -> dict[int, int] | None:
-        """allowed(v, used_max) -> candidate colors in ascending order."""
-        g = self.g
-        color: dict[int, int] = {}
-        nbr_colors: list[dict[int, int]] = [dict() for _ in g.vertices()]
-        uncolored_nbrs = [g.degree(v) for v in g.vertices()]
-        self._allowed = allowed
+    def solve(self, allowed, fixed: Mapping[int, int] | None = None,
+              accept=None) -> dict[int, int] | None:
+        """The first completion of the precoloring `fixed` that `accept` takes.
 
-        def viable(w: int) -> bool:
-            return len(nbr_colors[w]) + uncolored_nbrs[w] >= self.need[w]
+        allowed(v, used_max) -> candidate colors in ascending order, where
+        used_max is the largest color in use; accept(coloring) -> bool sees
+        each complete r-dynamic coloring in search order, as the live dict
+        (default: take the first).  An improper or already dead precoloring
+        gives None at once.
+        """
+        adj, degree, need = self.g.adj, self.degree, self.need
+        color: dict[int, int] = dict(fixed or {})
+        nbr_colors: list[dict[int, int]] = [{} for _ in adj]
+        uncolored_nbrs = list(degree)
+        for v, c in color.items():
+            for w in adj[v]:
+                if color.get(w) == c:
+                    return None
+                uncolored_nbrs[w] -= 1
+                nbr_colors[w][c] = nbr_colors[w].get(c, 0) + 1
+        # dead: some vertex can no longer reach need[w] distinct colors
+        if any(len(nbr_colors[w]) + uncolored_nbrs[w] < need[w] for w in range(len(adj))):
+            return None
+        free = set(range(len(adj))) - color.keys()
 
-        def pick() -> int:
-            best, best_key = -1, None
-            for v in g.vertices():
-                if v in color:
-                    continue
-                sat = len(nbr_colors[v])
-                key = (sat, self.need[v] - sat, g.degree(v), -v)
-                if best_key is None or key > best_key:
-                    best, best_key = v, key
-            return best
+        def key(v: int):
+            sat = len(nbr_colors[v])
+            return (sat, need[v] - sat, degree[v], -v)
 
         def rec(used_max: int) -> bool:
-            if len(color) == g.n:
-                return True
+            if not free:
+                return accept is None or accept(color)
             self.nodes += 1
             if self.nodes > self.node_budget:
                 raise BudgetExceeded(f"coloring search exceeded {self.node_budget} nodes")
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise BudgetExceeded("coloring search hit the time limit")
-            v = pick()
+            v = max(free, key=key)
+            free.remove(v)
             forbidden = nbr_colors[v]
-            for c in self._allowed(v, used_max):
+            for c in allowed(v, used_max):
                 if c in forbidden:
                     continue
                 color[v] = c
-                touched = []
                 ok = True
-                for w in g.neighbors(v):
+                for w in adj[v]:
                     uncolored_nbrs[w] -= 1
-                    nbr_colors[w][c] = nbr_colors[w].get(c, 0) + 1
-                    touched.append(w)
-                    if not viable(w):
+                    seen = nbr_colors[w]
+                    seen[c] = seen.get(c, 0) + 1
+                    if len(seen) + uncolored_nbrs[w] < need[w]:
                         ok = False
                 if ok and rec(max(used_max, c)):
                     return True
                 del color[v]
-                for w in touched:
+                for w in adj[v]:
                     uncolored_nbrs[w] += 1
-                    if nbr_colors[w][c] == 1:
-                        del nbr_colors[w][c]
+                    seen = nbr_colors[w]
+                    if seen[c] == 1:
+                        del seen[c]
                     else:
-                        nbr_colors[w][c] -= 1
+                        seen[c] -= 1
+            free.add(v)
             return False
 
-        if rec(0):
+        if rec(max(color.values(), default=0)):
             return dict(color)
         return None
+
+
+def canonical_palette(k: int):
+    """Colors 1..k, a fresh color only after all smaller ones are in use, so
+    the search sees each coloring once up to renaming."""
+    def allowed(v: int, used_max: int):
+        return range(1, min(k, used_max + 1) + 1)
+    return allowed
 
 
 def r_dynamic_coloring(
     g: Graph, r: int, k: int, *, node_budget: int = 5_000_000,
     deadline: float | None = None,
 ) -> dict[int, int] | None:
-    """A witness r-dynamic coloring with colors in 1..k, or None.
-
-    Colors are tried ascending and a fresh color is introduced only after all
-    smaller ones are in use, so the search sees each coloring once up to renaming.
-    """
+    """A witness r-dynamic coloring with colors in 1..k, or None."""
     searcher = _Searcher(g, r, node_budget, deadline)
-
-    def allowed(v: int, used_max: int):
-        return range(1, min(k, used_max + 1) + 1)
-
-    witness = searcher.solve(allowed)
+    witness = searcher.solve(canonical_palette(k))
     if witness is not None:
         report = verify_r_dynamic(g, witness, r)
         if not report.ok:

@@ -1,5 +1,6 @@
 """Reducible-configuration catalog: detection, reduction construction, and
-brute-force certification of extendability and rejection budgets.
+certification of extendability (on the exact coloring search) and of
+rejection budgets (against the exhaustive adversary).
 
 The first ten kinds target 3-dynamic 10-paintability on the torus; the three
 KP kinds target 2-dynamic 4-paintability of sparse graphs.  Detectors match
@@ -9,11 +10,12 @@ the catalog statements; reduction builders transcribe the proof constructions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
 
-from .coloring import verify_r_dynamic
+from .coloring import _Searcher, canonical_palette, verify_r_dynamic
 from .embedding import EmbeddedGraph, add_cofacial_edge, induced_embedding
 from .errors import (
     BudgetExceeded,
@@ -828,29 +830,6 @@ class ExtendabilityReport:
                 f"{self.colorings_checked} colorings: {self.counterexample}")
 
 
-def _canonical_colorings(g: Graph, r: int, k: int, limit: int):
-    """All r-dynamic colorings of g with <= k colors, one per renaming class."""
-    n = g.n
-    out: list[dict[int, int]] = []
-
-    def rec(v: int, coloring: dict[int, int], used: int):
-        if len(out) > limit:
-            raise BudgetExceeded("too many base colorings to enumerate")
-        if v == n:
-            if verify_r_dynamic(g, coloring, r).ok:
-                out.append(dict(coloring))
-            return
-        for c in range(1, min(used + 1, k) + 1):
-            if any(coloring.get(w) == c for w in g.neighbors(v)):
-                continue
-            coloring[v] = c
-            rec(v + 1, coloring, max(used, c))
-            del coloring[v]
-
-    rec(0, {}, 0)
-    return out
-
-
 def check_extendable(
     g: Graph,
     reduction: Reduction,
@@ -859,40 +838,39 @@ def check_extendable(
     k: int | None = None,
     coloring_limit: int = 200_000,
 ) -> ExtendabilityReport:
-    """Brute-force r-extendability: every r-dynamic k-coloring of G' must extend
-    to an r-dynamic coloring of G on the deleted vertices."""
+    """r-extendability: every r-dynamic k-coloring of G' must extend to an
+    r-dynamic coloring of G on the deleted vertices.
+
+    The coloring search on G' meets each base coloring once up to renaming;
+    its leaf predicate precolors G with the base and searches S over 1..k,
+    and the search stops at the first base that does not extend.
+    """
     if k is None:
         k = reduction.kind.target[1]
-    dense = reduction.gprime
     inverse = {reduction.remap.image[v]: v
                for v in g.vertices() if reduction.remap.image[v] is not None}
-    bases = _canonical_colorings(dense, r, k, coloring_limit)
-    s = list(reduction.s_order)
+    palette = range(1, k + 1)
+    extender = _Searcher(g, r, math.inf)
+    checked = 0
 
-    def extends(base: dict[int, int]) -> bool:
-        coloring = {inverse[dv]: c for dv, c in base.items()}
+    def fails_to_extend(base: dict[int, int]) -> bool:
+        nonlocal checked
+        checked += 1
+        if checked > coloring_limit:
+            raise BudgetExceeded("too many base colorings to enumerate")
+        fixed = {inverse[dv]: c for dv, c in base.items()}
+        witness = extender.solve(lambda v, used_max: palette, fixed)
+        if witness is None:
+            return True
+        if not verify_r_dynamic(g, witness, r).ok:
+            raise AssertionError("extension search returned a bad witness")
+        return False
 
-        def rec(i: int) -> bool:
-            if i == len(s):
-                return verify_r_dynamic(g, coloring, r).ok
-            v = s[i]
-            for c in range(1, k + 1):
-                if any(coloring.get(w) == c for w in g.neighbors(v)):
-                    continue
-                coloring[v] = c
-                if rec(i + 1):
-                    del coloring[v]
-                    return True
-                del coloring[v]
-            return False
-
-        return rec(0)
-
-    for i, base in enumerate(bases):
-        if not extends(base):
-            bad = {inverse[dv]: c for dv, c in base.items()}
-            return ExtendabilityReport(False, i + 1, bad)
-    return ExtendabilityReport(True, len(bases), None)
+    bad = _Searcher(reduction.gprime, r, math.inf).solve(
+        canonical_palette(k), accept=fails_to_extend)
+    if bad is None:
+        return ExtendabilityReport(True, checked, None)
+    return ExtendabilityReport(False, checked, {inverse[dv]: c for dv, c in bad.items()})
 
 
 def reduction_without_added_edges(g: Graph, reduction: Reduction) -> Reduction:

@@ -88,10 +88,6 @@ class EmbeddedGraph:
                 return f
         raise KeyError(dart)
 
-    def faces_at(self, v: int) -> list[Face]:
-        """Faces incident to v, one entry per boundary visit (corner)."""
-        return [f for f in self.faces for u, _ in f.darts if u == v]
-
     def face_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(f.length for f in self.faces))
 
@@ -301,7 +297,6 @@ def find_embedding(
 # -- rotation-system text format --------------------------------------------------
 
 def parse_rotation(text: str) -> EmbeddedGraph:
-    lines = text.splitlines()
     offset = 0
     header = None
     body: list[tuple[str, int]] = []
@@ -313,7 +308,6 @@ def parse_rotation(text: str) -> EmbeddedGraph:
             else:
                 body.append((stripped, offset))
         offset += len(line)
-    del lines
     if header is None:
         raise ParseError("empty rotation file", 0)
     parts = header[0].split()
@@ -352,8 +346,7 @@ def parse_rotation(text: str) -> EmbeddedGraph:
         for w in orders[v]:
             if v not in orders[w]:
                 raise MalformedRotation(
-                    f"asymmetric adjacency: {w} lists... {v} lists {w} but not vice versa"
-                )
+                    f"vertex {v} lists {w} but {w} does not list {v}")
     edges = [(v, w) for v in range(n) for w in orders[v] if v < w]
     g = Graph(n, edges)
     return trace_faces(RotationSystem(g, tuple(tuple(orders[v]) for v in range(n))))

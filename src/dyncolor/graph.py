@@ -114,9 +114,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-REMOVED = "removed"
-
-
 @dataclass(frozen=True)
 class VertexRemap:
     """Maps old vertex ids to new ones after a mutating operation.

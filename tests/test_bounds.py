@@ -22,6 +22,7 @@ from dyncolor.errors import (
     HypothesisFail,
     IsC5,
     NoLightEdge,
+    ParseError,
     TooLargeForExhaustive,
 )
 from dyncolor.families import (
@@ -122,7 +123,7 @@ def test_replay_rejects_tampered_trace():
     res = color_by_contraction(g, 11, 0)
     text = res.trace.render().replace("contract", "contract-bogus", 1)
     if "contract-bogus" in text:
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             ContractionTrace.parse(text)
 
 

@@ -157,8 +157,32 @@ def test_nonpositive_r_and_tokens_are_usage_errors(tmp_path, capsys, argv):
     assert "must be at least 1" in capsys.readouterr().err
 
 
-def test_jobs_flag_accepted(grid_rot, capsys):
-    assert main(["--jobs", "4", "genus", grid_rot]) == 0
+TRACE_HEAD = "contraction-trace\nr 11\ngenus 0\n"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["chi-r", "--r", "1", "F"], "0 1\n1 2 \u00e9\n", "not ASCII"),
+    (["bound", "--genus", "-1", "--r", "3"], None, "must be at least 0"),
+    (["contract-color", "--r", "3", "--genus", "-1", "G"], None, "must be at least 0"),
+    (["paint", "--r", "1", "--genus", "-2", "G"], None, "must be at least 0"),
+    (["replay", "--certificate", "F", "G"],
+     TRACE_HEAD + "frobnicate 1\nbase 0\n", "bad trace line 'frobnicate 1'"),
+    (["replay", "--certificate", "F", "G"],
+     "contraction-trace\nr\ngenus 0\nbase 0\n", "bad trace line 'r'"),
+    (["replay", "--certificate", "F", "G"],
+     TRACE_HEAD + "contract 1 x 2\n", "non-integer"),
+])
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
+    paths = {"G": tmp_path / "c5.g6", "F": tmp_path / "input.txt"}
+    paths["G"].write_text(emit_graph6(cycle(5)))
+    if text is not None:
+        paths["F"].write_bytes(text.encode("utf-8"))
+    try:
+        code = main([str(paths[a]) if a in paths else a for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_witness_roundtrips_through_verify(tmp_path, capsys):

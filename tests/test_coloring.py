@@ -1,8 +1,12 @@
+import math
 import random
+from itertools import product
 
 import pytest
 
 from dyncolor.coloring import (
+    _Searcher,
+    canonical_palette,
     ch_r_lower_bound_from_lists,
     chi_r_exact,
     chi_r_via_square,
@@ -137,8 +141,6 @@ def test_coloring_file_roundtrip():
 
 def brute_chi_r(g, r):
     """Independent oracle: scan every coloring by increasing palette size."""
-    from itertools import product
-
     for k in range(1, g.n + 1):
         for assignment in product(range(1, k + 1), repeat=g.n):
             coloring = dict(enumerate(assignment))
@@ -153,3 +155,76 @@ def test_chi_against_full_scan():
         g = random_connected_graph(rng.randrange(2, 6), 0.45, rng)
         r = rng.randrange(1, 4)
         assert chi_r_exact(g, r).value == brute_chi_r(g, r)
+
+
+def brute_bases(g, r, k):
+    """Every r-dynamic coloring with <= k colors in first-appearance form."""
+    out = []
+    for assignment in product(range(1, k + 1), repeat=g.n):
+        if all(c <= max(assignment[:i], default=0) + 1 for i, c in enumerate(assignment)):
+            coloring = dict(enumerate(assignment))
+            if verify_r_dynamic(g, coloring, r).ok:
+                out.append(coloring)
+    return out
+
+
+def core_bases(g, r, k):
+    """The leaves of the search core under the canonical palette."""
+    out = []
+
+    def keep(coloring):
+        out.append(dict(coloring))
+        return False
+
+    assert _Searcher(g, r, math.inf).solve(canonical_palette(k), accept=keep) is None
+    return out
+
+
+def partition(coloring):
+    classes = {}
+    for v, c in coloring.items():
+        classes.setdefault(c, set()).add(v)
+    return frozenset(frozenset(cls) for cls in classes.values())
+
+
+def test_core_enumerates_each_base_once():
+    rng = random.Random(21)
+    for _ in range(40):
+        n = rng.randrange(1, 8)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        g = Graph(n, edges)
+        r, k = rng.randrange(1, 4), rng.randrange(1, 6)
+        found = core_bases(g, r, k)
+        assert all(verify_r_dynamic(g, c, r).ok for c in found)
+        assert len({partition(c) for c in found}) == len(found)
+        want = brute_bases(g, r, k)
+        assert len(found) == len(want), (g.edges(), r, k)
+        assert {partition(c) for c in found} == {partition(c) for c in want}
+
+
+def test_precoloring_is_kept_or_refused():
+    g = path(4)  # 0-1-2-3
+    palette = canonical_palette(3)
+    improper = _Searcher(g, 2, math.inf)
+    assert improper.solve(palette, {0: 1, 1: 1}) is None
+    assert improper.nodes == 0
+    dead = _Searcher(g, 2, math.inf)  # vertex 1 sees only color 1
+    assert dead.solve(palette, {0: 1, 2: 1}) is None
+    assert dead.nodes == 0
+    live = _Searcher(g, 2, math.inf).solve(palette, {0: 1, 2: 2})
+    assert live is not None and live[0] == 1 and live[2] == 2
+    assert verify_r_dynamic(g, live, 2).ok
+    complete_ok = {0: 1, 1: 2, 2: 3, 3: 1}
+    assert _Searcher(g, 2, math.inf).solve(palette, complete_ok) == complete_ok
+
+
+def test_accept_takes_the_first_acceptable_leaf():
+    g = cycle(5)
+    seen = []
+
+    def third(coloring):
+        seen.append(dict(coloring))
+        return len(seen) == 3
+
+    got = _Searcher(g, 1, math.inf).solve(canonical_palette(3), accept=third)
+    assert got == seen[2] and len(seen) == 3

@@ -3,7 +3,9 @@ from itertools import combinations
 
 import pytest
 
+from dyncolor.coloring import verify_r_dynamic
 from dyncolor.configs import (
+    KP_KINDS,
     TORUS_KINDS,
     ConfigKind,
     build_reduction,
@@ -22,7 +24,7 @@ from dyncolor.embedding import (
     parse_rotation,
     petersen_torus,
 )
-from dyncolor.errors import EmbeddingRequired
+from dyncolor.errors import BudgetExceeded, DynColorError, EmbeddingRequired
 from dyncolor.families import (
     complete,
     cube,
@@ -365,3 +367,90 @@ def test_many_3_neighbors_refuses_edge_into_deleted_vertex():
     assert match.roles["xs"] == (0, 1)
     with pytest.raises(ValueError, match="reduce the adjacent 3-vertices first"):
         build_reduction(emb, match)
+
+
+def brute_bases(g, r, k):
+    """Every r-dynamic coloring with <= k colors in first-appearance form,
+    vertex by vertex with only properness pruned, judged at the leaf."""
+    def rec(coloring):
+        v = len(coloring)
+        if v == g.n:
+            full = dict(enumerate(coloring))
+            if verify_r_dynamic(g, full, r).ok:
+                yield full
+            return
+        for c in range(1, min(k, max(coloring, default=0) + 1) + 1):
+            if all(coloring[w] != c for w in g.neighbors(v) if w < v):
+                yield from rec(coloring + [c])
+    return list(rec([]))
+
+
+def brute_extends(g, coloring, s, r, k):
+    if not s:
+        return verify_r_dynamic(g, coloring, r).ok
+    v = s[0]
+    return any(brute_extends(g, {**coloring, v: c}, s[1:], r, k)
+               for c in range(1, k + 1)
+               if all(coloring.get(w) != c for w in g.neighbors(v)))
+
+
+def brute_extendable(g, red, r, k):
+    """(number of bases, the bases that do not extend), bases in G's labels."""
+    inverse = {d: v for v, d in enumerate(red.remap.image) if d is not None}
+    bases = [{inverse[d]: c for d, c in b.items()} for b in brute_bases(red.gprime, r, k)]
+    return len(bases), [b for b in bases if not brute_extends(g, b, red.s_order, r, k)]
+
+
+def assert_matches_brute_force(g, red, r, k):
+    count, failing = brute_extendable(g, red, r, k)
+    rep = check_extendable(g, red, r, k=k)
+    assert rep.extendable == (not failing)
+    if rep.extendable:
+        assert rep.colorings_checked == count
+    else:
+        image = red.remap.image
+        base = {image[v]: c for v, c in rep.counterexample.items()}
+        assert verify_r_dynamic(red.gprime, base, r).ok
+        assert not brute_extends(g, rep.counterexample, red.s_order, r, k)
+    return rep
+
+
+def test_extendability_matches_brute_force_on_catalog():
+    for kind, (emb, match) in catalog_instances().items():
+        assert_matches_brute_force(emb.graph, build_reduction(emb, match), 3, 10)
+    g, match = notsubgraph_instance()
+    red = build_reduction(find_embedding(g), match)
+    assert_matches_brute_force(g, red, 2, 10).extendable
+    assert not assert_matches_brute_force(
+        g, reduction_without_added_edges(g, red), 2, 10).extendable
+
+
+def test_extendability_matches_brute_force_on_random_reductions():
+    graph_kinds = (ConfigKind.DEG_LE_2, ConfigKind.ADJACENT_3S,
+                   ConfigKind.FOUR_WITH_3_NBR, ConfigKind.LIGHT_TRIANGLE) + KP_KINDS
+    rng = random.Random(4)
+    verdicts = []
+    while len(verdicts) < 60:
+        g = random_connected_graph(rng.randrange(4, 8), 0.3, rng)
+        matches = find_configs(g, graph_kinds)
+        if not matches:
+            continue
+        try:
+            red = build_reduction(g, rng.choice(matches))
+        except (ValueError, DynColorError):
+            continue
+        if rng.random() < 0.5:
+            red = reduction_without_added_edges(g, red)
+        rep = assert_matches_brute_force(g, red, rng.randrange(1, 4), rng.randrange(2, 6))
+        verdicts.append(rep.extendable)
+    assert True in verdicts and False in verdicts
+
+
+def test_coloring_limit_below_base_count():
+    emb, match = catalog_instances()[ConfigKind.FOUR_WITH_3_NBR]
+    red = build_reduction(emb, match)
+    count = check_extendable(emb.graph, red, 3, k=10).colorings_checked
+    assert count > 1
+    assert check_extendable(emb.graph, red, 3, k=10, coloring_limit=count).extendable
+    with pytest.raises(BudgetExceeded):
+        check_extendable(emb.graph, red, 3, k=10, coloring_limit=count - 1)
