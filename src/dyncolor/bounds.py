@@ -11,7 +11,6 @@ by the verifier on every run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -175,6 +174,28 @@ def _adjacency(g: Graph) -> dict[int, set[int]]:
     return {v: set(g.neighbors(v)) for v in g.vertices()}
 
 
+def _apply(adj: dict[int, set[int]], step) -> None:
+    """Apply one peeling step to the adjacency in place."""
+    if isinstance(step, DeleteStep):
+        v = step.vertex
+        nbrs = sorted(adj.pop(v))
+        for w in nbrs:
+            adj[w].discard(v)
+        # a suppressed 2-vertex leaves the edge between its neighbors, so
+        # the reduced coloring keeps them distinct (genus is preserved)
+        if len(nbrs) == 2:
+            y, z = nbrs
+            adj[y].add(z)
+            adj[z].add(y)
+    else:
+        u, v = step.u, step.v
+        for x in adj.pop(u):
+            adj[x].discard(u)
+            if x != v:
+                adj[x].add(v)
+                adj[v].add(x)
+
+
 def _peel(g: Graph, omega: int) -> tuple[ContractionTrace, list[dict[int, set[int]]]]:
     """Forward pass: stages[i] is the adjacency before steps[i] is applied."""
     adj = _adjacency(g)
@@ -182,49 +203,33 @@ def _peel(g: Graph, omega: int) -> tuple[ContractionTrace, list[dict[int, set[in
     stages: list[dict[int, set[int]]] = []
     while len(adj) > 4:
         stages.append({v: set(ns) for v, ns in adj.items()})
-        low = sorted(v for v, ns in adj.items() if len(ns) <= 2)
-        if low:
-            v = low[0]
-            nbrs = sorted(adj[v])
-            for w in nbrs:
-                adj[w].discard(v)
-            del adj[v]
-            # a suppressed 2-vertex leaves the edge between its neighbors, so
-            # the reduced coloring keeps them distinct (genus is preserved)
-            if len(nbrs) == 2:
-                y, z = nbrs
-                adj[y].add(z)
-                adj[z].add(y)
-            steps.append(DeleteStep(v))
-            continue
-        best = None
-        for a in sorted(adj):
-            for b in sorted(adj[a]):
-                if a < b:
-                    w = len(adj[a]) + len(adj[b])
-                    if best is None or (w, a, b) < best:
-                        best = (w, a, b)
-        assert best is not None
-        w, a, b = best
-        if w > omega:
-            raise NoLightEdge(
-                f"minimum edge weight {w} exceeds omega {omega}; the declared "
-                f"genus is too small for this graph"
-            )
-        # absorber = higher-degree endpoint, ties to the lower id
-        if len(adj[a]) > len(adj[b]):
-            u, v = b, a
-        elif len(adj[b]) > len(adj[a]):
-            u, v = a, b
+        low = min((v for v, ns in adj.items() if len(ns) <= 2), default=None)
+        if low is not None:
+            step = DeleteStep(low)
         else:
-            u, v = max(a, b), min(a, b)
-        for x in adj[u]:
-            adj[x].discard(u)
-            if x != v:
-                adj[x].add(v)
-                adj[v].add(x)
-        del adj[u]
-        steps.append(ContractStep(u, v, w))
+            best = None
+            for a in sorted(adj):
+                for b in sorted(adj[a]):
+                    if a < b:
+                        w = len(adj[a]) + len(adj[b])
+                        if best is None or (w, a, b) < best:
+                            best = (w, a, b)
+            assert best is not None
+            w, a, b = best
+            if w > omega:
+                raise NoLightEdge(
+                    f"minimum edge weight {w} exceeds omega {omega}; the declared "
+                    f"genus is too small for this graph"
+                )
+            # absorber = higher-degree endpoint, ties to the lower id
+            if len(adj[a]) > len(adj[b]):
+                step = ContractStep(b, a, w)
+            elif len(adj[b]) > len(adj[a]):
+                step = ContractStep(a, b, w)
+            else:
+                step = ContractStep(max(a, b), min(a, b), w)
+        _apply(adj, step)
+        steps.append(step)
     return ContractionTrace(0, 0, steps, sorted(adj)), stages
 
 
@@ -316,17 +321,8 @@ def replay_contraction(g: Graph, trace: ContractionTrace) -> ContractionResult:
     for step in trace.steps:
         stages.append({v: set(ns) for v, ns in adj.items()})
         if isinstance(step, DeleteStep):
-            v = step.vertex
-            if v not in adj or len(adj[v]) > 2:
-                raise ValueError(f"illegal delete of {v}")
-            nbrs = sorted(adj[v])
-            for w in nbrs:
-                adj[w].discard(v)
-            del adj[v]
-            if len(nbrs) == 2:
-                y, z = nbrs
-                adj[y].add(z)
-                adj[z].add(y)
+            if step.vertex not in adj or len(adj[step.vertex]) > 2:
+                raise ValueError(f"illegal delete of {step.vertex}")
         else:
             u, v = step.u, step.v
             if u not in adj or v not in adj[u]:
@@ -334,12 +330,7 @@ def replay_contraction(g: Graph, trace: ContractionTrace) -> ContractionResult:
             w = len(adj[u]) + len(adj[v])
             if w != step.weight or w > prof.omega:
                 raise ValueError(f"contraction {u},{v} has weight {w}, not light")
-            for x in adj[u]:
-                adj[x].discard(u)
-                if x != v:
-                    adj[x].add(v)
-                    adj[v].add(x)
-            del adj[u]
+        _apply(adj, step)
     if sorted(adj) != trace.base or len(adj) > 4:
         raise ValueError("trace base does not match the peeled graph")
     color, max_forbidden = _reverse_color(g, trace.r, prof.ell, trace, stages)
@@ -407,6 +398,9 @@ def mad(g: Graph, *, max_n: int = 20, force: bool = False) -> Fraction:
 # KP pipeline: 2-dynamic 4-paintability certificates for sparse graphs
 
 
+GIRTH7_HYPOTHESIS = "planar-girth-7 (asserted by caller)"
+
+
 @dataclass
 class KpStep:
     case: str          # "1", "2a", "2b"
@@ -444,18 +438,6 @@ class KpCertificate:
         lines.append(f"certified {self.certified}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "hypothesis": self.hypothesis,
-            "steps": [{"case": s.case, "removed": list(s.removed),
-                       "roles": {k: v if isinstance(v, int) else list(v)
-                                 for k, v in s.roles.items()},
-                       "budget": s.budget} for s in self.steps],
-            "remainders": [{"component": list(r.component), "verdict": r.verdict}
-                           for r in self.remainders],
-            "certified": self.certified,
-        }, indent=2)
-
 
 def kp_pipeline(
     g: Graph,
@@ -476,7 +458,7 @@ def kp_pipeline(
     if g.n == 5 and all(g.degree(v) == 2 for v in g.vertices()):
         raise IsC5("the five-cycle is the excluded graph")
     if girth7_planar:
-        hypothesis = "planar-girth-7 (asserted by caller)"
+        hypothesis = GIRTH7_HYPOTHESIS
     else:
         density = mad(g, max_n=max(mad_max_n, 1), force=g.n <= mad_max_n)
         if density >= Fraction(8, 3):

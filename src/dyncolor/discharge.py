@@ -9,6 +9,7 @@ checked as exact integer equality.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -152,7 +153,19 @@ class ChargeLedger:
         return Fraction(self.face_final_q()[i], 4)
 
     def to_json(self) -> str:
-        return _ledger_to_json(self)
+        return json.dumps({
+            "vertex_initial": [str(Fraction(q, 4)) for q in self.vertex_initial_q],
+            "face_initial": [str(Fraction(q, 4)) for q in self.face_initial_q],
+            "vertex_final": [str(Fraction(q, 4)) for q in self.vertex_final_q()],
+            "face_final": [str(Fraction(q, 4)) for q in self.face_final_q()],
+            "face_rules": list(self.face_rules),
+            "transfers": [
+                {"rule": t.rule, "vertex": t.vertex, "face": t.face,
+                 "amount": str(Fraction(t.amount_q, 4))}
+                for t in self.transfers
+            ],
+            "total": str(self.total_final()),
+        }, indent=2)
 
     def render(self) -> str:
         lines = ["element        initial     final   detail"]
@@ -171,24 +184,6 @@ class ChargeLedger:
             )
         lines.append(f"total initial {self.total_initial()}  total final {self.total_final()}")
         return "\n".join(lines)
-
-
-def _ledger_to_json(ledger: ChargeLedger) -> str:
-    import json
-
-    return json.dumps({
-        "vertex_initial": [str(Fraction(q, 4)) for q in ledger.vertex_initial_q],
-        "face_initial": [str(Fraction(q, 4)) for q in ledger.face_initial_q],
-        "vertex_final": [str(Fraction(q, 4)) for q in ledger.vertex_final_q()],
-        "face_final": [str(Fraction(q, 4)) for q in ledger.face_final_q()],
-        "face_rules": list(ledger.face_rules),
-        "transfers": [
-            {"rule": t.rule, "vertex": t.vertex, "face": t.face,
-             "amount": str(Fraction(t.amount_q, 4))}
-            for t in ledger.transfers
-        ],
-        "total": str(ledger.total_final()),
-    }, indent=2)
 
 
 def initial_charges(emb: EmbeddedGraph) -> ChargeLedger:

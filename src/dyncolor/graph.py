@@ -148,10 +148,6 @@ class VertexRemap:
                 merged[inv[mid]] = inv[tgt]
         return VertexRemap(tuple(image), merged)
 
-    @staticmethod
-    def identity(n: int) -> "VertexRemap":
-        return VertexRemap(tuple(range(n)), {})
-
 
 def _compact_remap(n: int, removed: set[int], merged: dict[int, int]) -> VertexRemap:
     image: list[int | None] = []
@@ -349,12 +345,4 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
         if " " in first.strip() or first.lstrip().startswith("#"):
             return parse_edge_list(text)
         return parse_graph6(text)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def emit_graph(g: Graph, fmt: str) -> str:
-    if fmt == "graph6":
-        return emit_graph6(g)
-    if fmt == "edge-list":
-        return emit_edge_list(g)
     raise ValueError(f"unknown format {fmt!r}")

@@ -4,11 +4,16 @@ Lister marks a nonempty set of uncolored vertices each round (each marked
 vertex spends a token; marking a token-less vertex wins for Lister) and
 Painter colors an independent subset of the marked set with that round's
 color.  Painter wins if the final coloring is r-dynamic.  Each round's color
-is fresh, so the past matters only through the residual need res(v) =
-max(0, min(r, d(v)) - #classes meeting N(v)), which a response lowers by one
-wherever it meets N(v).  The solver is an exact minimax over (tokens on
-uncolored vertices, res); a position where some res(v) exceeds the number of
-uncolored neighbors of v is lost, as each round adds at most one color there.
+is fresh, so the past matters only through residual needs: a `Position` holds
+the tokens on uncolored vertices and one residual per watched vertex set,
+which `advance` lowers whenever a response meets the set.  The first n sets
+are N(v) with need min(r, d(v)), so Painter has won once all is colored and
+those residuals are 0; a painter may watch more sets (its `watch` attribute).
+Painters answer `respond(position, marked)` from the tokens and residuals
+alone, so the minimax solver, the exhaustive adversary and strategy trees all
+key positions on them.  The solver declares a position lost when some res(v)
+exceeds the uncolored neighbors of v, as each round adds at most one color
+there.  `GameState` (tokens and color classes) records a played game.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .coloring import chi_r_exact, verify_r_dynamic
 from .errors import (
@@ -30,8 +35,6 @@ from .errors import (
     InnerLost,
 )
 from .graph import Graph
-
-Partition = frozenset[frozenset[int]]
 
 
 def normalize_tokens(g: Graph, f) -> tuple[int, ...]:
@@ -67,8 +70,36 @@ class GameState:
     def coloring(self) -> dict[int, int]:
         return {v: i + 1 for i, cls in enumerate(self.classes) for v in cls}
 
-    def partition(self) -> Partition:
-        return frozenset(cls for cls in self.classes if cls)
+
+class Position(NamedTuple):
+    """A position as painters see it: tokens on uncolored vertices (0 on
+    colored ones), one residual need per watched set, and the uncolored set."""
+
+    tokens: tuple[int, ...]
+    res: tuple[int, ...]
+    uncolored: frozenset[int]
+
+
+def start_position(g: Graph, r: int, tokens: Sequence[int], watch=()):
+    """The watched sets and the position before the first round: N(v) with need
+    min(r, d(v)) for each vertex, then the (set, need) pairs of `watch`."""
+    watched = [frozenset(g.neighbors(v)) for v in g.vertices()]
+    watched += [frozenset(s) for s, _ in watch]
+    res = [min(r, g.degree(v)) for v in g.vertices()] + [max(0, need) for _, need in watch]
+    return watched, Position(tuple(tokens), tuple(res), frozenset(g.vertices()))
+
+
+def _check_round(g: Graph, uncolored: frozenset[int], marked: frozenset[int],
+                 response: frozenset[int]) -> None:
+    if not marked:
+        raise IllegalMark("Lister must mark a nonempty set")
+    if not marked <= uncolored:
+        raise IllegalMark(f"colored vertices marked: {sorted(marked - uncolored)}")
+    if not response <= marked:
+        raise IllegalResponse("response must be a subset of the marked set")
+    for u, v in combinations(sorted(response), 2):
+        if g.has_edge(u, v):
+            raise IllegalResponse(f"response contains adjacent pair {u},{v}")
 
 
 def play_round(
@@ -77,21 +108,23 @@ def play_round(
     """One round of the game; flags lister_won when a token-less vertex is marked."""
     marked = frozenset(marked)
     response = frozenset(response)
-    colored = state.colored
-    if not marked:
-        raise IllegalMark("Lister must mark a nonempty set")
-    if marked & colored:
-        raise IllegalMark(f"colored vertices marked: {sorted(marked & colored)}")
-    if not response <= marked:
-        raise IllegalResponse("response must be a subset of the marked set")
-    for u, v in combinations(sorted(response), 2):
-        if g.has_edge(u, v):
-            raise IllegalResponse(f"response contains adjacent pair {u},{v}")
+    _check_round(g, state.uncolored(g), marked, response)
     lost = any(state.tokens[v] == 0 for v in marked)
-    tokens = tuple(
-        t - 1 if v in marked else t for v, t in enumerate(state.tokens)
-    )
+    tokens = tuple(t - 1 if v in marked else t for v, t in enumerate(state.tokens))
     return GameState(tokens, state.classes + (response,), state.lister_won or lost)
+
+
+def advance(g: Graph, watched: Sequence[frozenset[int]], pos: Position,
+            marked: Iterable[int], response: Iterable[int]) -> Position:
+    """The position after one round, checked as `play_round` checks it."""
+    marked = frozenset(marked)
+    response = frozenset(response)
+    _check_round(g, pos.uncolored, marked, response)
+    tokens = tuple(0 if v in response else t - 1 if v in marked else t
+                   for v, t in enumerate(pos.tokens))
+    res = tuple(x - 1 if x and not s.isdisjoint(response) else x
+                for x, s in zip(pos.res, watched))
+    return Position(tokens, res, pos.uncolored - response)
 
 
 # -- exact minimax solver -----------------------------------------------------------
@@ -155,20 +188,19 @@ class PaintSolver:
                 table.append((colored, touched, ~(colored * self._field)))
         return table
 
-    def _position(self, state: GameState) -> tuple[int, int, int]:
-        """Packed (tokens, residual needs, uncolored set) of a game state; one
-        call starts one solve for the node budget."""
+    def _pack(self, pos: Position) -> tuple[int, int, int]:
+        """Packed (tokens, residual needs, uncolored set) of a position whose
+        first n residuals are this solver's neighborhoods; one call starts one
+        solve for the node budget."""
         self._limit = self.nodes + (self.node_budget if self.node_budget is not None
                                     else float("inf"))
-        uncolored = state.uncolored(self.g)
-        largest = max((state.tokens[v] for v in uncolored), default=0)
+        largest = max((pos.tokens[v] for v in pos.uncolored), default=0)
         if largest > self._field >> 1:
             self._layout(max(largest, *self._need))
-        classes = [self._mask(cls) for cls in state.classes]
-        res = sum(max(0, need - sum(1 for cls in classes if cls & nb)) << (v * self._w)
-                  for v, (need, nb) in enumerate(zip(self._need, self._nbr)))
-        tokens = sum(state.tokens[v] << (v * self._w) for v in uncolored)
-        return tokens, res, self._mask(uncolored)
+        w = self._w
+        tokens = sum(pos.tokens[v] << (v * w) for v in pos.uncolored)
+        res = sum(x << (v * w) for v, x in enumerate(pos.res[:self.g.n]))
+        return tokens, res, self._mask(pos.uncolored)
 
     def _wins(self, tokens: int, res: int, uncolored: int) -> bool:
         """Verdict of a position in which every uncolored vertex has a token
@@ -211,19 +243,24 @@ class PaintSolver:
     # -- play interfaces ---------------------------------------------------------
 
     def painter_wins(self, state: GameState) -> bool:
-        """Exact verdict of the game from `state`."""
-        tokens, res, uncolored = self._position(state)
+        """Exact verdict of the game from `state`, whose residual needs are
+        derived from its color classes."""
+        classes = [self._mask(cls) for cls in state.classes]
+        res = tuple(max(0, need - sum(1 for cls in classes if cls & nb))
+                    for need, nb in zip(self._need, self._nbr))
+        tokens, res, uncolored = self._pack(
+            Position(state.tokens, res, state.uncolored(self.g)))
         return (not state.lister_won and self._nonzero(tokens) & uncolored == uncolored
                 and self._wins(tokens, res, uncolored))
 
-    def winning_response(self, state: GameState, marked: Iterable[int]) -> frozenset[int]:
+    def winning_response(self, pos: Position, marked: Iterable[int]) -> frozenset[int]:
         """First winning response in the solver's deterministic order."""
         marked = frozenset(marked)
-        if any(state.tokens[v] == 0 for v in marked):
+        if not marked <= pos.uncolored:
+            raise IllegalMark(f"colored vertices marked: {sorted(marked - pos.uncolored)}")
+        if any(pos.tokens[v] == 0 for v in marked):
             raise InnerLost("a marked vertex had no tokens")
-        if marked & state.colored:
-            raise IllegalMark(f"colored vertices marked: {sorted(marked & state.colored)}")
-        tokens, res, uncolored = self._position(state)
+        tokens, res, uncolored = self._pack(pos)
         mask = self._mask(marked)
         needy = self._nonzero(res)
         for colored, touched, clear in self._responses(mask):
@@ -280,7 +317,8 @@ class RejectionRule:
     kind 'colored_all': fires when all of `watch` is being colored this round.
     kind 'few_colors' : fires when fewer than `threshold` distinct colors sit on
                         `observe` (colors from earlier rounds) and the
-                        response-so-far touches `watch`.
+                        response-so-far touches `watch`; `fires` reads the
+                        residual of `observe` watched with need `threshold`.
     """
 
     kind: str
@@ -289,14 +327,13 @@ class RejectionRule:
     threshold: int = 0
     note: str = ""
 
-    def fires(self, partition: Partition, being_colored: frozenset[int]) -> bool:
+    def fires(self, residual: int, being_colored: frozenset[int]) -> bool:
         if self.kind == "colored_any":
             return bool(being_colored & self.watch)
         if self.kind == "colored_all":
             return bool(self.watch) and self.watch <= being_colored
         if self.kind == "few_colors":
-            distinct = sum(1 for cls in partition if cls & self.observe)
-            return distinct < self.threshold and bool(being_colored & self.watch)
+            return residual > 0 and bool(being_colored & self.watch)
         raise ValueError(f"unknown rule kind {self.kind}")
 
     def render(self) -> str:
@@ -325,11 +362,13 @@ def dull_rule(g: Graph, w: int, r: int = 3, note: str = "") -> RejectionRule:
 
 
 class GPrimeFirstPainter:
-    """Composite Painter: a winning strategy on G' plus trigger-vetoed T-vertices.
+    """Composite Painter: a winning strategy on G' plus trigger-vetoed S-vertices.
 
-    The inner game state is derived from the outer one (tokens restrict, color
-    classes restrict), so the painter is a pure function of the outer position
-    and can be driven by an exhaustive adversary with memoization.
+    The inner solver plays on G' in the outer labels, with S left isolated.
+    The painter watches N_G'(v) for every vertex (the inner solver's
+    residuals) and the observed set of each few_colors rule, so it is a
+    function of the tokens and residuals and can be driven by an exhaustive
+    adversary with memoization.
     """
 
     def __init__(
@@ -342,42 +381,36 @@ class GPrimeFirstPainter:
         triggers: dict[int, tuple[RejectionRule, ...]],
     ):
         self.g = g
-        self.r = r
         self.gv = frozenset(gprime_vertices)
         self.s_order = tuple(s_order)
         if self.gv & set(self.s_order):
             raise ValueError("S overlaps V(G')")
         self.triggers = triggers
-        self.dense_of = {v: i for i, v in enumerate(sorted(self.gv))}
-        self.orig_of = {i: v for v, i in self.dense_of.items()}
-        edges = [(self.dense_of[u], self.dense_of[w]) for u, w in gprime_edges]
-        self.gprime = Graph(len(self.gv), edges)
-        self.inner = PaintSolver(self.gprime, r)
+        gprime = Graph(g.n, gprime_edges)
+        self.inner = PaintSolver(gprime, r)
+        few = dict.fromkeys(rule for rules in triggers.values() for rule in rules
+                            if rule.kind == "few_colors")
+        # residual n + v watches N_G'(v); residual 2n + i the i-th few_colors rule
+        self._slot = {rule: 2 * g.n + i for i, rule in enumerate(few)}
+        self.watch = [(gprime.neighbors(v), min(r, gprime.degree(v)))
+                      for v in g.vertices()]
+        self.watch += [(rule.observe, rule.threshold) for rule in few]
 
-    def inner_state(self, state: GameState) -> GameState:
-        tokens = tuple(state.tokens[self.orig_of[i]] for i in range(self.gprime.n))
-        classes = tuple(
-            frozenset(self.dense_of[v] for v in cls if v in self.gv)
-            for cls in state.classes
-        )
-        return GameState(tokens, classes)
-
-    def respond(self, state: GameState, marked: frozenset[int]) -> frozenset[int]:
-        inner_marked = frozenset(v for v in marked if v in self.gv)
+    def respond(self, pos: Position, marked: frozenset[int]) -> frozenset[int]:
+        n = self.g.n
+        inner_marked = self.gv.intersection(marked)
         response: set[int] = set()
         if inner_marked:
-            inner_resp = self.inner.winning_response(
-                self.inner_state(state),
-                frozenset(self.dense_of[v] for v in inner_marked),
+            response |= self.inner.winning_response(
+                Position(pos.tokens, pos.res[n:2 * n], pos.uncolored & self.gv),
+                inner_marked,
             )
-            response |= {self.orig_of[i] for i in inner_resp}
-        partition = state.partition()
-        colored = state.colored
         for t in self.s_order:
-            if t not in marked or t in colored:
+            if t not in marked or t not in pos.uncolored:
                 continue
             vetoed = any(
-                rule.fires(partition, frozenset(response))
+                rule.fires(pos.res[self._slot[rule]] if rule in self._slot else 0,
+                           frozenset(response))
                 for rule in self.triggers.get(t, ())
             )
             if not vetoed:
@@ -442,6 +475,7 @@ def run_transcript(
 ) -> Transcript:
     """Play a scripted sequence of Lister marks against a painter."""
     state = GameState(normalize_tokens(g, f))
+    watched, pos = start_position(g, r, state.tokens, getattr(painter, "watch", ()))
     rejections: Counter[int] = Counter()
     rounds: list[RoundRecord] = []
     outcome = "painter"
@@ -452,8 +486,9 @@ def run_transcript(
             state = play_round(g, state, marked, frozenset())
             rounds.append(RoundRecord(i, tuple(sorted(marked)), (), state.tokens, ()))
             break
-        response = painter.respond(state, marked)
+        response = painter.respond(pos, marked)
         state = play_round(g, state, marked, response)
+        pos = advance(g, watched, pos, marked, response)
         rejected = tuple(sorted(marked - response))
         rejections.update(rejected)
         rounds.append(RoundRecord(i, tuple(sorted(marked)),
@@ -493,38 +528,38 @@ def certify_painter(
 ) -> CertificationReport:
     """Exhaustive Lister: every mark sequence is played against the painter.
 
-    The painter must be a pure function of the game state, so positions can be
-    memoized.  Rejection counts are state-derivable (marks minus coloring), so
-    per-vertex maxima over all lines are exact.
+    The painter must be a function of the tokens and the residuals it watches,
+    so positions are memoized on (tokens, residuals).  A vertex's rejections
+    are its spent tokens while it is uncolored and stay fixed once it is
+    colored, so per-vertex maxima over all lines are exact.  A line whose
+    final residuals call the coloring not r-dynamic is replayed and the
+    verdict confirmed with `verify_r_dynamic`.
     """
     f = normalize_tokens(g, f)
     track = tuple(sorted(set(track)))
+    watched, start = start_position(g, r, f, getattr(painter, "watch", ()))
     memo: dict = {}
     max_rej = {v: 0 for v in track}
     states = 0
     losing: list[tuple[int, ...]] | None = None
     reason = ""
 
-    def rejections(state: GameState, v: int) -> int:
-        spent = f[v] - state.tokens[v]
-        return spent - (1 if v in state.colored else 0)
-
-    def explore(state: GameState, line: list[tuple[int, ...]]) -> bool:
+    def explore(pos: Position, line: list[tuple[int, ...]]) -> bool:
         nonlocal states, losing, reason
-        uncolored = state.uncolored(g)
+        uncolored = pos.uncolored
         for v in track:
-            max_rej[v] = max(max_rej[v], rejections(state, v))
+            if v in uncolored:
+                max_rej[v] = max(max_rej[v], f[v] - pos.tokens[v])
         if not uncolored:
-            if verify_r_dynamic(g, state.coloring(), r).ok:
+            if not any(pos.res[:g.n]):
                 return True
             losing, reason = list(line), "final coloring not r-dynamic"
             return False
-        if any(state.tokens[v] == 0 for v in uncolored):
-            v = min(v for v in uncolored if state.tokens[v] == 0)
+        if any(pos.tokens[v] == 0 for v in uncolored):
+            v = min(v for v in uncolored if pos.tokens[v] == 0)
             losing, reason = list(line) + [(v,)], "marked a token-less vertex"
             return False
-        key = (tuple(state.tokens[v] if v in uncolored else 0
-                     for v in range(g.n)), state.partition())
+        key = pos.tokens, pos.res
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -536,21 +571,20 @@ def certify_painter(
         for mask in range(1, 1 << len(verts)):
             marked = frozenset(v for i, v in enumerate(verts) if (mask >> i) & 1)
             try:
-                response = painter.respond(state, marked)
+                response = painter.respond(pos, marked)
             except (IllegalResponse, InnerLost, BudgetViolated) as exc:
                 losing = list(line) + [tuple(sorted(marked))]
                 reason = f"{type(exc).__name__}: {exc}"
                 ok = False
                 break
-            child = play_round(g, state, marked, response)
-            for t in track:
-                if rejections(child, t) >= f[t] and t in child.uncolored(g):
-                    losing = list(line) + [tuple(sorted(marked))]
-                    reason = (f"vertex {t} drained: {rejections(child, t)} rejections"
-                              f" with {f[t]} tokens")
-                    ok = False
-                    break
-            if not ok:
+            child = advance(g, watched, pos, marked, response)
+            drained = next((t for t in track
+                            if t in child.uncolored and not child.tokens[t]), None)
+            if drained is not None:
+                losing = list(line) + [tuple(sorted(marked))]
+                reason = (f"vertex {drained} drained: {f[drained]} rejections"
+                          f" with {f[drained]} tokens")
+                ok = False
                 break
             line.append(tuple(sorted(marked)))
             good = explore(child, line)
@@ -561,7 +595,14 @@ def certify_painter(
         memo[key] = ok
         return ok
 
-    ok = explore(GameState(f), [])
+    ok = explore(start, [])
+    if reason == "final coloring not r-dynamic":
+        replay = run_transcript(g, r, painter, losing, f)
+        if replay.outcome != "painter-coloring-not-dynamic":
+            raise AssertionError(
+                f"the residuals call the final coloring of {losing} not r-dynamic, "
+                f"but its replay ends {replay.outcome!r}"
+            )
     return CertificationReport(ok, "" if ok else reason, losing, max_rej, states)
 
 
@@ -679,44 +720,40 @@ def xp_r_number(
 # -- strategy trees -------------------------------------------------------------------
 
 
-def _tree_key(state: GameState) -> str:
-    """Name of a position in a serialized strategy tree."""
-    return json.dumps((state.tokens, sorted(map(sorted, state.partition()))))
-
-
 def strategy_tree(
     g: Graph, r: int, f, solver: PaintSolver, *, node_cap: int = 200_000
 ) -> dict:
     """Materialized winning strategy: every Lister mark mapped to the response.
 
-    States are shared by canonical key so the tree is a DAG in memory and in
-    the serialized form (nodes table plus root).
+    Nodes are positions shared by (tokens, residual needs), so the tree is a
+    DAG in memory and in the serialized form (nodes table plus root).
     """
     f = normalize_tokens(g, f)
+    watched, start = start_position(g, r, f)
+    names: dict = {}
     nodes: dict = {}
 
-    def build(state: GameState) -> str:
-        name = _tree_key(state)
-        if name in nodes:
-            return name
+    def build(pos: Position) -> str:
+        key = pos.tokens, pos.res
+        if key in names:
+            return names[key]
         if len(nodes) > node_cap:
             raise BudgetExceeded("strategy tree too large to materialize")
-        entry = {"tokens": list(state.tokens),
-                 "classes": sorted(sorted(c) for c in state.partition()),
-                 "moves": {}}
+        name = names[key] = str(len(nodes))
+        entry = {"tokens": list(pos.tokens), "res": list(pos.res), "moves": {}}
         nodes[name] = entry
-        uncolored = sorted(state.uncolored(g))
+        uncolored = sorted(pos.uncolored)
         for mask in range(1, 1 << len(uncolored)):
             marked = frozenset(v for i, v in enumerate(uncolored) if (mask >> i) & 1)
-            resp = solver.winning_response(state, marked)
-            child = play_round(g, state, marked, resp)
+            resp = solver.winning_response(pos, marked)
+            child = advance(g, watched, pos, marked, resp)
             entry["moves"][" ".join(map(str, sorted(marked)))] = {
                 "color": sorted(resp),
-                "next": build(child) if child.uncolored(g) else None,
+                "next": build(child) if child.uncolored else None,
             }
         return name
 
-    root = build(GameState(f))
+    root = build(start)
     return {"graph_n": g.n, "edges": g.edges(), "r": r,
             "tokens": list(f), "root": root, "nodes": nodes}
 
@@ -726,9 +763,11 @@ class TreePainter:
 
     def __init__(self, tree: dict):
         self.tree = tree
+        self._nodes = {(tuple(node["tokens"]), tuple(node["res"])): node
+                       for node in tree["nodes"].values()}
 
-    def respond(self, state: GameState, marked: frozenset[int]) -> frozenset[int]:
-        node = self.tree["nodes"].get(_tree_key(state))
+    def respond(self, pos: Position, marked: frozenset[int]) -> frozenset[int]:
+        node = self._nodes.get((pos.tokens, pos.res))
         if node is None:
             raise InnerLost("position not in strategy tree")
         move = node["moves"].get(" ".join(map(str, sorted(marked))))

@@ -79,7 +79,7 @@ def test_discharge_and_unavoidable(grid_rot, capsys):
     assert main(["discharge", "--json", grid_rot]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["total"] == "0"
-    assert set(data["vertices"]) == {"0"}
+    assert set(data["vertex_final"]) == {"0"}
     assert main(["unavoidable", grid_rot]) == 0
 
 
@@ -106,6 +106,39 @@ def test_kp_check_and_replay(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", "--certificate", str(cert), str(gf)]) == 0
     assert "matches" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old, new", [
+    ("hypothesis mad 12/5 < 8/3", "hypothesis mad 1/1 < 8/3"),
+    ("-> game-pass", "-> game-fail"),
+    ("certified True", "certified False"),
+])
+def test_replay_checks_every_kp_chain_line(tmp_path, capsys, old, new):
+    g = subdivision(complete(4))
+    gf = tmp_path / "sub.g6"
+    gf.write_text(emit_graph6(g))
+    cert = tmp_path / "cert.txt"
+    assert main(["kp-check", "--out", str(cert), str(gf)]) == 0
+    assert old in cert.read_text()
+    cert.write_text(cert.read_text().replace(old, new))
+    capsys.readouterr()
+    assert main(["replay", "--certificate", str(cert), str(gf)]) == 1
+    assert "does not match" in capsys.readouterr().out
+
+
+def test_replay_of_girth7_certificate_above_the_mad_cap(tmp_path, capsys):
+    # the recorded hypothesis is an assertion, so replay does not recompute
+    # mad, which is capped at 20 vertices
+    tree = random_tree(25, random.Random(0))
+    gf = tmp_path / "tree.el"
+    gf.write_text("".join(f"{u} {v}\n" for u, v in tree.edges()))
+    cert = tmp_path / "cert.txt"
+    assert main(["kp-check", "--girth7-planar", "--out", str(cert), str(gf),
+                 "--format", "edge-list"]) == 0
+    capsys.readouterr()
+    assert main(["replay", "--certificate", str(cert), str(gf),
+                 "--format", "edge-list"]) == 0
+    assert "matches; certified True" in capsys.readouterr().out
 
 
 def test_contract_color_and_replay(tmp_path, capsys):

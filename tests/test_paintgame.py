@@ -4,12 +4,13 @@ import random
 import pytest
 
 from dyncolor.coloring import verify_r_dynamic
-from dyncolor.errors import IllegalMark, IllegalResponse
+from dyncolor.errors import BudgetViolated, IllegalMark, IllegalResponse, InnerLost
 from dyncolor.families import complete, cycle, path, random_connected_graph
 from dyncolor.graph import Graph
 from dyncolor.paintgame import (
     GameState,
     PaintSolver,
+    Position,
     RejectionRule,
     TreePainter,
     certify_painter,
@@ -416,3 +417,234 @@ def test_paint_number_keeps_the_game_lower_bound():
     assert (res.exact, res.lower, res.upper) == (False, 3, 6)
     assert res.provenance[0] == "game minimax: Lister wins with 2 tokens"
     assert xp_r_number(g, 1).value == 3
+
+
+# -- the one position: reference adversary on colour partitions ------------------
+
+
+def reference_certify(g, r, f, painter, track=()):
+    """The exhaustive Lister on colour partitions: positions are memoized on
+    (tokens of uncolored vertices, colour partition), every complete line is
+    checked with verify_r_dynamic, and the painter is shown a position whose
+    residuals are counted from the classes."""
+    f = normalize_tokens(g, f)
+    track = tuple(sorted(set(track)))
+    watch = getattr(painter, "watch", ())
+    sets = [frozenset(g.neighbors(v)) for v in g.vertices()] + [frozenset(s) for s, _ in watch]
+    needs = [min(r, g.degree(v)) for v in g.vertices()] + [need for _, need in watch]
+    memo, max_rej = {}, {v: 0 for v in track}
+    out = {"states": 0, "losing": None, "reason": ""}
+
+    def position(state):
+        uncolored = state.uncolored(g)
+        tokens = tuple(t if v in uncolored else 0 for v, t in enumerate(state.tokens))
+        res = tuple(max(0, need - sum(1 for cls in state.classes if cls & s))
+                    for s, need in zip(sets, needs))
+        return Position(tokens, res, uncolored)
+
+    def rejections(state, v):
+        return f[v] - state.tokens[v] - (1 if v in state.colored else 0)
+
+    def explore(state, line):
+        uncolored = state.uncolored(g)
+        for v in track:
+            max_rej[v] = max(max_rej[v], rejections(state, v))
+        if not uncolored:
+            if verify_r_dynamic(g, state.coloring(), r).ok:
+                return True
+            out["losing"], out["reason"] = list(line), "final coloring not r-dynamic"
+            return False
+        if any(state.tokens[v] == 0 for v in uncolored):
+            v = min(v for v in uncolored if state.tokens[v] == 0)
+            out["losing"], out["reason"] = list(line) + [(v,)], "marked a token-less vertex"
+            return False
+        key = (tuple(state.tokens[v] if v in uncolored else 0 for v in g.vertices()),
+               frozenset(cls for cls in state.classes if cls))
+        if key in memo:
+            return memo[key]
+        out["states"] += 1
+        verts = sorted(uncolored)
+        ok = True
+        for mask in range(1, 1 << len(verts)):
+            marked = frozenset(v for i, v in enumerate(verts) if (mask >> i) & 1)
+            step = list(line) + [tuple(sorted(marked))]
+            try:
+                response = painter.respond(position(state), marked)
+            except (IllegalResponse, InnerLost, BudgetViolated) as exc:
+                out["losing"], out["reason"] = step, f"{type(exc).__name__}: {exc}"
+                ok = False
+                break
+            child = play_round(g, state, marked, response)
+            drained = [t for t in track if rejections(child, t) >= f[t]
+                       and t in child.uncolored(g)]
+            if drained:
+                t = drained[0]
+                out["losing"] = step
+                out["reason"] = (f"vertex {t} drained: {rejections(child, t)} rejections"
+                                 f" with {f[t]} tokens")
+                ok = False
+                break
+            if not explore(child, step):
+                ok = False
+                break
+        memo[key] = ok
+        return ok
+
+    ok = explore(GameState(f), [])
+    return ok, "" if ok else out["reason"], out["losing"], max_rej, out["states"]
+
+
+def assert_same_certification(g, r, f, painter, track=()):
+    new = certify_painter(g, r, f, painter, track=track)
+    ok, reason, losing, max_rej, states = reference_certify(g, r, f, painter, track)
+    assert (new.ok, new.reason, new.losing_line, new.max_rejections) == (
+        ok, reason, losing, max_rej)
+    assert new.states <= states
+    return new
+
+
+def composite(g, red):
+    from dyncolor.paintgame import GPrimeFirstPainter
+
+    return GPrimeFirstPainter(g, 3, red.gprime_vertices, red.gprime_edges,
+                              red.s_order, red.triggers)
+
+
+def test_adversary_matches_partition_reference_on_catalog_budgets():
+    from dyncolor.configs import (
+        ConfigKind,
+        build_reduction,
+        reduction_without_rules,
+        suggested_tokens,
+    )
+    from dyncolor.gadgets import catalog_instances
+
+    inst = catalog_instances()
+    reasons = set()
+    fast = ("deg<=2", "adjacent-3s", "many-3-neighbors", "light-triangle",
+            "twin-triangles", "triangle-and-4-vertex", "three-triangle-fan")
+    ablations = {"deg<=2": ("few_colors",), "adjacent-3s": ("colored_any",),
+                 "4-with-3-neighbor": ("colored_any",)}
+    for name in fast + tuple(ablations):
+        emb, match = inst[ConfigKind(name)]
+        g = emb.graph
+        red = build_reduction(emb, match)
+        tokens = suggested_tokens(g, red, 3, 10)
+        f = [tokens[v] for v in g.vertices()]
+        cases = [red] if name in fast else []
+        if name in ablations:
+            cases.append(reduction_without_rules(g, red, kinds=ablations[name]))
+        for case in cases:
+            rep = assert_same_certification(g, 3, f, composite(g, case), case.s_order)
+            reasons.add(rep.reason.split(":")[0])
+    # passes, both kinds of loss at a leaf and an illegal composite response
+    assert {"", "final coloring not r-dynamic", "IllegalResponse"} <= reasons
+
+
+def test_adversary_matches_partition_reference_on_random_composites():
+    # random G' splits with random triggers, few_colors rules included on
+    # vertex sets other than a neighbourhood, and random tokens
+    from dyncolor.paintgame import GPrimeFirstPainter
+
+    rng = random.Random(15)
+    reasons = set()
+    for _ in range(120):
+        n = rng.randrange(3, 7)
+        g = random_connected_graph(n, rng.uniform(0.3, 0.8), rng)
+        r = rng.randrange(1, 4)
+        s = rng.sample(g.vertices(), rng.randrange(1, 3))
+        gv = frozenset(g.vertices()) - set(s)
+        edges = {e for e in g.edges() if set(e) <= gv}
+        if rng.random() < 0.5 and len(gv) > 1:
+            edges.add(tuple(sorted(rng.sample(sorted(gv), 2))))
+        triggers = {}
+        for t in s:
+            rules = []
+            for _ in range(rng.randrange(0, 3)):
+                kind = rng.choice(("colored_any", "colored_all", "few_colors"))
+                watch = frozenset(rng.sample(g.vertices(), rng.randrange(1, n)))
+                observe = frozenset(rng.sample(g.vertices(), rng.randrange(1, n)))
+                rules.append(RejectionRule(kind, watch, observe, rng.randrange(0, 4)))
+            triggers[t] = tuple(rules)
+        if rng.random() < 0.5:
+            f = [rng.randrange(1, 4) for _ in g.vertices()]
+        else:  # a winning token count on G', a roomy one on S
+            inner = PaintSolver(Graph(n, edges), r)
+            k = 1
+            while not inner.painter_wins(GameState((k,) * n)):
+                k += 1
+            f = [rng.randrange(3, 6) if v in s else k for v in g.vertices()]
+        painter = GPrimeFirstPainter(g, r, gv, frozenset(edges), s, triggers)
+        rep = assert_same_certification(g, r, f, painter, s)
+        reasons.add(rep.reason.split(":")[0].split(" ")[0])
+    assert {"", "final", "InnerLost", "IllegalResponse", "vertex"} <= reasons
+
+
+def test_scripted_mark_of_a_colored_vertex_is_illegal():
+    g = path(3)
+    solver = solve_xp_r(g, 1, 2).strategy()
+    with pytest.raises(IllegalMark):
+        run_transcript(g, 1, solver, [{0, 1, 2}, {0}], 2)
+
+    # a deleted vertex of the composite strategy, colored and marked again
+    def composite_run(marks):
+        return run_gprime_first(g, 1, {1, 2}, {(1, 2)}, {0: ()}, 3,
+                                lister=marks, s_order=[0])
+
+    assert composite_run([{0}]).rounds[0].colored == (0,)
+    with pytest.raises(IllegalMark):
+        composite_run([{0}, {0, 1}])
+
+
+class Greedy:
+    """Colors the marked vertices in order, skipping neighbours of those taken;
+    it reads no residual."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def respond(self, pos, marked):
+        taken = set()
+        for v in sorted(marked):
+            if not taken & set(self.g.neighbors(v)):
+                taken.add(v)
+        return frozenset(taken)
+
+
+def test_leaf_verdict_is_confirmed_by_replay(monkeypatch):
+    from dyncolor import paintgame
+
+    g = complete(2)
+    assert certify_painter(g, 1, 2, Greedy(g)).ok
+    # a true loss at a leaf survives the replay check: greedy colors C5 with
+    # the first mark's {0, 2}, and 1 then sees one color at r=2
+    lost = certify_painter(cycle(5), 2, 5, Greedy(cycle(5)))
+    assert lost.reason == "final coloring not r-dynamic"
+    # a residual update that never lowers res(0) makes the terminal test
+    # call a good coloring bad; the replay through verify_r_dynamic refuses it
+    real = paintgame.advance
+
+    def mutated(g, watched, pos, marked, response):
+        child = real(g, watched, pos, marked, response)
+        return child._replace(res=(max(1, child.res[0]),) + child.res[1:])
+
+    monkeypatch.setattr(paintgame, "advance", mutated)
+    with pytest.raises(AssertionError, match="replay ends 'painter'"):
+        certify_painter(g, 1, 2, Greedy(g))
+
+
+def test_few_colors_rule_reads_its_residual():
+    # deleted vertex 0 is rejected while 1 is being colored and no color sits
+    # on {2, 3} yet
+    rule = RejectionRule("few_colors", frozenset({1}), frozenset({2, 3}), 1)
+    assert rule.fires(1, frozenset({1}))
+    assert not rule.fires(0, frozenset({1})) and not rule.fires(1, frozenset({2}))
+    g = Graph(4, [(0, 3), (1, 2), (2, 3)])
+
+    def rejected(marks):
+        tr = run_gprime_first(g, 1, {1, 2, 3}, {(1, 2), (2, 3)}, {0: (rule,)}, 3,
+                              lister=marks, s_order=[0])
+        return tr.rounds[-1].rejected
+
+    assert rejected([{0, 1}]) == (0,)
+    assert rejected([{2}, {0, 1}]) == ()
