@@ -10,7 +10,8 @@ import argparse
 import sys
 
 from . import bounds, configs, coloring, discharge, embedding, paintgame
-from .errors import BudgetExceeded, DynColorError, ParseError, TooLargeForExhaustive
+from .errors import (BudgetExceeded, DisconnectedGraph, DynColorError,
+                     MalformedRotation, ParseError, TooLargeForExhaustive)
 from .graph import Graph, parse_graph
 
 EXIT_OK = 0
@@ -50,6 +51,22 @@ def _positive(text: str) -> int:
 
 def _nonnegative(text: str) -> int:
     return _at_least(text, 0)
+
+
+def _resolve_kinds(spec: str):
+    if spec == "torus":
+        return configs.TORUS_KINDS
+    if spec == "kp":
+        return configs.KP_KINDS
+    if spec == "all":
+        return configs.TORUS_KINDS + configs.KP_KINDS
+    chosen = []
+    by_name = {k.value: k for k in configs.ConfigKind}
+    for name in spec.split(","):
+        if name not in by_name:
+            raise argparse.ArgumentTypeError(f"unknown configuration kind {name!r}")
+        chosen.append(by_name[name])
+    return tuple(chosen)
 
 
 def _add_graph_arg(p: argparse.ArgumentParser) -> None:
@@ -101,12 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-config", help="detect reducible configurations")
     p.add_argument("rotation", help="rotation-system file ('rot <n>' header)")
-    p.add_argument("--kinds", default="torus",
+    p.add_argument("--kinds", type=_resolve_kinds, default="torus",
                    help="'torus', 'kp', 'all', or comma-separated kind names")
 
     p = sub.add_parser("reduce", help="build the reduction for the first match")
     p.add_argument("rotation")
-    p.add_argument("--kind", default=None, help="restrict to one kind name")
+    p.add_argument("--kind", type=_resolve_kinds, default=None,
+                   help="restrict to one kind name")
 
     p = sub.add_parser("discharge", help="run the charging rules on an embedding")
     p.add_argument("rotation")
@@ -147,22 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certificate", required=True)
 
     return top
-
-
-def _resolve_kinds(spec: str):
-    if spec == "torus":
-        return configs.TORUS_KINDS
-    if spec == "kp":
-        return configs.KP_KINDS
-    if spec == "all":
-        return configs.TORUS_KINDS + configs.KP_KINDS
-    chosen = []
-    by_name = {k.value: k for k in configs.ConfigKind}
-    for name in spec.split(","):
-        if name not in by_name:
-            raise DynColorError(f"unknown configuration kind {name!r}")
-        chosen.append(by_name[name])
-    return tuple(chosen)
 
 
 def _cmd_chi_r(args) -> int:
@@ -213,8 +215,7 @@ def _cmd_list_check(args) -> int:
 
 def _cmd_find_config(args) -> int:
     emb = _load_embedding(args.rotation)
-    kinds = _resolve_kinds(args.kinds)
-    matches = configs.find_configs(emb, kinds)
+    matches = configs.find_configs(emb, args.kinds)
     for m in matches:
         print(m.render())
     print(f"{len(matches)} matches")
@@ -223,8 +224,7 @@ def _cmd_find_config(args) -> int:
 
 def _cmd_reduce(args) -> int:
     emb = _load_embedding(args.rotation)
-    kinds = _resolve_kinds(args.kind) if args.kind else (
-        configs.TORUS_KINDS + configs.KP_KINDS)
+    kinds = args.kind or configs.TORUS_KINDS + configs.KP_KINDS
     for m in configs.find_configs(emb, kinds):
         try:
             red = configs.build_reduction(emb, m)
@@ -346,7 +346,9 @@ def main(argv=None) -> int:
     except (BudgetExceeded, TooLargeForExhaustive) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ParseError as exc:
+    except (ParseError, MalformedRotation, DisconnectedGraph) as exc:
+        # only an input rotation file that is not a connected embedding
+        # raises the last two
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DynColorError as exc:

@@ -4,8 +4,10 @@ rejection budgets (against the exhaustive adversary).
 
 The first ten kinds target 3-dynamic 10-paintability on the torus; the three
 KP kinds target 2-dynamic 4-paintability of sparse graphs.  Detectors match
-the catalog statements; reduction builders transcribe the proof constructions
-(deletion set S, added edges E', and the per-vertex rejection triggers).
+the catalog statements and look faces up through the embedding's dart ->
+face index (`face_of_dart`, `faces_at`); reduction builders transcribe the
+proof constructions (deletion set S, added edges E', and the per-vertex
+rejection triggers).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from enum import Enum
 from itertools import combinations
 
 from .coloring import _Searcher, canonical_palette, verify_r_dynamic
-from .embedding import EmbeddedGraph, add_cofacial_edge, induced_embedding
+from .embedding import EmbeddedGraph, add_cofacial_edge, cofacial, induced_embedding
 from .errors import (
     BudgetExceeded,
     EmbeddingRequired,
@@ -139,17 +141,6 @@ def is_expensive_4face(g: Graph, face) -> bool:
     return sum(1 for v in face.boundary_vertices() if g.degree(v) == 3) >= 2
 
 
-def corner_face(emb: EmbeddedGraph, v: int, i: int):
-    """Face at the corner of v between rotation positions i and i+1."""
-    rot = emb.rotation.rotation[v]
-    a = rot[i % len(rot)]
-    return emb.face_of_dart((a, v))
-
-
-def three_faces_at(emb: EmbeddedGraph, v: int) -> list:
-    return [f for f in emb.faces if f.length == 3 and v in f]
-
-
 # ---------------------------------------------------------------------------
 # detectors
 
@@ -190,10 +181,9 @@ def _detect_many_3_nbrs(emb: EmbeddedGraph):
         k = len(xs)
         if k < 2:
             continue
-        e3 = sum(1 for f in emb.faces
-                 if v in f and is_expensive_3face(g, f))
-        e4 = sum(1 for f in emb.faces
-                 if v in f and is_expensive_4face(g, f))
+        at_v = set(emb.faces_at(v))  # distinct: a 4-face can visit v twice
+        e3 = sum(1 for f in at_v if is_expensive_3face(g, f))
+        e4 = sum(1 for f in at_v if is_expensive_4face(g, f))
         d = g.degree(v)
         if d + k - e3 - e4 < 10:
             pairs = []
@@ -270,7 +260,7 @@ def _detect_triangle_and_4vtx(emb: EmbeddedGraph):
     for v in g.vertices():
         if g.degree(v) > 7:
             continue
-        if len(three_faces_at(emb, v)) <= 1:
+        if sum(1 for f in emb.faces_at(v) if f.length == 3) <= 1:
             continue
         threes = [w for w in g.neighbors(v) if g.degree(w) == 3]
         if len(threes) > 1:
@@ -298,13 +288,12 @@ def _detect_three_triangle_fan(emb: EmbeddedGraph):
         d = g.degree(v)
         if not 4 <= d <= 6:
             continue
-        rot = emb.rotation.rotation[v]
+        rot, corners = emb.rotation.rotation[v], emb.faces_at(v)
         for i in range(d):
             z, x, y, u = (rot[(i + j) % d] for j in range(4))
             if len({z, x, y, u}) != 4:
                 continue
-            faces = [corner_face(emb, v, (i + j) % d) for j in range(3)]
-            if all(f.length == 3 for f in faces):
+            if all(corners[(i + j) % d].length == 3 for j in range(3)):
                 out.append(ConfigMatch(ConfigKind.THREE_TRIANGLE_FAN,
                                        {"v": v, "z": z, "x": x, "y": y, "u": u}))
     return out
@@ -488,8 +477,6 @@ def _assemble(g: Graph, kind, match, s_order, wanted_edges, triggers, budgets,
             wit = []
             for u, v in added:
                 du, dv = emb_remap.image[u], emb_remap.image[v]
-                from .embedding import cofacial
-
                 ok, face = cofacial(gp_emb, du, dv)
                 if not ok:
                     raise EmbeddingSurgeryFailed(

@@ -4,7 +4,8 @@ Initial charges are c(v) = 2d(v) - 6 and c(f) = len(f) - 6, summing to
 -6(2 - 2g).  Nine rules move charge from vertices to short faces; every face
 of length 3..5 triggers exactly one of R1..R8 and longer faces draw quarter
 charges through R9.  All amounts are quarter-integers, so conservation is
-checked as exact integer equality.
+checked as exact integer equality.  The vertex case analysis reads the faces
+at a vertex's corners from the embedding's face index (`faces_at`).
 """
 
 from __future__ import annotations
@@ -149,9 +150,6 @@ class ChargeLedger:
     def vertex_final(self, v: int) -> Fraction:
         return Fraction(self.vertex_final_q()[v], 4)
 
-    def face_final(self, i: int) -> Fraction:
-        return Fraction(self.face_final_q()[i], 4)
-
     def to_json(self) -> str:
         return json.dumps({
             "vertex_initial": [str(Fraction(q, 4)) for q in self.vertex_initial_q],
@@ -220,21 +218,14 @@ def run_discharge(emb: EmbeddedGraph) -> ChargeLedger:
 
 def _three_face_runs(emb: EmbeddedGraph, v: int) -> tuple[int, int]:
     """(number of corner 3-faces around v, number of maximal cyclic runs)."""
-    rot = emb.rotation.rotation[v]
-    d = len(rot)
-    flags = []
-    for i in range(d):
-        a = rot[i]
-        f = emb.face_of_dart((a, v))
-        flags.append(f.length == 3)
+    flags = [f.length == 3 for f in emb.faces_at(v)]
     count = sum(flags)
     if count == 0:
         return 0, 0
     if all(flags):
         return count, 1
-    runs = sum(
-        1 for i in range(d) if flags[i] and not flags[(i - 1) % d]
-    )
+    # flags[-1] closes the cycle: a run starting at corner 0 needs a gap before it
+    runs = sum(1 for i in range(len(flags)) if flags[i] and not flags[i - 1])
     return count, runs
 
 

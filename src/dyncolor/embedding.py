@@ -4,12 +4,18 @@ A rotation system lists each vertex's neighbors in clockwise order.  Faces are
 traced with the next-dart rule: after dart (u -> v), turn to (v -> w) where w is
 the successor of u in the rotation at v.  The Euler genus of the traced
 embedding is (2 - V + E - F) / 2.
+
+Every face lookup (the face of a dart, the faces at the corners of a vertex,
+a common face of two vertices) goes through one dart -> face index, built on
+an embedding's first lookup: embedding search traces many rotation systems it
+never queries.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from math import factorial
 
@@ -82,11 +88,20 @@ class EmbeddedGraph:
     def graph(self) -> Graph:
         return self.rotation.graph
 
+    @cached_property
+    def _face_index(self) -> dict[Dart, int]:
+        """Position in `faces` of the face through each dart."""
+        return {d: i for i, f in enumerate(self.faces) for d in f.darts}
+
     def face_of_dart(self, dart: Dart) -> Face:
-        for f in self.faces:
-            if dart in f.darts:
-                return f
-        raise KeyError(dart)
+        """The face whose boundary walk uses dart; KeyError for a non-dart."""
+        return self.faces[self._face_index[dart]]
+
+    def faces_at(self, v: int) -> tuple[Face, ...]:
+        """Face at each corner of v in rotation order: corner i, between
+        rotation positions i and i+1, is the face entering v along dart
+        (rotation[v][i], v)."""
+        return tuple(self.face_of_dart((a, v)) for a in self.rotation.rotation[v])
 
     def face_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(f.length for f in self.faces))
@@ -133,10 +148,13 @@ def cofacial(emb: EmbeddedGraph, u: int, v: int) -> tuple[bool, Face | None]:
     """Whether some face boundary visits both u and v; returns a witness face."""
     if u == v:
         raise ValueError("cofacial requires distinct vertices")
-    for f in emb.faces:
-        if u in f and v in f:
-            return True, f
-    return False, None
+    rot, index = emb.rotation.rotation, emb._face_index
+    common = ({index[(a, u)] for a in rot[u]}
+              & {index[(a, v)] for a in rot[v]})
+    if not common:
+        return False, None
+    # the first common face in `faces` order: add_cofacial_edge splits it
+    return True, emb.faces[min(common)]
 
 
 def add_cofacial_edge(emb: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
@@ -153,18 +171,9 @@ def add_cofacial_edge(emb: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
     ok, face = cofacial(emb, u, v)
     if not ok:
         raise NotCofacial(f"{u} and {v} share no face")
-    darts = face.darts
-    k = len(darts)
-
-    def corner_before(x: int) -> int:
-        # tail of the dart entering x at the first boundary visit of x
-        for i in range(k):
-            if darts[i][1] == x:
-                return darts[i][0]
-        raise AssertionError  # face contains x
-
-    a = corner_before(u)
-    c = corner_before(v)
+    # tails of the darts entering u and v at their first visits on the face
+    a = next(t for t, h in face.darts if h == u)
+    c = next(t for t, h in face.darts if h == v)
     new_rot = []
     for w in range(g.n):
         order = list(emb.rotation.rotation[w])

@@ -57,14 +57,10 @@ def wheel_gadget(
     emb = trace_faces(RotationSystem(
         g, tuple(tuple(rotations[v]) for v in range(next_id))
     ))
-    for c in triangle_corners:
-        a = ring[c - 1]
-        if emb.face_of_dart((a, 0)).length != 3:
-            raise AssertionError(f"corner {c} did not become a 3-face")
-    for c in set(range(1, d + 1)) - triangle_corners:
-        a = ring[c - 1]
-        if emb.face_of_dart((a, 0)).length == 3:
-            raise AssertionError(f"corner {c} unexpectedly became a 3-face")
+    # faces_at(0)[c - 1] is the corner between ring vertices c and c + 1
+    for c, face in enumerate(emb.faces_at(0), start=1):
+        if (face.length == 3) != (c in triangle_corners):
+            raise AssertionError(f"corner {c}: 3-face is {face.length == 3}")
     return emb, 0
 
 

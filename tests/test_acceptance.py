@@ -4,6 +4,7 @@ as they complete)."""
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 from dyncolor.bounds import (
@@ -30,7 +31,7 @@ from dyncolor.configs import (
     reduction_without_rules,
 )
 from dyncolor.discharge import run_discharge, vertex_case
-from dyncolor.embedding import find_embedding
+from dyncolor.embedding import embed, find_embedding
 from dyncolor.families import (
     complete,
     complete_bipartite,
@@ -151,6 +152,71 @@ def test_criterion_06_discharging_exactness(toroidal_corpus, capsys):
         report(6, ok,
                f"charge conservation and the Euler total -6(2-2g) hold exactly "
                f"on all {len(toroidal_corpus)} embeddings", elapsed)
+
+
+SIX_STEPS = ((0, 1), (-1, 0), (-1, -1), (0, -1), (1, 0), (1, 1))
+SQUARE_STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
+
+
+def lattice_torus(m: int, n: int, steps) -> list[tuple[int, ...]]:
+    """Rotation of the m x n torus lattice whose neighbors follow `steps`:
+    SIX_STEPS gives the six-regular triangulation, SQUARE_STEPS C_m x C_n."""
+    return [tuple(((i + di) % m) * n + (j + dj) % n for di, dj in steps)
+            for i in range(m) for j in range(n)]
+
+
+def split_triangles(rot, splits: int, rng: random.Random) -> list[tuple[int, ...]]:
+    """Put a new vertex inside `splits` random triangles, joined to the corners.
+
+    A face a->b->c has c after a at b, a after b at c and b after c at a; the
+    new vertex goes right after those predecessors, with rotation (b, a, c).
+    """
+    faces = [tuple(u for u, _ in f.darts) for f in embed_rotation(rot).faces]
+    rot = [list(r) for r in rot]
+    for _ in range(splits):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        v = len(rot)
+        for x, before in ((b, a), (c, b), (a, c)):
+            rot[x].insert(rot[x].index(before) + 1, v)
+        rot.append([b, a, c])
+        faces += [(a, b, v), (b, c, v), (c, a, v)]
+    return [tuple(r) for r in rot]
+
+
+def embed_rotation(rot):
+    edges = [(v, w) for v in range(len(rot)) for w in rot[v] if v < w]
+    return embed(Graph(len(rot), edges), rot)
+
+
+def test_criteria_05_06_at_toroidal_scale(capsys):
+    clock = Clock(15, "criteria 5 and 6 at scale")
+    split = split_triangles(lattice_torus(20, 20, SIX_STEPS), 800, random.Random(5))
+    cases = {
+        "triangulation": (embed_rotation(lattice_torus(40, 40, SIX_STEPS)),
+                          ConfigKind.THREE_TRIANGLE_FAN),
+        "quadrangulation": (embed_rotation(lattice_torus(40, 40, SQUARE_STEPS)),
+                            ConfigKind.ALL4S_QUAD_FACE),
+        "face-split": (embed_rotation(split), None),
+    }
+    ok = True
+    for emb, kind in cases.values():
+        matches = find_configs(emb, TORUS_KINDS)
+        ok &= emb.genus == 1 and bool(matches)
+        if kind is ConfigKind.THREE_TRIANGLE_FAN:
+            fans = Counter(m.role("v") for m in matches if m.kind is kind)
+            ok &= len(fans) == emb.graph.n and set(fans.values()) == {6}
+        if kind is ConfigKind.ALL4S_QUAD_FACE:
+            quads = Counter(frozenset(m.role("face")) for m in matches if m.kind is kind)
+            ok &= quads == Counter(f.vertex_set() for f in emb.faces)
+        led = run_discharge(emb)
+        ok &= led.total_initial() == led.total_final() == -6 * (2 - 2 * emb.genus)
+    elapsed = clock.done()
+    sizes = ", ".join(f"{name} n={emb.graph.n}" for name, (emb, _) in cases.items())
+    with capsys.disabled():
+        report(5, ok, f"at scale ({sizes}): genus 1, six fans at every "
+               "triangulation vertex, one all-4s match per square, a match "
+               "after face splitting, and the Euler total exact before and "
+               "after discharging", elapsed)
 
 
 CASE_GADGETS = {

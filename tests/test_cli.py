@@ -191,6 +191,9 @@ def test_nonpositive_r_and_tokens_are_usage_errors(tmp_path, capsys, argv):
 
 
 TRACE_HEAD = "contraction-trace\nr 11\ngenus 0\n"
+ASYMMETRIC_ROT = "rot 3\n0: 1\n1: 0\n2: 1\n"
+DISCONNECTED_ROT = "rot 4\n0: 1\n1: 0\n2: 3\n3: 2\n"
+ROTATION_COMMANDS = ("genus", "find-config", "reduce", "discharge", "unavoidable")
 
 
 @pytest.mark.parametrize("argv, text, message", [
@@ -204,6 +207,14 @@ TRACE_HEAD = "contraction-trace\nr 11\ngenus 0\n"
      "contraction-trace\nr\ngenus 0\nbase 0\n", "bad trace line 'r'"),
     (["replay", "--certificate", "F", "G"],
      TRACE_HEAD + "contract 1 x 2\n", "non-integer"),
+    (["find-config", "--kinds", "bogus", "F"], None, "unknown configuration kind 'bogus'"),
+    (["reduce", "--kind", "deg<=2,bogus", "F"], None, "unknown configuration kind 'bogus'"),
+] + [
+    ([cmd, "F"], ASYMMETRIC_ROT, "vertex 2 lists 1 but 1 does not list 2")
+    for cmd in ROTATION_COMMANDS
+] + [
+    ([cmd, "F"], DISCONNECTED_ROT, "requires a connected")
+    for cmd in ROTATION_COMMANDS
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
     paths = {"G": tmp_path / "c5.g6", "F": tmp_path / "input.txt"}

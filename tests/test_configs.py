@@ -87,6 +87,10 @@ def naive_light_triangles(g):
     return out
 
 
+def scan_face_of_dart(emb, dart):
+    return next(f for f in emb.faces if dart in f.darts)
+
+
 def naive_all4s_quads(emb):
     g = emb.graph
     out = set()
@@ -110,7 +114,7 @@ def naive_twin_triangles(emb):
         if not g.has_edge(u, w):
             continue
         # must actually be the two faces bordering that edge
-        if {emb.face_of_dart((u, w)), emb.face_of_dart((w, u))} != {f1, f2}:
+        if {scan_face_of_dart(emb, (u, w)), scan_face_of_dart(emb, (w, u))} != {f1, f2}:
             continue
         y = next(iter(f1.vertex_set() - shared))
         z = next(iter(f2.vertex_set() - shared))
@@ -243,8 +247,9 @@ def test_unavoidability_on_corpus_sample(toroidal_corpus):
 
 
 def naive_many_3_nbr_centers(emb):
+    """Center -> (e3, e4), each a count of distinct faces through it."""
     g = emb.graph
-    out = set()
+    out = {}
     threes_by_face = {}
     for f in emb.faces:
         b = f.boundary_vertices()
@@ -258,7 +263,7 @@ def naive_many_3_nbr_centers(emb):
         e4 = sum(1 for f in emb.faces
                  if f.length == 4 and v in f and threes_by_face[f] >= 2)
         if g.degree(v) + k - e3 - e4 < 10:
-            out.add(v)
+            out[v] = (e3, e4)
     return out
 
 
@@ -301,11 +306,10 @@ def naive_fan_centers(emb):
                 continue
             needed = [frozenset({v, quad[j], quad[j + 1]}) for j in range(3)]
             if all(s in sets3 for s in needed):
-                # the corner faces must actually be those triangles
-                from dyncolor.configs import corner_face
-
-                if all(corner_face(emb, v, (i + j) % d).vertex_set() == needed[j]
-                       for j in range(3)):
+                # the corner faces must actually be those triangles: the
+                # corner after position i is the face through (rot[i], v)
+                if all(scan_face_of_dart(emb, (rot[(i + j) % d], v)).vertex_set()
+                       == needed[j] for j in range(3)):
                     out.add(v)
     return out
 
@@ -314,8 +318,8 @@ def naive_exp4_shared_edges(emb):
     g = emb.graph
     out = set()
     for u, w in g.edges():
-        f1 = emb.face_of_dart((u, w))
-        f2 = emb.face_of_dart((w, u))
+        f1 = scan_face_of_dart(emb, (u, w))
+        f2 = scan_face_of_dart(emb, (w, u))
         for f4, f3 in ((f1, f2), (f2, f1)):
             if f4.length != 4 or f3.length != 3 or f4 is f3:
                 continue
@@ -331,7 +335,8 @@ def naive_exp4_shared_edges(emb):
 def test_remaining_face_detectors_against_naive(toroidal_corpus):
     rng = random.Random(3)
     for emb in rng.sample(toroidal_corpus.embeddings, 40):
-        got = {m.role("v") for m in find_configs(emb, [ConfigKind.MANY_3_NBRS])}
+        got = {m.role("v"): (m.role("e3"), m.role("e4"))
+               for m in find_configs(emb, [ConfigKind.MANY_3_NBRS])}
         assert got == naive_many_3_nbr_centers(emb)
         got = {frozenset((m.role("v1"), m.role("v2")))
                for m in find_configs(emb.graph, [ConfigKind.FOUR_WITH_3_NBR])}

@@ -29,7 +29,9 @@ from dyncolor.families import (
     complete,
     cube,
     cycle,
+    path,
     random_connected_graph,
+    random_tree,
     wheel,
 )
 from dyncolor.graph import Graph
@@ -218,3 +220,47 @@ def test_min_genus_agrees_with_planarity_oracle():
         ref.add_edges_from(g.edges())
         planar, _ = nx.check_planarity(ref)
         assert (emb.genus == 0) == planar
+
+
+def scan_face_of_dart(emb, dart):
+    return next(f for f in emb.faces if dart in f.darts)
+
+
+def scan_corner_faces(emb, v):
+    # the corner after rotation position i is entered along dart (rot[i], v)
+    return [scan_face_of_dart(emb, (a, v)) for a in emb.rotation.rotation[v]]
+
+
+def scan_first_common_face(emb, u, v):
+    for f in emb.faces:
+        tails = {x for x, _ in f.darts}
+        if u in tails and v in tails:
+            return f
+    return None
+
+
+def test_face_index_matches_linear_scans(toroidal_corpus):
+    rng = random.Random(5)
+    # trees and paths have one face that visits most vertices more than once
+    trees = [find_embedding(path(n)) for n in range(2, 9)]
+    trees += [find_embedding(random_tree(n, rng)) for n in range(3, 13)]
+    revisits = 0
+    for emb in list(toroidal_corpus) + trees:
+        g = emb.graph
+        for u, w in g.edges():
+            for dart in ((u, w), (w, u)):
+                assert emb.face_of_dart(dart) is scan_face_of_dart(emb, dart)
+        with pytest.raises(KeyError):
+            emb.face_of_dart((0, 0))
+        for v in g.vertices():
+            corners, scanned = emb.faces_at(v), scan_corner_faces(emb, v)
+            assert len(corners) == len(scanned)
+            assert all(f is h for f, h in zip(corners, scanned))
+            assert set(corners) == {f for f in emb.faces if v in f}
+            revisits += len(set(corners)) < len(corners)
+        for u in g.vertices():
+            for v in range(u + 1, g.n):
+                ok, face = cofacial(emb, u, v)
+                want = scan_first_common_face(emb, u, v)
+                assert ok == (want is not None) and face is want
+    assert revisits > 0
