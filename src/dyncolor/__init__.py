@@ -6,7 +6,7 @@ bounds."""
 from .graph import Graph, VertexRemap, add_edges, contract_edge, graph_power
 from .embedding import EmbeddedGraph, RotationSystem, find_embedding, trace_faces
 from .coloring import chi_r_exact, is_L_colorable_r_dynamic, verify_r_dynamic
-from .paintgame import GameState, play_round, solve_xp_r, xp_r_number
+from .paintgame import solve_xp_r, xp_r_number
 from .configs import ConfigKind, build_reduction, check_budget, check_extendable, find_configs
 from .discharge import final_report, initial_charges, run_discharge, unavoidability_driver
 from .bounds import bound_profile, color_by_contraction, kp_pipeline, mad
@@ -15,7 +15,7 @@ __all__ = [
     "Graph", "VertexRemap", "add_edges", "contract_edge", "graph_power",
     "EmbeddedGraph", "RotationSystem", "find_embedding", "trace_faces",
     "chi_r_exact", "is_L_colorable_r_dynamic", "verify_r_dynamic",
-    "GameState", "play_round", "solve_xp_r", "xp_r_number",
+    "solve_xp_r", "xp_r_number",
     "ConfigKind", "build_reduction", "check_budget", "check_extendable",
     "find_configs",
     "final_report", "initial_charges", "run_discharge", "unavoidability_driver",

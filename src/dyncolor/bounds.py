@@ -19,6 +19,8 @@ from .coloring import verify_r_dynamic
 from .errors import (
     ApplicabilityError,
     BudgetExceeded,
+    CertificateRefuted,
+    DisconnectedGraph,
     HypothesisFail,
     IsC5,
     NoLightEdge,
@@ -322,17 +324,17 @@ def replay_contraction(g: Graph, trace: ContractionTrace) -> ContractionResult:
         stages.append({v: set(ns) for v, ns in adj.items()})
         if isinstance(step, DeleteStep):
             if step.vertex not in adj or len(adj[step.vertex]) > 2:
-                raise ValueError(f"illegal delete of {step.vertex}")
+                raise CertificateRefuted(f"illegal delete of {step.vertex}")
         else:
             u, v = step.u, step.v
             if u not in adj or v not in adj[u]:
-                raise ValueError(f"illegal contraction {u},{v}")
+                raise CertificateRefuted(f"illegal contraction {u},{v}")
             w = len(adj[u]) + len(adj[v])
             if w != step.weight or w > prof.omega:
-                raise ValueError(f"contraction {u},{v} has weight {w}, not light")
+                raise CertificateRefuted(f"contraction {u},{v} has weight {w}, not light")
         _apply(adj, step)
     if sorted(adj) != trace.base or len(adj) > 4:
-        raise ValueError("trace base does not match the peeled graph")
+        raise CertificateRefuted("trace base does not match the peeled graph")
     color, max_forbidden = _reverse_color(g, trace.r, prof.ell, trace, stages)
     report = verify_r_dynamic(g, color, trace.r)
     if not report.ok:
@@ -454,7 +456,7 @@ def kp_pipeline(
     configurations, and closes the low-degree remainder with the game solver.
     """
     if not g.is_connected():
-        raise ValueError("pipeline expects a connected graph")
+        raise DisconnectedGraph("the pipeline requires a connected graph")
     if g.n == 5 and all(g.degree(v) == 2 for v in g.vertices()):
         raise IsC5("the five-cycle is the excluded graph")
     if girth7_planar:

@@ -10,8 +10,9 @@ import argparse
 import sys
 
 from . import bounds, configs, coloring, discharge, embedding, paintgame
-from .errors import (BudgetExceeded, DisconnectedGraph, DynColorError,
-                     MalformedRotation, ParseError, TooLargeForExhaustive)
+from .errors import (BudgetExceeded, CertificateRefuted, DisconnectedGraph,
+                     DynColorError, MalformedRotation, ParseError, PartialInput,
+                     TooLargeForExhaustive)
 from .graph import Graph, parse_graph
 
 EXIT_OK = 0
@@ -303,7 +304,11 @@ def _cmd_replay(args) -> int:
     head = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
     if head == "contraction-trace":
         trace = bounds.ContractionTrace.parse(text)
-        res = bounds.replay_contraction(g, trace)
+        try:
+            res = bounds.replay_contraction(g, trace)
+        except CertificateRefuted as exc:
+            print(f"certificate refuted: {exc}")
+            return EXIT_FALSE
         print(f"replayed: {res.render()}")
         return EXIT_OK
     if head == "kp-chain":
@@ -346,10 +351,14 @@ def main(argv=None) -> int:
     except (BudgetExceeded, TooLargeForExhaustive) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParseError, MalformedRotation, DisconnectedGraph) as exc:
-        # only an input rotation file that is not a connected embedding
-        # raises the last two
+    except (ParseError, MalformedRotation) as exc:
+        # MalformedRotation comes only from an input rotation file
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (DisconnectedGraph, PartialInput) as exc:
+        # input the command does not take: a disconnected graph or rotation
+        # file, a coloring or list file that misses a vertex
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DynColorError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -218,7 +218,7 @@ def is_L_colorable_r_dynamic(
     """A witness r-dynamic coloring drawn from the lists, or None if unsatisfiable."""
     for v in g.vertices():
         if v not in lists or not lists[v]:
-            raise ValueError(f"vertex {v} has no list")
+            raise PartialInput(f"vertex {v} has no list")
     ordered = {v: tuple(sorted(lists[v])) for v in g.vertices()}
     searcher = _Searcher(g, r, node_budget)
     witness = searcher.solve(lambda v, used_max: ordered[v])

@@ -28,11 +28,11 @@ from .errors import (
 from .graph import Graph, VertexRemap, add_edges, subgraph
 from .paintgame import (
     CertificationReport,
-    GameState,
     PaintSolver,
     RejectionRule,
     dull_rule,
     run_gprime_first,
+    start_position,
 )
 
 
@@ -60,7 +60,7 @@ class ConfigKind(Enum):
 
     @property
     def needs_embedding(self) -> bool:
-        return self in _FACE_KINDS
+        return self in _FACE_DETECTORS
 
 
 TORUS_KINDS = (
@@ -81,15 +81,6 @@ KP_KINDS = (
     ConfigKind.KP_TWO_TWO,
     ConfigKind.KP_THREE_WITH_TWOS,
 )
-
-_FACE_KINDS = {
-    ConfigKind.MANY_3_NBRS,
-    ConfigKind.TWIN_TRIANGLES,
-    ConfigKind.TRIANGLE_AND_4VTX,
-    ConfigKind.THREE_TRIANGLE_FAN,
-    ConfigKind.EXP4_MEETS_3FACE,
-    ConfigKind.ALL4S_QUAD_FACE,
-}
 
 # certified per-kind rejection bounds (key: role or kind-level default)
 CATALOG_BUDGETS: dict[ConfigKind, dict[str, int]] = {
@@ -902,7 +893,7 @@ def suggested_tokens(g: Graph, reduction: Reduction, r: int, k: int) -> dict[int
     inner = reduction.gprime
     solver = PaintSolver(inner, r)  # the memo key holds the tokens: share it across k
     need = 1
-    while not solver.painter_wins(GameState((need,) * inner.n)):
+    while not solver.painter_wins(start_position(inner, r, (need,) * inner.n)[1]):
         need += 1
     for v in reduction.gprime_vertices:
         tokens[v] = need

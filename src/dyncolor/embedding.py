@@ -120,15 +120,16 @@ def trace_faces(rot: RotationSystem) -> EmbeddedGraph:
          for i, w in enumerate(rot.rotation[v])}
         for v in range(g.n)
     ]
-    unused: set[Dart] = {(u, v) for u in range(g.n) for v in g.neighbors(u)}
+    traced: set[Dart] = set()
     faces: list[Face] = []
-    while unused:
-        start = min(unused)
+    for start in sorted((u, v) for u in range(g.n) for v in g.neighbors(u)):
+        if start in traced:
+            continue
         walk: list[Dart] = []
         dart = start
         while True:
             walk.append(dart)
-            unused.discard(dart)
+            traced.add(dart)
             u, v = dart
             dart = (v, succ_at[v][u])
             if dart == start:

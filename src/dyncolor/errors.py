@@ -114,6 +114,10 @@ class TooLargeForExhaustive(DynColorError):
     pass
 
 
+class CertificateRefuted(DynColorError):
+    """A recorded certificate does not survive its replay."""
+
+
 class HypothesisFail(DynColorError):
     pass
 

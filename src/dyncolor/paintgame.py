@@ -13,7 +13,8 @@ Painters answer `respond(position, marked)` from the tokens and residuals
 alone, so the minimax solver, the exhaustive adversary and strategy trees all
 key positions on them.  The solver declares a position lost when some res(v)
 exceeds the uncolored neighbors of v, as each round adds at most one color
-there.  `GameState` (tokens and color classes) records a played game.
+there.  A scripted game is played with `advance` too; its transcript keeps
+the round in which each vertex was colored, for `verify_r_dynamic`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -52,25 +52,6 @@ def normalize_tokens(g: Graph, f) -> tuple[int, ...]:
     return tokens
 
 
-@dataclass(frozen=True)
-class GameState:
-    """Position after some rounds: remaining tokens and the round color classes."""
-
-    tokens: tuple[int, ...]
-    classes: tuple[frozenset[int], ...] = ()
-    lister_won: bool = False
-
-    @cached_property
-    def colored(self) -> frozenset[int]:
-        return frozenset(v for cls in self.classes for v in cls)
-
-    def uncolored(self, g: Graph) -> frozenset[int]:
-        return frozenset(g.vertices()) - self.colored
-
-    def coloring(self) -> dict[int, int]:
-        return {v: i + 1 for i, cls in enumerate(self.classes) for v in cls}
-
-
 class Position(NamedTuple):
     """A position as painters see it: tokens on uncolored vertices (0 on
     colored ones), one residual need per watched set, and the uncolored set."""
@@ -89,37 +70,22 @@ def start_position(g: Graph, r: int, tokens: Sequence[int], watch=()):
     return watched, Position(tuple(tokens), tuple(res), frozenset(g.vertices()))
 
 
-def _check_round(g: Graph, uncolored: frozenset[int], marked: frozenset[int],
-                 response: frozenset[int]) -> None:
+def advance(g: Graph, watched: Sequence[frozenset[int]], pos: Position,
+            marked: Iterable[int], response: Iterable[int]) -> Position:
+    """The position after one round: Lister marks a nonempty set of uncolored
+    vertices (IllegalMark otherwise) and Painter colors an independent subset
+    of it (IllegalResponse otherwise)."""
+    marked = frozenset(marked)
+    response = frozenset(response)
     if not marked:
         raise IllegalMark("Lister must mark a nonempty set")
-    if not marked <= uncolored:
-        raise IllegalMark(f"colored vertices marked: {sorted(marked - uncolored)}")
+    if not marked <= pos.uncolored:
+        raise IllegalMark(f"colored vertices marked: {sorted(marked - pos.uncolored)}")
     if not response <= marked:
         raise IllegalResponse("response must be a subset of the marked set")
     for u, v in combinations(sorted(response), 2):
         if g.has_edge(u, v):
             raise IllegalResponse(f"response contains adjacent pair {u},{v}")
-
-
-def play_round(
-    g: Graph, state: GameState, marked: Iterable[int], response: Iterable[int]
-) -> GameState:
-    """One round of the game; flags lister_won when a token-less vertex is marked."""
-    marked = frozenset(marked)
-    response = frozenset(response)
-    _check_round(g, state.uncolored(g), marked, response)
-    lost = any(state.tokens[v] == 0 for v in marked)
-    tokens = tuple(t - 1 if v in marked else t for v, t in enumerate(state.tokens))
-    return GameState(tokens, state.classes + (response,), state.lister_won or lost)
-
-
-def advance(g: Graph, watched: Sequence[frozenset[int]], pos: Position,
-            marked: Iterable[int], response: Iterable[int]) -> Position:
-    """The position after one round, checked as `play_round` checks it."""
-    marked = frozenset(marked)
-    response = frozenset(response)
-    _check_round(g, pos.uncolored, marked, response)
     tokens = tuple(0 if v in response else t - 1 if v in marked else t
                    for v, t in enumerate(pos.tokens))
     res = tuple(x - 1 if x and not s.isdisjoint(response) else x
@@ -139,11 +105,11 @@ class PaintSolver:
     stay clear, which lets `_nonzero` test all fields at once.
     """
 
-    def __init__(self, g: Graph, r: int, *, memo: bool = True,
-                 node_budget: int | None = None, deadline: float | None = None):
+    def __init__(self, g: Graph, r: int, *, node_budget: int | None = None,
+                 deadline: float | None = None):
         self.g = g
         self.r = r
-        self.memo: dict | None = {} if memo else None
+        self.memo: dict[int, bool] = {}
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
@@ -159,8 +125,7 @@ class PaintSolver:
         self._half = self._high - low
         self._nbr = [self._mask(self.g.neighbors(v)) for v in self.g.vertices()]
         self._tables: dict[int, list] = {}
-        if self.memo:
-            self.memo.clear()
+        self.memo.clear()
 
     def _mask(self, vertices: Iterable[int]) -> int:
         return sum(1 << (v * self._w) for v in vertices)
@@ -207,12 +172,10 @@ class PaintSolver:
         (the memo key leaves the uncolored set implicit in the tokens)."""
         if not uncolored:
             return not res
-        memo = self.memo
-        if memo is not None:
-            key = res << (self.g.n * self._w) | tokens
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+        key = res << (self.g.n * self._w) | tokens
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
         # dead: a vertex needs more new colors than it has uncolored
         # neighbors, and each round adds at most one color to a neighborhood
         if any(res >> (v * self._w) & self._field > (nb & uncolored).bit_count()
@@ -236,21 +199,16 @@ class PaintSolver:
             else:
                 verdict = False
             marked = (marked - 1) & uncolored
-        if memo is not None:
-            memo[key] = verdict
+        self.memo[key] = verdict
         return verdict
 
     # -- play interfaces ---------------------------------------------------------
 
-    def painter_wins(self, state: GameState) -> bool:
-        """Exact verdict of the game from `state`, whose residual needs are
-        derived from its color classes."""
-        classes = [self._mask(cls) for cls in state.classes]
-        res = tuple(max(0, need - sum(1 for cls in classes if cls & nb))
-                    for need, nb in zip(self._need, self._nbr))
-        tokens, res, uncolored = self._pack(
-            Position(state.tokens, res, state.uncolored(self.g)))
-        return (not state.lister_won and self._nonzero(tokens) & uncolored == uncolored
+    def painter_wins(self, pos: Position) -> bool:
+        """Exact verdict of the game from `pos`; Lister has won if an uncolored
+        vertex has no token."""
+        tokens, res, uncolored = self._pack(pos)
+        return (self._nonzero(tokens) & uncolored == uncolored
                 and self._wins(tokens, res, uncolored))
 
     def winning_response(self, pos: Position, marked: Iterable[int]) -> frozenset[int]:
@@ -292,7 +250,6 @@ def solve_xp_r(
     *,
     max_n: int = 7,
     force: bool = False,
-    memo: bool = True,
     node_budget: int | None = None,
     time_limit: float | None = None,
 ) -> GameVerdict:
@@ -301,9 +258,9 @@ def solve_xp_r(
         raise BudgetExceeded(f"n={g.n} above game solver cap {max_n}")
     tokens = normalize_tokens(g, f)
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    solver = PaintSolver(g, r, memo=memo, node_budget=node_budget,
-                         deadline=deadline)
-    return GameVerdict(solver.painter_wins(GameState(tokens)), solver, tokens)
+    solver = PaintSolver(g, r, node_budget=node_budget, deadline=deadline)
+    _, start = start_position(g, r, tokens)
+    return GameVerdict(solver.painter_wins(start), solver, tokens)
 
 
 # -- painter strategies --------------------------------------------------------------
@@ -438,7 +395,7 @@ class RoundRecord:
 @dataclass
 class Transcript:
     rounds: list[RoundRecord]
-    final: GameState
+    final: dict[int, int]  # vertex -> round in which it was colored
     outcome: str   # 'painter', 'lister', or a failure note
     rejections: dict[int, int]
 
@@ -473,34 +430,39 @@ def run_transcript(
     marks: Iterable[Iterable[int]],
     f,
 ) -> Transcript:
-    """Play a scripted sequence of Lister marks against a painter."""
-    state = GameState(normalize_tokens(g, f))
-    watched, pos = start_position(g, r, state.tokens, getattr(painter, "watch", ()))
+    """Play a scripted sequence of Lister marks against a painter.
+
+    Each round records every vertex's tokens left, a colored vertex keeping
+    those it had when colored."""
+    tokens = normalize_tokens(g, f)
+    watched, pos = start_position(g, r, tokens, getattr(painter, "watch", ()))
+    coloring: dict[int, int] = {}
     rejections: Counter[int] = Counter()
     rounds: list[RoundRecord] = []
     outcome = "painter"
     for i, marked in enumerate(marks, start=1):
         marked = frozenset(marked)
-        if any(state.tokens[v] == 0 for v in marked):
+        tokens = tuple(t - 1 if v in marked else t for v, t in enumerate(tokens))
+        if any(pos.tokens[v] == 0 for v in marked & pos.uncolored):
             outcome = "lister"
-            state = play_round(g, state, marked, frozenset())
-            rounds.append(RoundRecord(i, tuple(sorted(marked)), (), state.tokens, ()))
+            advance(g, watched, pos, marked, ())  # marking a colored vertex still raises
+            rounds.append(RoundRecord(i, tuple(sorted(marked)), (), tokens, ()))
             break
         response = painter.respond(pos, marked)
-        state = play_round(g, state, marked, response)
         pos = advance(g, watched, pos, marked, response)
+        coloring.update(dict.fromkeys(response, i))
         rejected = tuple(sorted(marked - response))
         rejections.update(rejected)
         rounds.append(RoundRecord(i, tuple(sorted(marked)),
-                                  tuple(sorted(response)), state.tokens, rejected))
-        if not state.uncolored(g):
+                                  tuple(sorted(response)), tokens, rejected))
+        if not pos.uncolored:
             break
     if outcome == "painter":
-        if state.uncolored(g):
+        if pos.uncolored:
             outcome = "unfinished"
-        elif not verify_r_dynamic(g, state.coloring(), r).ok:
+        elif not verify_r_dynamic(g, coloring, r).ok:
             outcome = "painter-coloring-not-dynamic"
-    return Transcript(rounds, state, outcome, dict(rejections))
+    return Transcript(rounds, coloring, outcome, dict(rejections))
 
 
 @dataclass
@@ -689,7 +651,7 @@ def xp_r_number(
         solver = PaintSolver(g, r, node_budget=node_budget)
         k = max(min(r, g.degree(v)) + 1 for v in g.vertices()) if g.m else 1
         try:
-            while not solver.painter_wins(GameState((k,) * g.n)):
+            while not solver.painter_wins(start_position(g, r, (k,) * g.n)[1]):
                 refuted, k = k, k + 1
             return XpResult(k, k, True, ("exhaustive game minimax",))
         except BudgetExceeded:

@@ -215,6 +215,12 @@ ROTATION_COMMANDS = ("genus", "find-config", "reduce", "discharge", "unavoidable
 ] + [
     ([cmd, "F"], DISCONNECTED_ROT, "requires a connected")
     for cmd in ROTATION_COMMANDS
+] + [
+    (["list-check", "--r", "2", "--lists", "F", "G"], "0: 1 2\n2: 1 2\n3: 1 2\n4: 3\n",
+     "vertex 1 has no list"),
+    (["kp-check", "F"], "0 1\n2 3\n", "requires a connected graph"),
+    (["verify", "--r", "1", "--coloring", "F", "G"], "0 1\n1 2\n",
+     "vertices without a color: [2, 3, 4]"),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
     paths = {"G": tmp_path / "c5.g6", "F": tmp_path / "input.txt"}
@@ -227,6 +233,14 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message)
         code = exc.code
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_replay_of_an_illegal_contraction_trace_is_refuted(tmp_path, capsys):
+    c5, trace = tmp_path / "c5.g6", tmp_path / "trace.txt"
+    c5.write_text(emit_graph6(cycle(5)))
+    trace.write_text(TRACE_HEAD + "contract 0 1 9\nbase 0\n")  # C5 edges weigh 4
+    assert main(["replay", "--certificate", str(trace), str(c5)]) == 1
+    assert capsys.readouterr().out == "certificate refuted: contraction 0,1 has weight 4, not light\n"
 
 
 def test_witness_roundtrips_through_verify(tmp_path, capsys):

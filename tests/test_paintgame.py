@@ -1,5 +1,6 @@
 import json
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -8,18 +9,18 @@ from dyncolor.errors import BudgetViolated, IllegalMark, IllegalResponse, InnerL
 from dyncolor.families import complete, cycle, path, random_connected_graph
 from dyncolor.graph import Graph
 from dyncolor.paintgame import (
-    GameState,
     PaintSolver,
     Position,
     RejectionRule,
     TreePainter,
+    advance,
     certify_painter,
     dull_rule,
     normalize_tokens,
-    play_round,
     run_gprime_first,
     run_transcript,
     solve_xp_r,
+    start_position,
     strategy_tree,
     xp_r_number,
 )
@@ -27,44 +28,39 @@ from dyncolor.paintgame import (
 
 def test_play_round_mechanics():
     g = complete(2)
-    s = GameState(normalize_tokens(g, 2))
-    s1 = play_round(g, s, {0, 1}, {0})
-    assert s1.tokens == (1, 1)
-    assert s1.colored == {0}
-    assert not s1.lister_won
+    watched, pos = start_position(g, 1, normalize_tokens(g, 2))
+    p1 = advance(g, watched, pos, {0, 1}, {0})
+    assert p1 == Position((0, 1), (1, 0), frozenset({1}))
     # marking the other vertex again: spends its last token, gets colored
-    s2 = play_round(g, s1, {1}, {1})
-    assert s2.tokens == (1, 0)
-    assert s2.uncolored(g) == frozenset()
+    p2 = advance(g, watched, p1, {1}, {1})
+    assert p2 == Position((0, 0), (0, 0), frozenset())
 
 
 def test_play_round_zero_token_mark_loses():
     g = complete(2)
-    s = GameState((0, 1))
-    out = play_round(g, s, {0}, set())
-    assert out.lister_won
+    # Lister marks the token-less vertex 0; a lister transcript is pinned below
+    assert not PaintSolver(g, 1).painter_wins(Position((0, 1), (1, 1), frozenset({0, 1})))
 
 
 def test_play_round_empty_response_allowed():
     g = complete(2)
-    s = GameState((2, 2))
-    out = play_round(g, s, {0}, set())
-    assert out.tokens == (1, 2)
-    assert not out.lister_won
+    watched, pos = start_position(g, 1, (2, 2))
+    out = advance(g, watched, pos, {0}, set())
+    assert out == Position((1, 2), (1, 1), frozenset({0, 1}))
 
 
 def test_play_round_validation():
     g = complete(3)
-    s = GameState((2, 2, 2))
+    watched, pos = start_position(g, 1, (2, 2, 2))
     with pytest.raises(IllegalMark):
-        play_round(g, s, set(), set())
+        advance(g, watched, pos, set(), set())
     with pytest.raises(IllegalResponse):
-        play_round(g, s, {0, 1}, {0, 1})  # adjacent pair
+        advance(g, watched, pos, {0, 1}, {0, 1})  # adjacent pair
     with pytest.raises(IllegalResponse):
-        play_round(g, s, {0}, {1})  # not a subset
-    colored = play_round(g, s, {0}, {0})
+        advance(g, watched, pos, {0}, {1})  # not a subset
+    colored = advance(g, watched, pos, {0}, {0})
     with pytest.raises(IllegalMark):
-        play_round(g, colored, {0}, set())
+        advance(g, watched, colored, {0}, set())
 
 
 def test_solver_known_values():
@@ -80,17 +76,6 @@ def test_xp_numbers():
     assert xp_r_number(cycle(5), 1).value == 3
     assert xp_r_number(complete(3), 2).value == 3
     assert xp_r_number(cycle(5), 2).value == 5
-
-
-def test_memo_agrees_with_reference_solver():
-    rng = random.Random(0)
-    for _ in range(25):
-        g = random_connected_graph(rng.randrange(2, 6), 0.5, rng)
-        r = rng.randrange(1, 3)
-        k = rng.randrange(1, 4)
-        fast = solve_xp_r(g, r, k, memo=True).painter_wins
-        slow = solve_xp_r(g, r, k, memo=False).painter_wins
-        assert fast == slow
 
 
 def test_token_monotonicity():
@@ -141,6 +126,54 @@ def test_transcript_format_and_rejections():
     assert tr.rejections  # somebody was rejected in round one
 
 
+def _rounds(*rows):
+    return [{"index": i, "marked": m, "colored": c, "tokens": t, "rejected": x}
+            for i, (m, c, t, x) in enumerate(rows, start=1)]
+
+
+PINNED_TRANSCRIPTS = [
+    # the solver colors all of P3; a third mark is never played
+    (path(3), 1, "solver", [{0, 1, 2}, {1}, {2}], 2,
+     "round 1 | marked: 0 1 2 | colored: 0 2 | tokens: 1 1 1\n"
+     "round 2 | marked: 1 | colored: 1 | tokens: 1 0 1\n"
+     "outcome: painter",
+     _rounds(([0, 1, 2], [0, 2], [1, 1, 1], [1]), ([1], [1], [1, 0, 1], [])),
+     "painter", {"1": 1}),
+    # vertex 1 is marked with no token left; a colored vertex keeps its tokens
+    (complete(2), 1, "greedy", [{0, 1}, {1}], 1,
+     "round 1 | marked: 0 1 | colored: 0 | tokens: 0 0\n"
+     "round 2 | marked: 1 | colored: - | tokens: 0 -1\n"
+     "outcome: lister",
+     _rounds(([0, 1], [0], [0, 0], [1]), ([1], [], [0, -1], [])),
+     "lister", {"1": 1}),
+    (cycle(4), 1, "solver", [{0, 1, 2, 3}], 2,
+     "round 1 | marked: 0 1 2 3 | colored: 0 2 | tokens: 1 1 1 1\n"
+     "outcome: unfinished",
+     _rounds(([0, 1, 2, 3], [0, 2], [1, 1, 1, 1], [1, 3])),
+     "unfinished", {"1": 1, "3": 1}),
+    # round 1 puts one color on both neighbours of 1, which needs two
+    (cycle(5), 2, "greedy", [{0, 2}, {1, 3}, {4}], 5,
+     "round 1 | marked: 0 2 | colored: 0 2 | tokens: 4 5 4 5 5\n"
+     "round 2 | marked: 1 3 | colored: 1 3 | tokens: 4 4 4 4 5\n"
+     "round 3 | marked: 4 | colored: 4 | tokens: 4 4 4 4 4\n"
+     "outcome: painter-coloring-not-dynamic",
+     _rounds(([0, 2], [0, 2], [4, 5, 4, 5, 5], []), ([1, 3], [1, 3], [4, 4, 4, 4, 5], []),
+             ([4], [4], [4, 4, 4, 4, 4], [])),
+     "painter-coloring-not-dynamic", {}),
+]
+
+
+@pytest.mark.parametrize("g, r, kind, marks, f, text, rounds, outcome, rejections",
+                         PINNED_TRANSCRIPTS, ids=[p[7] for p in PINNED_TRANSCRIPTS])
+def test_transcript_render_and_json_are_pinned(g, r, kind, marks, f, text, rounds,
+                                               outcome, rejections):
+    painter = solve_xp_r(g, r, f).strategy() if kind == "solver" else Greedy(g)
+    tr = run_transcript(g, r, painter, marks, f)
+    assert tr.render() == text
+    assert tr.to_json() == json.dumps(
+        {"rounds": rounds, "outcome": outcome, "rejections": rejections}, indent=2)
+
+
 def test_strategy_tree_roundtrip():
     g = cycle(4)
     verdict = solve_xp_r(g, 1, 2)
@@ -185,6 +218,40 @@ def test_gprime_final_colorings_dynamic_on_all_lines():
     assert report.ok  # certify checks verify_r_dynamic on every complete line
 
 
+class Partition(NamedTuple):
+    """A game as the references record it: every vertex's tokens left and the
+    color class of each round, with no residual needs."""
+
+    tokens: tuple[int, ...]
+    classes: tuple[frozenset[int], ...] = ()
+
+    @property
+    def colored(self):
+        return frozenset().union(*self.classes)
+
+    def uncolored(self, g):
+        return frozenset(g.vertices()) - self.colored
+
+    def coloring(self):
+        return {v: i + 1 for i, cls in enumerate(self.classes) for v in cls}
+
+    def play(self, g, marked, response):
+        assert marked and marked <= self.uncolored(g) and response <= marked
+        assert not any(g.has_edge(u, v) for u in response for v in response)
+        tokens = tuple(t - 1 if v in marked else t for v, t in enumerate(self.tokens))
+        return Partition(tokens, self.classes + (frozenset(response),))
+
+    def position(self, g, r, watch=()):
+        """The position painters see: tokens on uncolored vertices and each
+        residual need counted from the classes."""
+        uncolored = self.uncolored(g)
+        sets = [(g.neighbors(v), min(r, g.degree(v))) for v in g.vertices()] + list(watch)
+        res = tuple(max(0, need - sum(1 for cls in self.classes if cls & set(s)))
+                    for s, need in sets)
+        tokens = tuple(t if v in uncolored else 0 for v, t in enumerate(self.tokens))
+        return Position(tokens, res, uncolored)
+
+
 def random_classes(g, rng, colored, palette=None):
     """Color classes of a random proper coloring of the vertex set `colored`,
     from `palette` colors where possible (a small palette repeats colors)."""
@@ -202,7 +269,7 @@ def test_final_partition_checked_with_verifier():
     solver = PaintSolver(g, 1)
     bad = (frozenset({0, 2}), frozenset({1, 3}), frozenset({4}))
     coloring = {v: i + 1 for i, cls in enumerate(bad) for v in cls}
-    assert (solver.painter_wins(GameState((0,) * g.n, bad))
+    assert (solver.painter_wins(Partition((0,) * g.n, bad).position(g, 1))
             == verify_r_dynamic(g, coloring, 1).ok)
 
 
@@ -217,7 +284,8 @@ def test_residual_terminal_condition_matches_verifier():
         classes = random_classes(g, rng, g.vertices())
         coloring = {v: i + 1 for i, cls in enumerate(classes) for v in cls}
         ok = verify_r_dynamic(g, coloring, r).ok
-        assert PaintSolver(g, r).painter_wins(GameState((0,) * g.n, classes)) == ok
+        full = Partition((0,) * g.n, classes).position(g, r)
+        assert PaintSolver(g, r).painter_wins(full) == ok
         agree.add(ok)
     assert agree == {True, False}
 
@@ -367,7 +435,7 @@ def test_mid_game_positions_and_dead_state_prune():
         colored = rng.sample(g.vertices(), max(0, g.n - left))
         classes = random_classes(g, rng, colored, 1 if near_end else None)
         tokens = tuple(rng.randrange(1, 4) for _ in g.vertices())
-        state = GameState(tokens, classes)
+        state = Partition(tokens, classes)
         uncolored = state.uncolored(g)
         dead = any(
             min(r, g.degree(v)) - sum(1 for cls in classes if cls & set(g.neighbors(v)))
@@ -375,7 +443,7 @@ def test_mid_game_positions_and_dead_state_prune():
             for v in g.vertices()
         )
         want = reference_game_value(g, r, tokens, classes)
-        assert PaintSolver(g, r).painter_wins(state) == want
+        assert PaintSolver(g, r).painter_wins(state.position(g, r)) == want
         if dead:
             pruned += 1
             assert not want
@@ -430,17 +498,8 @@ def reference_certify(g, r, f, painter, track=()):
     f = normalize_tokens(g, f)
     track = tuple(sorted(set(track)))
     watch = getattr(painter, "watch", ())
-    sets = [frozenset(g.neighbors(v)) for v in g.vertices()] + [frozenset(s) for s, _ in watch]
-    needs = [min(r, g.degree(v)) for v in g.vertices()] + [need for _, need in watch]
     memo, max_rej = {}, {v: 0 for v in track}
     out = {"states": 0, "losing": None, "reason": ""}
-
-    def position(state):
-        uncolored = state.uncolored(g)
-        tokens = tuple(t if v in uncolored else 0 for v, t in enumerate(state.tokens))
-        res = tuple(max(0, need - sum(1 for cls in state.classes if cls & s))
-                    for s, need in zip(sets, needs))
-        return Position(tokens, res, uncolored)
 
     def rejections(state, v):
         return f[v] - state.tokens[v] - (1 if v in state.colored else 0)
@@ -469,12 +528,12 @@ def reference_certify(g, r, f, painter, track=()):
             marked = frozenset(v for i, v in enumerate(verts) if (mask >> i) & 1)
             step = list(line) + [tuple(sorted(marked))]
             try:
-                response = painter.respond(position(state), marked)
+                response = painter.respond(state.position(g, r, watch), marked)
             except (IllegalResponse, InnerLost, BudgetViolated) as exc:
                 out["losing"], out["reason"] = step, f"{type(exc).__name__}: {exc}"
                 ok = False
                 break
-            child = play_round(g, state, marked, response)
+            child = state.play(g, marked, response)
             drained = [t for t in track if rejections(child, t) >= f[t]
                        and t in child.uncolored(g)]
             if drained:
@@ -490,7 +549,7 @@ def reference_certify(g, r, f, painter, track=()):
         memo[key] = ok
         return ok
 
-    ok = explore(GameState(f), [])
+    ok = explore(Partition(f), [])
     return ok, "" if ok else out["reason"], out["losing"], max_rej, out["states"]
 
 
@@ -571,7 +630,7 @@ def test_adversary_matches_partition_reference_on_random_composites():
         else:  # a winning token count on G', a roomy one on S
             inner = PaintSolver(Graph(n, edges), r)
             k = 1
-            while not inner.painter_wins(GameState((k,) * n)):
+            while not inner.painter_wins(start_position(inner.g, r, (k,) * n)[1]):
                 k += 1
             f = [rng.randrange(3, 6) if v in s else k for v in g.vertices()]
         painter = GPrimeFirstPainter(g, r, gv, frozenset(edges), s, triggers)
