@@ -357,7 +357,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (DisconnectedGraph, PartialInput) as exc:
         # input the command does not take: a disconnected graph or rotation
-        # file, a coloring or list file that misses a vertex
+        # file, a coloring or list file that misses a vertex or names one
+        # the graph does not have
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DynColorError as exc:

@@ -44,10 +44,18 @@ class DynamicReport:
         return "\n".join(lines)
 
 
+def _refuse_unknown_vertices(g: Graph, assignment: Mapping, what: str) -> None:
+    """Raise PartialInput for keys outside V; every vertex is a key already."""
+    if len(assignment) > g.n:
+        unknown = sorted(set(assignment).difference(g.vertices()))
+        raise PartialInput(f"{what} for vertices not in the graph: {unknown[:10]}")
+
+
 def verify_r_dynamic(g: Graph, coloring: Mapping[int, int], r: int) -> DynamicReport:
     missing = [v for v in g.vertices() if v not in coloring]
     if missing:
         raise PartialInput(f"vertices without a color: {missing[:10]}")
+    _refuse_unknown_vertices(g, coloring, "colors")
     improper = tuple(
         (u, v) for u, v in g.edges() if coloring[u] == coloring[v]
     )
@@ -219,6 +227,7 @@ def is_L_colorable_r_dynamic(
     for v in g.vertices():
         if v not in lists or not lists[v]:
             raise PartialInput(f"vertex {v} has no list")
+    _refuse_unknown_vertices(g, lists, "lists")
     ordered = {v: tuple(sorted(lists[v])) for v in g.vertices()}
     searcher = _Searcher(g, r, node_budget)
     witness = searcher.solve(lambda v, used_max: ordered[v])

@@ -11,10 +11,14 @@ are N(v) with need min(r, d(v)), so Painter has won once all is colored and
 those residuals are 0; a painter may watch more sets (its `watch` attribute).
 Painters answer `respond(position, marked)` from the tokens and residuals
 alone, so the minimax solver, the exhaustive adversary and strategy trees all
-key positions on them.  The solver declares a position lost when some res(v)
-exceeds the uncolored neighbors of v, as each round adds at most one color
-there.  A scripted game is played with `advance` too; its transcript keeps
-the round in which each vertex was colored, for `verify_r_dynamic`.
+key positions on them.  The adversary may track a vertex set whose tokens its
+painter never reads (the deleted set of a reduction): it then keys positions
+on the other tokens, the residuals and the uncolored tracked vertices, and
+stores with each the most rejections every tracked vertex can still get.
+The solver declares a position lost when some res(v) exceeds the uncolored
+neighbors of v, as each round adds at most one color there.  A scripted game
+is played with `advance` too; its transcript keeps the round in which each
+vertex was colored, for `verify_r_dynamic`.
 """
 
 from __future__ import annotations
@@ -63,18 +67,26 @@ class Position(NamedTuple):
 
 def start_position(g: Graph, r: int, tokens: Sequence[int], watch=()):
     """The watched sets and the position before the first round: N(v) with need
-    min(r, d(v)) for each vertex, then the (set, need) pairs of `watch`."""
-    watched = [frozenset(g.neighbors(v)) for v in g.vertices()]
-    watched += [frozenset(s) for s, _ in watch]
+    min(r, d(v)) for each vertex, then the (set, need) pairs of `watch`.
+
+    The watched sets come indexed by vertex: entry v lists the residual slots
+    whose set contains v, the slots a response coloring v lowers."""
+    sets = [g.neighbors(v) for v in g.vertices()] + [s for s, _ in watch]
+    slots: list[list[int]] = [[] for _ in g.vertices()]
+    for i, s in enumerate(sets):
+        for v in s:
+            slots[v].append(i)
     res = [min(r, g.degree(v)) for v in g.vertices()] + [max(0, need) for _, need in watch]
-    return watched, Position(tuple(tokens), tuple(res), frozenset(g.vertices()))
+    return ([tuple(s) for s in slots],
+            Position(tuple(tokens), tuple(res), frozenset(g.vertices())))
 
 
-def advance(g: Graph, watched: Sequence[frozenset[int]], pos: Position,
+def advance(g: Graph, slots: Sequence[Sequence[int]], pos: Position,
             marked: Iterable[int], response: Iterable[int]) -> Position:
     """The position after one round: Lister marks a nonempty set of uncolored
     vertices (IllegalMark otherwise) and Painter colors an independent subset
-    of it (IllegalResponse otherwise)."""
+    of it (IllegalResponse otherwise).  `slots` is the vertex index of the
+    watched sets from `start_position`."""
     marked = frozenset(marked)
     response = frozenset(response)
     if not marked:
@@ -86,11 +98,14 @@ def advance(g: Graph, watched: Sequence[frozenset[int]], pos: Position,
     for u, v in combinations(sorted(response), 2):
         if g.has_edge(u, v):
             raise IllegalResponse(f"response contains adjacent pair {u},{v}")
-    tokens = tuple(0 if v in response else t - 1 if v in marked else t
-                   for v, t in enumerate(pos.tokens))
-    res = tuple(x - 1 if x and not s.isdisjoint(response) else x
-                for x, s in zip(pos.res, watched))
-    return Position(tokens, res, pos.uncolored - response)
+    tokens = list(pos.tokens)
+    for v in marked:
+        tokens[v] = 0 if v in response else tokens[v] - 1
+    res = list(pos.res)
+    for i in {i for v in response for i in slots[v]}:  # a set meets a response once
+        if res[i]:
+            res[i] -= 1
+    return Position(tuple(tokens), tuple(res), pos.uncolored - response)
 
 
 # -- exact minimax solver -----------------------------------------------------------
@@ -324,8 +339,8 @@ class GPrimeFirstPainter:
     The inner solver plays on G' in the outer labels, with S left isolated.
     The painter watches N_G'(v) for every vertex (the inner solver's
     residuals) and the observed set of each few_colors rule, so it is a
-    function of the tokens and residuals and can be driven by an exhaustive
-    adversary with memoization.
+    function of the residuals and the tokens on G'; it reads no token of S,
+    so the exhaustive adversary tracking S keys positions without them.
     """
 
     def __init__(
@@ -352,22 +367,34 @@ class GPrimeFirstPainter:
         self.watch = [(gprime.neighbors(v), min(r, gprime.degree(v)))
                       for v in g.vertices()]
         self.watch += [(rule.observe, rule.threshold) for rule in few]
+        self._gorder = sorted(self.gv)
+        # inner winning responses by (G' tokens and residuals, inner mark); an
+        # uncolored vertex of G' keeps a token under the inner strategy, so
+        # the tokens give the uncolored part of G'
+        self._inner_responses: dict = {}
+        self._sets: dict = {}  # one copy of each mark and response, to keep the cache small
 
     def respond(self, pos: Position, marked: frozenset[int]) -> frozenset[int]:
         n = self.g.n
         inner_marked = self.gv.intersection(marked)
         response: set[int] = set()
         if inner_marked:
-            response |= self.inner.winning_response(
-                Position(pos.tokens, pos.res[n:2 * n], pos.uncolored & self.gv),
-                inner_marked,
-            )
+            inner_marked = self._sets.setdefault(inner_marked, inner_marked)
+            res = pos.res[n:2 * n]
+            key = tuple(map(pos.tokens.__getitem__, self._gorder)) + res, inner_marked
+            inner = self._inner_responses.get(key)
+            if inner is None:
+                inner = self.inner.winning_response(
+                    Position(pos.tokens, res, pos.uncolored & self.gv), inner_marked)
+                inner = self._inner_responses[key] = self._sets.setdefault(inner, inner)
+            response |= inner
         for t in self.s_order:
             if t not in marked or t not in pos.uncolored:
                 continue
+            being_colored = frozenset(response)
             vetoed = any(
                 rule.fires(pos.res[self._slot[rule]] if rule in self._slot else 0,
-                           frozenset(response))
+                           being_colored)
                 for rule in self.triggers.get(t, ())
             )
             if not vetoed:
@@ -435,7 +462,7 @@ def run_transcript(
     Each round records every vertex's tokens left, a colored vertex keeping
     those it had when colored."""
     tokens = normalize_tokens(g, f)
-    watched, pos = start_position(g, r, tokens, getattr(painter, "watch", ()))
+    slots, pos = start_position(g, r, tokens, getattr(painter, "watch", ()))
     coloring: dict[int, int] = {}
     rejections: Counter[int] = Counter()
     rounds: list[RoundRecord] = []
@@ -445,11 +472,11 @@ def run_transcript(
         tokens = tuple(t - 1 if v in marked else t for v, t in enumerate(tokens))
         if any(pos.tokens[v] == 0 for v in marked & pos.uncolored):
             outcome = "lister"
-            advance(g, watched, pos, marked, ())  # marking a colored vertex still raises
+            advance(g, slots, pos, marked, ())  # marking a colored vertex still raises
             rounds.append(RoundRecord(i, tuple(sorted(marked)), (), tokens, ()))
             break
         response = painter.respond(pos, marked)
-        pos = advance(g, watched, pos, marked, response)
+        pos = advance(g, slots, pos, marked, response)
         coloring.update(dict.fromkeys(response, i))
         rejected = tuple(sorted(marked - response))
         rejections.update(rejected)
@@ -490,23 +517,39 @@ def certify_painter(
 ) -> CertificationReport:
     """Exhaustive Lister: every mark sequence is played against the painter.
 
-    The painter must be a function of the tokens and the residuals it watches,
-    so positions are memoized on (tokens, residuals).  A vertex's rejections
-    are its spent tokens while it is uncolored and stay fixed once it is
-    colored, so per-vertex maxima over all lines are exact.  A line whose
-    final residuals call the coloring not r-dynamic is replayed and the
-    verdict confirmed with `verify_r_dynamic`.
+    The painter must be a function of the residuals it watches and of the
+    tokens off the tracked set; it must not read a tracked vertex's tokens.
+    Positions are memoized on (tokens off the tracked set, residuals,
+    uncolored part of the tracked set).  A vertex's rejections are its spent
+    tokens while it is uncolored and stay fixed once it is colored, so an
+    entry holds, for each uncolored tracked t, the most rejections t can
+    still get below the position: a longest path over rounds.  States and
+    maxima are therefore the same for every choice of tracked tokens under
+    which no line drains.  An entry is written once its subtree has passed,
+    so a key still on the current line is a miss; meeting it again means
+    rounds that marked tracked vertices only and colored none, and the line
+    drains in the end.  A hit whose prefix plus future rejections of t
+    reaches f(t) is searched again, in mark order, down to the first drain,
+    so the verdict, reason, losing line and maxima are those a search
+    without the memo gives.  A line whose final residuals call the coloring
+    not r-dynamic is replayed and the verdict confirmed with
+    `verify_r_dynamic`.
     """
     f = normalize_tokens(g, f)
     track = tuple(sorted(set(track)))
-    watched, start = start_position(g, r, f, getattr(painter, "watch", ()))
-    memo: dict = {}
+    slots, start = start_position(g, r, f, getattr(painter, "watch", ()))
+    # in a key a tracked vertex reads 1 while uncolored (it has a token then)
+    # and 0 once colored
+    cap = [1 if v in track else f[v] for v in g.vertices()]
+    memo: dict = {}  # key -> most future rejections of each uncolored tracked vertex
     max_rej = {v: 0 for v in track}
     states = 0
     losing: list[tuple[int, ...]] | None = None
     reason = ""
 
-    def explore(pos: Position, line: list[tuple[int, ...]]) -> bool:
+    def explore(pos: Position, line: list[tuple[int, ...]]) -> dict[int, int] | None:
+        """The most future rejections of each uncolored tracked vertex below
+        `pos`, or None once a line is lost."""
         nonlocal states, losing, reason
         uncolored = pos.uncolored
         for v in track:
@@ -514,50 +557,51 @@ def certify_painter(
                 max_rej[v] = max(max_rej[v], f[v] - pos.tokens[v])
         if not uncolored:
             if not any(pos.res[:g.n]):
-                return True
+                return {}
             losing, reason = list(line), "final coloring not r-dynamic"
-            return False
+            return None
         if any(pos.tokens[v] == 0 for v in uncolored):
             v = min(v for v in uncolored if pos.tokens[v] == 0)
             losing, reason = list(line) + [(v,)], "marked a token-less vertex"
-            return False
-        key = pos.tokens, pos.res
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        states += 1
+            return None
+        key = tuple(map(min, pos.tokens, cap)), pos.res
+        future = memo.get(key)
+        if future is not None and all(n < pos.tokens[t] for t, n in future.items()):
+            for t, n in future.items():
+                max_rej[t] = max(max_rej[t], f[t] - pos.tokens[t] + n)
+            return future
+        states += 1  # a miss, or a hit with a drain below it
         if states > node_cap:
             raise BudgetExceeded(f"exhaustive adversary exceeded {node_cap} states")
         verts = sorted(uncolored)
-        ok = True
+        future = {t: 0 for t in track if t in uncolored}
         for mask in range(1, 1 << len(verts)):
-            marked = frozenset(v for i, v in enumerate(verts) if (mask >> i) & 1)
+            step = tuple(v for i, v in enumerate(verts) if mask >> i & 1)
+            marked = frozenset(step)
             try:
                 response = painter.respond(pos, marked)
             except (IllegalResponse, InnerLost, BudgetViolated) as exc:
-                losing = list(line) + [tuple(sorted(marked))]
-                reason = f"{type(exc).__name__}: {exc}"
-                ok = False
-                break
-            child = advance(g, watched, pos, marked, response)
+                losing, reason = line + [step], f"{type(exc).__name__}: {exc}"
+                return None
+            child = advance(g, slots, pos, marked, response)
             drained = next((t for t in track
                             if t in child.uncolored and not child.tokens[t]), None)
             if drained is not None:
-                losing = list(line) + [tuple(sorted(marked))]
+                losing = line + [step]
                 reason = (f"vertex {drained} drained: {f[drained]} rejections"
                           f" with {f[drained]} tokens")
-                ok = False
-                break
-            line.append(tuple(sorted(marked)))
-            good = explore(child, line)
+                return None
+            line.append(step)
+            below = explore(child, line)
             line.pop()
-            if not good:
-                ok = False
-                break
-        memo[key] = ok
-        return ok
+            if below is None:
+                return None
+            for t, n in below.items():  # t was uncolored and, if marked, rejected
+                future[t] = max(future[t], (t in marked) + n)
+        memo[key] = future
+        return future
 
-    ok = explore(start, [])
+    ok = explore(start, []) is not None
     if reason == "final coloring not r-dynamic":
         replay = run_transcript(g, r, painter, losing, f)
         if replay.outcome != "painter-coloring-not-dynamic":
@@ -691,7 +735,7 @@ def strategy_tree(
     DAG in memory and in the serialized form (nodes table plus root).
     """
     f = normalize_tokens(g, f)
-    watched, start = start_position(g, r, f)
+    slots, start = start_position(g, r, f)
     names: dict = {}
     nodes: dict = {}
 
@@ -708,7 +752,7 @@ def strategy_tree(
         for mask in range(1, 1 << len(uncolored)):
             marked = frozenset(v for i, v in enumerate(uncolored) if (mask >> i) & 1)
             resp = solver.winning_response(pos, marked)
-            child = advance(g, watched, pos, marked, resp)
+            child = advance(g, slots, pos, marked, resp)
             entry["moves"][" ".join(map(str, sorted(marked)))] = {
                 "color": sorted(resp),
                 "next": build(child) if child.uncolored else None,

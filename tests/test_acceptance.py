@@ -303,6 +303,20 @@ def test_criterion_09_rejection_budgets(capsys):
         report(9, ok, "; ".join(notes) + "; all ablation controls fail", elapsed)
 
 
+def test_criterion_09_all_4s_quad_face_budget(capsys):
+    # in reach only because the adversary keys positions without the tokens
+    # of S: with them this check ran for over 150 s
+    clock = Clock(30, "criterion 9, all-4s-quad-face")
+    emb, match = catalog_instances()[ConfigKind.ALL4S_QUAD_FACE]
+    red = build_reduction(emb, match)
+    rep = check_budget(emb, red, 3, 10)  # with suggested_tokens
+    maxima = rep.certification.max_rejections
+    elapsed = clock.done()
+    with capsys.disabled():
+        report(9, rep.ok and maxima == {0: 5, 1: 6, 6: 7, 7: 6},
+               f"all-4s-quad-face: {rep.render()}", elapsed)
+
+
 def test_criterion_10_constructive_bound(capsys):
     clock = Clock(120, "criterion 10")
     ok = True

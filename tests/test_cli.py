@@ -221,6 +221,11 @@ ROTATION_COMMANDS = ("genus", "find-config", "reduce", "discharge", "unavoidable
     (["kp-check", "F"], "0 1\n2 3\n", "requires a connected graph"),
     (["verify", "--r", "1", "--coloring", "F", "G"], "0 1\n1 2\n",
      "vertices without a color: [2, 3, 4]"),
+    (["verify", "--r", "1", "--coloring", "F", "G"], "0 1\n1 2\n2 1\n3 2\n4 3\n9 1\n",
+     "colors for vertices not in the graph: [9]"),
+    (["list-check", "--r", "2", "--lists", "F", "G"],
+     "0: 1 2 3\n1: 1 2 3\n2: 1 2 3\n3: 1 2 3\n4: 1 2 3\n7: 1\n",
+     "lists for vertices not in the graph: [7]"),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
     paths = {"G": tmp_path / "c5.g6", "F": tmp_path / "input.txt"}

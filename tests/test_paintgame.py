@@ -707,3 +707,100 @@ def test_few_colors_rule_reads_its_residual():
 
     assert rejected([{0, 1}]) == (0,)
     assert rejected([{2}, {0, 1}]) == ()
+
+
+# -- the token-free adversary ------------------------------------------------------
+
+PASSING_KINDS = ("deg<=2", "adjacent-3s", "4-with-3-neighbor", "twin-triangles",
+                 "triangle-and-4-vertex")
+
+
+def passing_catalog_budgets():
+    from dyncolor.configs import ConfigKind, build_reduction, suggested_tokens
+    from dyncolor.gadgets import catalog_instances
+
+    inst = catalog_instances()
+    for name in PASSING_KINDS:
+        emb, match = inst[ConfigKind(name)]
+        red = build_reduction(emb, match)
+        yield name, emb.graph, red, suggested_tokens(emb.graph, red, 3, 10)
+
+
+def gprime_first(g, red, tokens, lister="exhaustive"):
+    return run_gprime_first(g, 3, red.gprime_vertices, red.gprime_edges, red.triggers,
+                            [tokens[v] for v in g.vertices()], lister,
+                            s_order=red.s_order)
+
+
+def token_free_positions(g, r, painter, f, track):
+    """The uncolored positions a game can reach, counted up to the tokens on
+    `track`; a painter that never reads those tokens maps each such class of
+    positions to one class of children."""
+    slots, start = start_position(g, r, f, painter.watch)
+
+    def key(pos):
+        tokens = tuple(0 if v in track else t for v, t in enumerate(pos.tokens))
+        return tokens, pos.res, pos.uncolored & set(track)
+
+    seen, todo = {key(start)}, [start]
+    while todo:
+        pos = todo.pop()
+        verts = sorted(pos.uncolored)
+        for mask in range(1, 1 << len(verts)):
+            marked = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+            child = advance(g, slots, pos, marked, painter.respond(pos, marked))
+            if child.uncolored and key(child) not in seen:
+                seen.add(key(child))
+                todo.append(child)
+    return len(seen)
+
+
+def test_adversary_key_ignores_tokens_on_the_deleted_set():
+    # the adversary searches each position once up to the tokens of S, so
+    # raising them to k changes neither the states searched nor the maxima;
+    # the maxima stay within the bound that the trigger lists alone imply
+    from dyncolor.configs import structural_budget
+
+    for name, g, red, tokens in passing_catalog_budgets():
+        rep = gprime_first(g, red, tokens)
+        roomy = gprime_first(g, red, {**tokens, **dict.fromkeys(red.s_order, 10)})
+        assert rep.ok and roomy.ok, name
+        assert roomy.states == rep.states, name
+        assert roomy.max_rejections == rep.max_rejections, name
+        f = [tokens[v] for v in g.vertices()]
+        painter = composite(g, red)
+        assert rep.states == token_free_positions(g, 3, painter, f, red.s_order), name
+        for t in red.s_order:
+            assert rep.max_rejections[t] <= structural_budget(red, t), (name, t)
+
+
+def test_adversary_maxima_are_tight():
+    # with f(t) at its reported maximum, t drains, and the losing line
+    # replays as a scripted Lister that rejects t f(t) times
+    for name, g, red, tokens in passing_catalog_budgets():
+        maxima = gprime_first(g, red, tokens).max_rejections
+        for t in red.s_order:
+            tight = {**tokens, t: maxima[t]}
+            rep = gprime_first(g, red, tight)
+            assert not rep.ok and rep.reason.startswith(f"vertex {t} drained"), (name, t)
+            replayed = f"vertex {t} rejected {maxima[t]} times"
+            with pytest.raises(BudgetViolated, match=replayed):
+                gprime_first(g, red, tight, lister=rep.losing_line)
+
+
+class RejectsLoneMark(Greedy):
+    """Greedy, but vertex 0 is rejected whenever it is marked alone: the mark
+    {0} repeats the token-free position while 0 is tracked."""
+
+    def respond(self, pos, marked):
+        return frozenset() if marked == {0} else super().respond(pos, marked)
+
+
+@pytest.mark.parametrize("g, r, f, track", [
+    (path(3), 1, (30, 2, 2), (0,)),
+    (cycle(4), 2, (3, 2, 2, 2), (0, 2)),
+    (complete(3), 2, 3, (0,)),
+])
+def test_repeated_token_free_position_drains_like_the_reference(g, r, f, track):
+    rep = assert_same_certification(g, r, f, RejectsLoneMark(g), track)
+    assert rep.reason.startswith("vertex 0 drained")
