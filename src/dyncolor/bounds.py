@@ -6,13 +6,16 @@ the genus-dependent threshold), rainbow-colors the base, then replays the
 peeling in reverse, choosing each reinserted vertex's color outside an
 explicitly counted forbidden set.  The counting argument caps the forbidden
 set at one below the palette, so a color always exists; the result is checked
-by the verifier on every run.
+by the verifier on every run.  The peel is one forward pass that takes its
+steps from two lazy heaps and keeps an undo record per step; the reverse pass
+undoes the steps in turn, so no step copies the adjacency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import isqrt
 
 from .coloring import verify_r_dynamic
@@ -157,6 +160,9 @@ class ContractionTrace:
                 values = [int(x) for x in args]
             except ValueError:
                 raise ParseError(f"non-integer in trace line {' '.join(parts)!r}", off)
+            if word == "r" and values[0] < 1 or word == "genus" and values[0] < 0:
+                raise ParseError(f"trace line {' '.join(parts)!r} needs r >= 1 "
+                                 f"and genus >= 0", off)
             if word == "r":
                 r = values[0]
             elif word == "genus":
@@ -176,53 +182,79 @@ def _adjacency(g: Graph) -> dict[int, set[int]]:
     return {v: set(g.neighbors(v)) for v in g.vertices()}
 
 
-def _apply(adj: dict[int, set[int]], step) -> None:
-    """Apply one peeling step to the adjacency in place."""
+def _apply(adj: dict[int, set[int]], step) -> tuple[int, set[int], list]:
+    """Apply one peeling step to the adjacency in place.  The undo record is
+    (removed vertex, its neighbor set, the edges the step added)."""
     if isinstance(step, DeleteStep):
-        v = step.vertex
-        nbrs = sorted(adj.pop(v))
-        for w in nbrs:
-            adj[w].discard(v)
+        x = step.vertex
+        nbrs = adj.pop(x)
         # a suppressed 2-vertex leaves the edge between its neighbors, so
         # the reduced coloring keeps them distinct (genus is preserved)
-        if len(nbrs) == 2:
-            y, z = nbrs
-            adj[y].add(z)
-            adj[z].add(y)
+        pairs = [tuple(nbrs)] if len(nbrs) == 2 else []
     else:
-        u, v = step.u, step.v
-        for x in adj.pop(u):
-            adj[x].discard(u)
-            if x != v:
-                adj[x].add(v)
-                adj[v].add(x)
+        x, v = step.u, step.v
+        nbrs = adj.pop(x)
+        pairs = [(w, v) for w in nbrs if w != v]
+    for w in nbrs:
+        adj[w].discard(x)
+    added = [(a, b) for a, b in pairs if b not in adj[a]]
+    for a, b in added:
+        adj[a].add(b)
+        adj[b].add(a)
+    return x, nbrs, added
 
 
-def _peel(g: Graph, omega: int) -> tuple[ContractionTrace, list[dict[int, set[int]]]]:
-    """Forward pass: stages[i] is the adjacency before steps[i] is applied."""
+def _undo(adj: dict[int, set[int]], record: tuple[int, set[int], list]) -> None:
+    """Revert the step `record` came from."""
+    x, nbrs, added = record
+    for a, b in added:
+        adj[a].discard(b)
+        adj[b].discard(a)
+    for w in nbrs:
+        adj[w].add(x)
+    adj[x] = nbrs
+
+
+def _peel(g: Graph, omega: int) -> tuple[ContractionTrace, dict[int, set[int]], list]:
+    """Forward pass: the trace, the peeled adjacency and each step's undo
+    record.  Deletions take the lowest id of degree <= 2 and contractions
+    the least (weight, a, b), each from a lazy heap that is refreshed around
+    the removed vertex's neighbors; once the minimum degree is >= 3, an edge
+    of weight <= omega has both ends of degree <= omega - 3."""
     adj = _adjacency(g)
     steps: list = []
-    stages: list[dict[int, set[int]]] = []
+    undo: list = []
+    low: list[int] = []
+    light: list[tuple[int, int, int]] = []
+
+    def push(around) -> None:
+        for a in around:
+            if len(adj[a]) <= 2:
+                heappush(low, a)
+            if len(adj[a]) <= omega - 3:
+                for b in adj[a]:
+                    if len(adj[b]) <= omega - 3:
+                        heappush(light, (len(adj[a]) + len(adj[b]), min(a, b), max(a, b)))
+
+    push(adj)
     while len(adj) > 4:
-        stages.append({v: set(ns) for v, ns in adj.items()})
-        low = min((v for v, ns in adj.items() if len(ns) <= 2), default=None)
-        if low is not None:
-            step = DeleteStep(low)
+        while low and (low[0] not in adj or len(adj[low[0]]) > 2):
+            heappop(low)
+        while light:
+            w, a, b = light[0]
+            if a in adj and b in adj[a] and len(adj[a]) + len(adj[b]) == w:
+                break
+            heappop(light)
+        if low:
+            step = DeleteStep(low[0])
+        elif not light or light[0][0] > omega:
+            w = min(len(adj[a]) + len(adj[b]) for a in adj for b in adj[a])
+            raise NoLightEdge(
+                f"minimum edge weight {w} exceeds omega {omega}; the declared "
+                f"genus is too small for this graph"
+            )
         else:
-            best = None
-            for a in sorted(adj):
-                for b in sorted(adj[a]):
-                    if a < b:
-                        w = len(adj[a]) + len(adj[b])
-                        if best is None or (w, a, b) < best:
-                            best = (w, a, b)
-            assert best is not None
-            w, a, b = best
-            if w > omega:
-                raise NoLightEdge(
-                    f"minimum edge weight {w} exceeds omega {omega}; the declared "
-                    f"genus is too small for this graph"
-                )
+            w, a, b = light[0]
             # absorber = higher-degree endpoint, ties to the lower id
             if len(adj[a]) > len(adj[b]):
                 step = ContractStep(b, a, w)
@@ -230,9 +262,10 @@ def _peel(g: Graph, omega: int) -> tuple[ContractionTrace, list[dict[int, set[in
                 step = ContractStep(a, b, w)
             else:
                 step = ContractStep(max(a, b), min(a, b), w)
-        _apply(adj, step)
+        undo.append(_apply(adj, step))
         steps.append(step)
-    return ContractionTrace(0, 0, steps, sorted(adj)), stages
+        push(undo[-1][1])
+    return ContractionTrace(0, 0, steps, sorted(adj)), adj, undo
 
 
 @dataclass
@@ -248,30 +281,32 @@ class ContractionResult:
 
 
 def _reverse_color(
-    g: Graph, r: int, ell: int, trace: ContractionTrace,
-    stages: list[dict[int, set[int]]],
+    r: int, ell: int, trace: ContractionTrace, adj: dict[int, set[int]], undo: list,
 ) -> tuple[dict[int, int], int]:
+    """Color the peeled graph `adj` back up, undoing each step before its
+    vertex is colored; `adj` ends as the input graph again."""
     color = {v: i + 1 for i, v in enumerate(trace.base)}
     max_forbidden = 0
 
-    def deficiency_forbids(adj, w: int, skipping: int) -> set[int]:
+    def deficiency_forbids(w: int, skipping: int) -> set[int]:
         shown = {color[x] for x in adj[w] if x != skipping and x in color}
         if len(shown) < min(r, len(adj[w])):
             return shown
         return set()
 
-    for step, adj in zip(reversed(trace.steps), reversed(stages)):
+    for step, record in zip(reversed(trace.steps), reversed(undo)):
+        _undo(adj, record)
         if isinstance(step, DeleteStep):
             v = step.vertex
             forbidden = {color[w] for w in adj[v]}
             for w in adj[v]:
-                forbidden |= deficiency_forbids(adj, w, v)
+                forbidden |= deficiency_forbids(w, v)
             limit = len(adj[v]) * r
         else:
             u, v = step.u, step.v
             forbidden = {color[w] for w in adj[u]} | {color[w] for w in adj[v] if w != u}
             for w in adj[u]:
-                forbidden |= deficiency_forbids(adj, w, u)
+                forbidden |= deficiency_forbids(w, u)
             du, dv = len(adj[u]), len(adj[v])
             limit = du + dv - 1 + (r - 1) * (du - 1)
             v = u
@@ -303,9 +338,9 @@ def color_by_contraction(
         return ContractionResult({}, ContractionTrace(r, declared_genus, [], []), 0, 0)
     # the counting chain behind the forbidden-set cap closes exactly at ell - 1
     assert (prof.omega - 3) * (r + 1) // 2 + 2 == prof.ell - 1
-    trace, stages = _peel(g, prof.omega)
+    trace, adj, undo = _peel(g, prof.omega)
     trace.r, trace.genus = r, declared_genus
-    color, max_forbidden = _reverse_color(g, r, prof.ell, trace, stages)
+    color, max_forbidden = _reverse_color(r, prof.ell, trace, adj, undo)
     report = verify_r_dynamic(g, color, r)
     if not report.ok:
         raise AssertionError("constructive coloring failed verification")
@@ -319,9 +354,8 @@ def replay_contraction(g: Graph, trace: ContractionTrace) -> ContractionResult:
     """Re-run the coloring from a recorded trace, verifying each step is legal."""
     prof = bound_profile(trace.genus, trace.r)
     adj = _adjacency(g)
-    stages = []
+    undo = []
     for step in trace.steps:
-        stages.append({v: set(ns) for v, ns in adj.items()})
         if isinstance(step, DeleteStep):
             if step.vertex not in adj or len(adj[step.vertex]) > 2:
                 raise CertificateRefuted(f"illegal delete of {step.vertex}")
@@ -332,10 +366,10 @@ def replay_contraction(g: Graph, trace: ContractionTrace) -> ContractionResult:
             w = len(adj[u]) + len(adj[v])
             if w != step.weight or w > prof.omega:
                 raise CertificateRefuted(f"contraction {u},{v} has weight {w}, not light")
-        _apply(adj, step)
+        undo.append(_apply(adj, step))
     if sorted(adj) != trace.base or len(adj) > 4:
         raise CertificateRefuted("trace base does not match the peeled graph")
-    color, max_forbidden = _reverse_color(g, trace.r, prof.ell, trace, stages)
+    color, max_forbidden = _reverse_color(trace.r, prof.ell, trace, adj, undo)
     report = verify_r_dynamic(g, color, trace.r)
     if not report.ok:
         raise AssertionError("replayed coloring failed verification")

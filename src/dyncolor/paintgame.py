@@ -601,7 +601,10 @@ def certify_painter(
         memo[key] = future
         return future
 
-    ok = explore(start, []) is not None
+    try:
+        ok = explore(start, []) is not None
+    finally:
+        explore = None  # explore's closure holds explore: free the memo now
     if reason == "final coloring not r-dynamic":
         replay = run_transcript(g, r, painter, losing, f)
         if replay.outcome != "painter-coloring-not-dynamic":

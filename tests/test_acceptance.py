@@ -13,6 +13,7 @@ from dyncolor.bounds import (
     heawood_number,
     kp_pipeline,
     mad,
+    replay_contraction,
 )
 from dyncolor.cli import main
 from dyncolor.coloring import (
@@ -344,6 +345,23 @@ def test_criterion_10_constructive_bound(capsys):
                f"100 planar graphs (n <= 50, r=11): palette max {worst_colors} "
                f"<= 63, forbidden sets max {worst_forbidden} <= 62, all verified",
                elapsed)
+
+
+def test_criterion_10_contraction_at_scale(capsys):
+    # one heap-driven peel and undo records keep the peel and its reverse
+    # pass near-linear; with a full scan and an adjacency copy per step
+    # this graph took about 20 s
+    clock = Clock(5, "criterion 10 at scale")
+    g = stacked_triangulation(2000, random.Random(2000))
+    res = color_by_contraction(g, 11, 0)
+    replayed = replay_contraction(g, res.trace)
+    elapsed = clock.done()
+    ok = (verify_r_dynamic(g, res.coloring, 11).ok and res.colors_used <= 63
+          and replayed.coloring == res.coloring
+          and replayed.max_forbidden == res.max_forbidden)
+    with capsys.disabled():
+        report(10, ok, f"2000-vertex stacked triangulation (r=11): "
+               f"{len(res.trace.steps)} steps, {res.colors_used} colors, replayed", elapsed)
 
 
 def test_criterion_11_formula_tables(capsys):

@@ -6,7 +6,9 @@ from math import sqrt
 import pytest
 
 from dyncolor.bounds import (
+    ContractStep,
     ContractionTrace,
+    DeleteStep,
     bound_profile,
     color_by_contraction,
     edge_weight,
@@ -19,6 +21,7 @@ from dyncolor.bounds import (
 from dyncolor.coloring import verify_r_dynamic
 from dyncolor.errors import (
     ApplicabilityError,
+    CertificateRefuted,
     HypothesisFail,
     IsC5,
     NoLightEdge,
@@ -27,6 +30,7 @@ from dyncolor.errors import (
 )
 from dyncolor.families import (
     complete,
+    complete_bipartite,
     cycle,
     path,
     pendant_added,
@@ -109,6 +113,101 @@ def test_contraction_corpus():
         assert res.max_forbidden <= 62
 
 
+def reference_peel(g: Graph, r: int, genus: int):
+    """The full-scan peel with a copy of the adjacency per step: the lowest
+    id of degree <= 2 is deleted, else the least (weight, a, b) edge is
+    contracted into its higher-degree end (ties to the lower id), and the
+    reverse pass colors each vertex from the copy taken before its step.
+    Returns (steps, base, coloring, max_forbidden), or the least weight when
+    it exceeds omega."""
+    prof = bound_profile(genus, r)
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    steps, stages = [], []
+    while len(adj) > 4:
+        stages.append({v: set(ns) for v, ns in adj.items()})
+        low = [v for v, ns in adj.items() if len(ns) <= 2]
+        if low:
+            x = min(low)
+            steps.append(DeleteStep(x))
+            nbrs = adj.pop(x)
+            for y in nbrs:
+                adj[y].discard(x)
+            if len(nbrs) == 2:
+                y, z = nbrs
+                adj[y].add(z)
+                adj[z].add(y)
+            continue
+        w, a, b = min((len(adj[a]) + len(adj[b]), a, b)
+                      for a in adj for b in adj[a] if a < b)
+        if w > prof.omega:
+            return w
+        u, v = (a, b) if len(adj[b]) > len(adj[a]) else (b, a)
+        steps.append(ContractStep(u, v, w))
+        for x in adj.pop(u):
+            adj[x].discard(u)
+            if x != v:
+                adj[x].add(v)
+                adj[v].add(x)
+    base = sorted(adj)
+    color = {v: i + 1 for i, v in enumerate(base)}
+    worst = 0
+    for step, adj in zip(reversed(steps), reversed(stages)):
+        x = step.vertex if isinstance(step, DeleteStep) else step.u
+        forbidden = {color[y] for y in adj[x]}
+        if isinstance(step, ContractStep):
+            forbidden |= {color[y] for y in adj[step.v] if y != x}
+        for y in adj[x]:
+            shown = {color[z] for z in adj[y] if z != x}
+            if len(shown) < min(r, len(adj[y])):
+                forbidden |= shown
+        worst = max(worst, len(forbidden))
+        color[x] = min(set(range(1, len(forbidden) + 2)) - forbidden)
+    return steps, base, color, worst
+
+
+def peel_reference_corpus():
+    rng = random.Random(1)  # the graphs of test_contraction_corpus
+    for i in range(40):
+        n = rng.randrange(5, 51)
+        g = stacked_triangulation(max(n, 4), rng)
+        if i % 2:
+            g = Graph(g.n, [e for e in g.edges() if rng.random() > 0.25])
+        yield g, 11, 0
+    rng = random.Random(8)
+    for _ in range(10):
+        yield random_tree(rng.randrange(5, 60), rng), 11, 0
+    for genus, r in enumerate((11, 13, 15, 20)):
+        for _ in range(8):
+            full = stacked_triangulation(rng.randrange(5, 90), rng)
+            yield Graph(full.n, [e for e in full.edges() if rng.random() > 0.2]), r, genus
+        for _ in range(4):  # dense enough that some have no light edge
+            yield random_connected_graph(rng.randrange(8, 20), 0.6, rng), r, genus
+        # the least edge weighs exactly omega: a 3-vertex meets an (omega-3)-vertex
+        yield complete_bipartite(3, bound_profile(genus, r).omega - 3), r, genus
+
+
+def test_peel_order_matches_the_full_scan_reference():
+    seen_no_light = 0
+    for g, r, genus in peel_reference_corpus():
+        ref = reference_peel(g, r, genus)
+        if isinstance(ref, int):
+            seen_no_light += 1
+            omega = bound_profile(genus, r).omega
+            with pytest.raises(NoLightEdge, match=f"minimum edge weight {ref} exceeds "
+                                                  f"omega {omega};"):
+                color_by_contraction(g, r, genus)
+            continue
+        steps, base, color, worst = ref
+        res = color_by_contraction(g, r, genus)
+        assert res.trace.steps == steps and res.trace.base == base
+        assert (res.coloring, res.max_forbidden) == (color, worst)
+        replayed = replay_contraction(g, ContractionTrace.parse(res.trace.render()))
+        assert (replayed.coloring, replayed.max_forbidden) == (color, worst)
+    assert seen_no_light
+    with pytest.raises(NoLightEdge, match="^minimum edge weight 18 exceeds omega 13;"):
+        color_by_contraction(complete(10), 11, 0)
+
+
 def test_contraction_trace_roundtrip_and_replay():
     rng = random.Random(2)
     g = stacked_triangulation(30, rng)
@@ -121,10 +220,27 @@ def test_contraction_trace_roundtrip_and_replay():
 def test_replay_rejects_tampered_trace():
     g = stacked_triangulation(12, random.Random(3))
     res = color_by_contraction(g, 11, 0)
-    text = res.trace.render().replace("contract", "contract-bogus", 1)
-    if "contract-bogus" in text:
-        with pytest.raises(ParseError):
-            ContractionTrace.parse(text)
+    lines = res.trace.render().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("contract "))
+    before, after = lines[:i], lines[i:]
+    _, u, v, w = after[0].split()
+    heavy = next(x for x in g.vertices() if g.degree(x) >= 3)
+    a, b = next((a, b) for a in g.vertices() for b in g.vertices()
+                if a < b and b not in g.neighbors(a))
+    cases = [
+        (before + [f"delete {heavy}"] + after, f"illegal delete of {heavy}"),
+        (before + [f"contract {a} {b} {g.degree(a) + g.degree(b)}"] + after,
+         f"illegal contraction {a},{b}"),
+        (before + [f"contract {u} {v} {int(w) + 1}"] + after[1:],
+         f"contraction {u},{v} has weight {w}, not light"),
+        (lines[:-1] + ["base " + " ".join(map(str, res.trace.base[1:]))],
+         "trace base does not match"),
+    ]
+    for text, message in cases:
+        with pytest.raises(CertificateRefuted, match=message):
+            replay_contraction(g, ContractionTrace.parse("\n".join(text) + "\n"))
+    with pytest.raises(ParseError, match="not a contraction trace"):
+        ContractionTrace.parse(res.trace.render().replace("contraction-trace", "bogus"))
 
 
 def brute_mad(g: Graph) -> Fraction:

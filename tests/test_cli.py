@@ -226,6 +226,10 @@ ROTATION_COMMANDS = ("genus", "find-config", "reduce", "discharge", "unavoidable
     (["list-check", "--r", "2", "--lists", "F", "G"],
      "0: 1 2 3\n1: 1 2 3\n2: 1 2 3\n3: 1 2 3\n4: 1 2 3\n7: 1\n",
      "lists for vertices not in the graph: [7]"),
+    (["replay", "--certificate", "F", "G"],
+     "contraction-trace\nr 0\ngenus 0\nbase 0\n", "trace line 'r 0' needs r >= 1"),
+    (["replay", "--certificate", "F", "G"],
+     "contraction-trace\nr 11\ngenus -1\nbase 0\n", "trace line 'genus -1' needs r >= 1"),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
     paths = {"G": tmp_path / "c5.g6", "F": tmp_path / "input.txt"}

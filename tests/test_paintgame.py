@@ -804,3 +804,30 @@ class RejectsLoneMark(Greedy):
 def test_repeated_token_free_position_drains_like_the_reference(g, r, f, track):
     rep = assert_same_certification(g, r, f, RejectsLoneMark(g), track)
     assert rep.reason.startswith("vertex 0 drained")
+
+
+@pytest.mark.parametrize("node_cap", [10_000_000, 1])
+def test_certification_frees_its_painter_without_a_cycle_collection(node_cap):
+    # the adversary's memo, the painter and its inner solver and response
+    # cache go with the call, on the BudgetExceeded path too, not at the
+    # next cyclic collection
+    import gc
+    import weakref
+
+    from dyncolor.errors import BudgetExceeded
+
+    (name, g, red, tokens), *_ = passing_catalog_budgets()
+    f = [tokens[v] for v in g.vertices()]
+    painter = composite(g, red)
+    alive = weakref.ref(painter)
+    gc.disable()
+    try:
+        try:
+            ok = certify_painter(g, 3, f, painter, node_cap=node_cap, track=red.s_order).ok
+        except BudgetExceeded:
+            ok = None
+        assert ok is (None if node_cap == 1 else True), name
+        del painter
+        assert alive() is None
+    finally:
+        gc.enable()
