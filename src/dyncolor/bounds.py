@@ -71,40 +71,6 @@ def bound_profile(genus: int, r: int) -> BoundProfile:
                         threshold, r >= threshold)
 
 
-def edge_weight(g: Graph, u: int, v: int) -> int:
-    return g.degree(u) + g.degree(v)
-
-
-@dataclass(frozen=True)
-class LightEdgeResult:
-    edge: tuple[int, int] | None
-    weight: int | None
-    weight_bound_violated: bool
-
-    def render(self) -> str:
-        if self.edge is not None:
-            return f"light edge {self.edge} of weight {self.weight}"
-        note = " (contradicts the declared genus: min degree >= 3)" \
-            if self.weight_bound_violated else ""
-        return f"no light edge{note}"
-
-
-def find_light_edge(g: Graph, omega: int) -> LightEdgeResult:
-    """Minimum-weight edge if it weighs at most omega; absence with min degree
-    >= 3 contradicts the light-edge guarantee of the declared genus."""
-    best = None
-    for u, v in g.edges():
-        w = edge_weight(g, u, v)
-        if best is None or w < best[0]:
-            best = (w, u, v)
-    if best is None:
-        return LightEdgeResult(None, None, False)
-    w, u, v = best
-    if w <= omega:
-        return LightEdgeResult((u, v), w, False)
-    return LightEdgeResult(None, w, g.min_degree() >= 3)
-
-
 # ---------------------------------------------------------------------------
 # contraction-based constructive coloring
 

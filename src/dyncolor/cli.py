@@ -82,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact r-dynamic coloring, paintability games, reducible "
                     "configurations, and discharging on embedded graphs.",
     )
-    top.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized embedding search")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chi-r", help="exact r-dynamic chromatic number")

@@ -863,13 +863,7 @@ def reduction_without_rules(g: Graph, reduction: Reduction, kinds=("few_colors",
         t: tuple(rule for rule in rules if rule.kind not in kinds)
         for t, rules in reduction.triggers.items()
     }
-    return Reduction(
-        reduction.kind, reduction.match, reduction.s_order,
-        reduction.added_edges, reduction.gprime_vertices,
-        reduction.gprime_edges, triggers, reduction.budgets,
-        reduction.gprime, reduction.remap, reduction.gprime_embedding,
-        reduction.witness_faces,
-    )
+    return replace(reduction, triggers=triggers)
 
 
 def structural_budget(reduction: Reduction, t: int) -> int:

@@ -46,11 +46,6 @@ class RotationSystem:
                     f"rotation at {v} is not a permutation of its neighborhood"
                 )
 
-    def successor(self, v: int, w: int) -> int:
-        """Neighbor following w in the clockwise order at v."""
-        rot = self.rotation[v]
-        return rot[(rot.index(w) + 1) % len(rot)]
-
 
 @dataclass(frozen=True)
 class Face:
@@ -68,9 +63,6 @@ class Face:
 
     def vertex_set(self) -> frozenset[int]:
         return frozenset(u for u, _ in self.darts)
-
-    def __contains__(self, v: int) -> bool:
-        return any(u == v for u, _ in self.darts)
 
 
 def _canonical_cycle(darts: list[Dart]) -> tuple[Dart, ...]:
@@ -252,13 +244,16 @@ def random_rotation(g: Graph, rng: random.Random) -> RotationSystem:
     return RotationSystem(g, tuple(rot))
 
 
+# local search: random restarts, each a walk of single swaps in one rotation
+RESTARTS = 60
+STEPS = 1500
+
+
 def find_embedding(
     g: Graph,
     *,
     max_genus: int | None = None,
     seed: int = 0,
-    restarts: int = 60,
-    steps: int = 1500,
     exhaustive_cap: int = 20000,
 ) -> EmbeddedGraph | None:
     """Best embedding found by bounded search (exhaustive when cheap, else local).
@@ -281,12 +276,12 @@ def find_embedding(
 
     rng = random.Random(seed)
     mutable = [v for v in range(g.n) if g.degree(v) >= 3]
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         rot = [list(order) for order in random_rotation(g, rng).rotation]
         cur = trace_faces(RotationSystem(g, tuple(tuple(r) for r in rot)))
         if best is None or cur.genus < best.genus:
             best = cur
-        for _ in range(steps):
+        for _ in range(STEPS):
             if best.genus <= target:
                 return best
             v = rng.choice(mutable)

@@ -9,10 +9,6 @@ class DynColorError(Exception):
 
 # --- graph construction / parsing ---
 
-class NotAnEdge(DynColorError):
-    pass
-
-
 class LoopRequested(DynColorError):
     pass
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import chain, combinations, groupby, permutations, product
 
 from .graph import Graph
 
@@ -151,68 +151,52 @@ def stacked_triangulation(n: int, rng: random.Random) -> Graph:
 
 # -- exhaustive small-graph enumeration ----------------------------------------
 
-def _canonical_certificate(n: int, mask: int, pairs: list[tuple[int, int]]) -> int:
-    """Minimum edge-bitmask over relabelings that sort vertices by degree.
+def _certificate(g: Graph) -> int:
+    """Least edge bitmask over the relabelings that sort vertices by degree.
 
     Constraining the images to a degree-sorted order keeps the certificate
     isomorphism-invariant while shrinking the permutation set to the product
     of the degree-class symmetric groups.
     """
-    deg = [0] * n
-    edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    order = sorted(range(n), key=lambda v: -deg[v])
-    classes: list[list[int]] = []
-    for v in order:
-        if classes and deg[classes[-1][0]] == deg[v]:
-            classes[-1].append(v)
-        else:
-            classes.append([v])
-    index = {p: i for i, p in enumerate(pairs)}
+    n = g.n
+    order = sorted(range(n), key=lambda v: -g.degree(v))
+    classes = [tuple(c) for _, c in groupby(order, key=g.degree)]
+    edges = g.edges()
     best = None
-
-    def assignments(ci: int, pos: int, image: dict[int, int]):
-        if ci == len(classes):
-            yield image
-            return
-        members = classes[ci]
-        for perm in permutations(members):
-            for off, v in enumerate(perm):
-                image[v] = pos + off
-            yield from assignments(ci + 1, pos + len(members), image)
-
-    for image in assignments(0, 0, {}):
-        out = 0
+    for perms in product(*(permutations(c) for c in classes)):
+        image = {v: i for i, v in enumerate(chain.from_iterable(perms))}
+        mask = 0
         for u, v in edges:
-            a, b = image[u], image[v]
-            out |= 1 << index[(a, b) if a < b else (b, a)]
-        if best is None or out < best:
-            best = out
+            a, b = sorted((image[u], image[v]))
+            mask |= 1 << (a * n + b)
+        if best is None or mask < best:
+            best = mask
     return best
 
 
 def all_connected_graphs(n: int) -> list[Graph]:
-    """All connected graphs on n <= 6 vertices, one per isomorphism class."""
+    """All connected graphs on n <= 6 vertices, one per isomorphism class.
+
+    Built level by level: deleting a leaf of a spanning tree leaves a
+    connected graph, so every connected graph on m + 1 vertices is one on m
+    vertices plus a new vertex joined to a nonempty set.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     if n == 0:
         return []
-    if n == 1:
-        return [Graph(1)]
     if n > 6:
         raise ValueError("exhaustive enumeration supported only for n <= 6")
-    pairs = list(combinations(range(n), 2))
-    seen: set[int] = set()
-    out: list[Graph] = []
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-        if len(edges) < n - 1:
-            continue
-        g = Graph(n, edges)
-        if g.min_degree() == 0 or not g.is_connected():
-            continue
-        cert = _canonical_certificate(n, mask, pairs)
-        if cert not in seen:
-            seen.add(cert)
-            out.append(g)
-    return out
+    level = [Graph(1)]
+    for m in range(1, n):
+        seen: set[int] = set()
+        nxt = []
+        for g in level:
+            for mask in range(1, 1 << m):
+                h = Graph(m + 1, g.edges() + [(v, m) for v in range(m) if mask >> v & 1])
+                cert = _certificate(h)
+                if cert not in seen:
+                    seen.add(cert)
+                    nxt.append(h)
+        level = nxt
+    return level

@@ -1,8 +1,8 @@
 """Simple undirected graphs on dense integer vertex ids, plus graph6 / edge-list io.
 
-Graphs are immutable values: every mutating operation returns a new graph
-together with a VertexRemap describing how old ids moved, so callers holding
-vertex references can re-address them after surgery.
+Graphs are immutable values: vertex deletion returns a new graph together
+with a VertexRemap describing how old ids moved, so callers holding vertex
+references can re-address them after surgery.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import LoopRequested, NotAnEdge, ParseError
+from .errors import LoopRequested, ParseError
 
 
 class Graph:
@@ -116,40 +116,15 @@ class Graph:
 
 @dataclass(frozen=True)
 class VertexRemap:
-    """Maps old vertex ids to new ones after a mutating operation.
+    """Maps old vertex ids to new ones after a vertex deletion.
 
     `image[v]` is the new id of old vertex v, or None if v was removed.
-    `merged_into[v]`, when present, names the old vertex that absorbed v.
     """
 
     image: tuple[int | None, ...]
-    merged_into: dict[int, int]
-
-    def apply(self, v: int) -> int | None:
-        return self.image[v]
-
-    def target(self, v: int) -> int | None:
-        """New id of v, following merges (absorbed vertices map to the absorber)."""
-        if self.image[v] is not None:
-            return self.image[v]
-        if v in self.merged_into:
-            return self.image[self.merged_into[v]]
-        return None
-
-    def compose(self, later: "VertexRemap") -> "VertexRemap":
-        image = []
-        for v in range(len(self.image)):
-            mid = self.image[v]
-            image.append(None if mid is None else later.image[mid])
-        merged = dict(self.merged_into)
-        inv = {new: old for old, new in enumerate(self.image) if new is not None}
-        for mid, tgt in later.merged_into.items():
-            if mid in inv:
-                merged[inv[mid]] = inv[tgt]
-        return VertexRemap(tuple(image), merged)
 
 
-def _compact_remap(n: int, removed: set[int], merged: dict[int, int]) -> VertexRemap:
+def _compact_remap(n: int, removed: set[int]) -> VertexRemap:
     image: list[int | None] = []
     nxt = 0
     for v in range(n):
@@ -158,33 +133,18 @@ def _compact_remap(n: int, removed: set[int], merged: dict[int, int]) -> VertexR
         else:
             image.append(nxt)
             nxt += 1
-    return VertexRemap(tuple(image), merged)
+    return VertexRemap(tuple(image))
 
 
 def delete_vertices(g: Graph, doomed) -> tuple[Graph, VertexRemap]:
     doomed = set(doomed)
-    remap = _compact_remap(g.n, doomed, {})
+    remap = _compact_remap(g.n, doomed)
     edges = [
         (remap.image[u], remap.image[v])
         for u, v in g.edges()
         if u not in doomed and v not in doomed
     ]
     return Graph(g.n - len(doomed), edges), remap
-
-
-def contract_edge(g: Graph, u: int, v: int) -> tuple[Graph, VertexRemap]:
-    """Contract edge uv; v absorbs u's edges, multiedges merged, loop dropped."""
-    if not g.has_edge(u, v):
-        raise NotAnEdge(f"({u},{v}) is not an edge")
-    remap = _compact_remap(g.n, {u}, {u: v})
-    new_v = remap.image[v]
-    edges = set()
-    for a, b in g.edges():
-        na = new_v if a == u else remap.image[a]
-        nb = new_v if b == u else remap.image[b]
-        if na != nb:
-            edges.add((min(na, nb), max(na, nb)))
-    return Graph(g.n - 1, edges), remap
 
 
 def add_edges(g: Graph, new_edges) -> Graph:

@@ -11,8 +11,6 @@ from dyncolor.bounds import (
     DeleteStep,
     bound_profile,
     color_by_contraction,
-    edge_weight,
-    find_light_edge,
     heawood_number,
     kp_pipeline,
     mad,
@@ -68,18 +66,6 @@ def test_formula_tables():
     assert bound_profile(3, 17).applicable and not bound_profile(3, 16).applicable
     assert bound_profile(0, 11).ell == 63
     assert bound_profile(3, 17).ell == 147
-
-
-def test_light_edges():
-    assert find_light_edge(petersen(), 13).weight == 6
-    assert find_light_edge(complete(7), 15).weight == 12
-    res = find_light_edge(complete(10), 13)
-    assert res.edge is None and res.weight_bound_violated
-
-
-def test_edge_weight():
-    g = path(3)
-    assert edge_weight(g, 0, 1) == 3
 
 
 def test_contraction_tree_collapses_by_deletions():

@@ -169,6 +169,9 @@ def test_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["--seed", "3", "chi-r", "--r", "1", str(bad)])
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [

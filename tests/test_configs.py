@@ -181,7 +181,7 @@ def test_reduction_invariants():
             for face, (u, v) in zip(red.witness_faces, red.added_edges):
                 du = red.remap.image[u]
                 dv = red.remap.image[v]
-                assert du in face and dv in face
+                assert {du, dv} <= face.vertex_set()
         for t in red.s_order:
             assert t in red.budgets
 
@@ -259,9 +259,9 @@ def naive_many_3_nbr_centers(emb):
         if k < 2:
             continue
         e3 = sum(1 for f in emb.faces
-                 if f.length == 3 and v in f and threes_by_face[f] >= 1)
+                 if f.length == 3 and v in f.vertex_set() and threes_by_face[f] >= 1)
         e4 = sum(1 for f in emb.faces
-                 if f.length == 4 and v in f and threes_by_face[f] >= 2)
+                 if f.length == 4 and v in f.vertex_set() and threes_by_face[f] >= 2)
         if g.degree(v) + k - e3 - e4 < 10:
             out[v] = (e3, e4)
     return out
@@ -279,7 +279,7 @@ def naive_triangle_and_4vtx_pairs(emb):
     for v in g.vertices():
         if g.degree(v) > 7:
             continue
-        if sum(1 for f in emb.faces if f.length == 3 and v in f) <= 1:
+        if sum(1 for f in emb.faces if f.length == 3 and v in f.vertex_set()) <= 1:
             continue
         threes = {w for w in g.neighbors(v) if g.degree(w) == 3}
         for x in g.neighbors(v):

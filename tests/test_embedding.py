@@ -94,7 +94,7 @@ def test_cofacial_c5_and_cube():
     for u in range(5):
         for v in range(u + 1, 5):
             ok, face = cofacial(emb, u, v)
-            assert ok and u in face and v in face
+            assert ok and {u, v} <= face.vertex_set()
     # adjacency implies cofaciality everywhere on K4
     emb4 = find_embedding(complete(4))
     assert all(cofacial(emb4, u, v)[0] for u in range(4) for v in range(u + 1, 4))
@@ -256,7 +256,7 @@ def test_face_index_matches_linear_scans(toroidal_corpus):
             corners, scanned = emb.faces_at(v), scan_corner_faces(emb, v)
             assert len(corners) == len(scanned)
             assert all(f is h for f, h in zip(corners, scanned))
-            assert set(corners) == {f for f in emb.faces if v in f}
+            assert set(corners) == {f for f in emb.faces if v in f.vertex_set()}
             revisits += len(set(corners)) < len(corners)
         for u in g.vertices():
             for v in range(u + 1, g.n):

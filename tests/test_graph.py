@@ -4,11 +4,10 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from dyncolor.errors import LoopRequested, NotAnEdge, ParseError
+from dyncolor.errors import LoopRequested, ParseError
 from dyncolor.families import (
     complete,
     cycle,
-    diamond,
     path,
     petersen,
     random_connected_graph,
@@ -17,7 +16,6 @@ from dyncolor.families import (
 from dyncolor.graph import (
     Graph,
     add_edges,
-    contract_edge,
     emit_edge_list,
     emit_graph6,
     graph_power,
@@ -27,77 +25,11 @@ from dyncolor.graph import (
 )
 
 
-def brute_contract(g: Graph, u: int, v: int) -> set[tuple[int, int]]:
-    """Independent oracle: rebuild the contracted edge set from scratch."""
-    survivors = [x for x in range(g.n) if x != u]
-    relabel = {x: i for i, x in enumerate(survivors)}
-    out = set()
-    for a, b in g.edges():
-        a2 = v if a == u else a
-        b2 = v if b == u else b
-        if a2 != b2:
-            out.add(tuple(sorted((relabel[a2], relabel[b2]))))
-    return out
-
-
 def test_handshake_on_random_graphs():
     rng = random.Random(0)
     for _ in range(50):
         g = random_connected_graph(rng.randrange(2, 12), 0.3, rng)
         assert sum(g.degree(v) for v in g.vertices()) == 2 * g.m
-
-
-def test_contract_triangle_to_edge():
-    g, _ = contract_edge(complete(3), 0, 1)
-    assert (g.n, g.m) == (2, 1)
-
-
-def test_contract_c5_to_c4():
-    g, _ = contract_edge(cycle(5), 0, 1)
-    assert (g.n, g.m) == (4, 4)
-    assert all(g.degree(v) == 2 for v in g.vertices())
-
-
-def test_contract_diamond_cases_against_oracle():
-    # the two degree-3 vertices of K4-e are 0 and 1
-    d = diamond()
-    got, _ = contract_edge(d, 0, 1)
-    assert set(got.edges()) == brute_contract(d, 0, 1)
-    assert got.m == 2  # path: parallel edges merged
-    got2, _ = contract_edge(d, 0, 2)
-    assert set(got2.edges()) == brute_contract(d, 0, 2)
-    assert got2.m == 3  # triangle
-
-
-def test_contract_random_against_oracle():
-    rng = random.Random(1)
-    for _ in range(60):
-        g = random_connected_graph(rng.randrange(3, 10), 0.4, rng)
-        u, v = rng.choice(g.edges())
-        got, remap = contract_edge(g, u, v)
-        assert set(got.edges()) == brute_contract(g, u, v)
-        assert got.n == g.n - 1
-        assert remap.apply(u) is None
-        assert remap.target(u) == remap.apply(v)
-
-
-def test_contract_absorber_neighborhood():
-    rng = random.Random(2)
-    for _ in range(40):
-        g = random_connected_graph(rng.randrange(3, 9), 0.4, rng)
-        u, v = rng.choice(g.edges())
-        got, remap = contract_edge(g, u, v)
-        expected = {
-            remap.target(w)
-            for w in set(g.neighbors(u)) | set(g.neighbors(v))
-            if w not in (u, v)
-        }
-        assert set(got.neighbors(remap.apply(v))) == expected
-
-
-def test_contract_requires_edge():
-    with pytest.raises(NotAnEdge):
-        contract_edge(cycle(4), 0, 2)
 
 
 def test_add_edges_cases():
@@ -128,18 +60,6 @@ def test_graph_power_identity_and_monotone():
             cur = set(graph_power(g, k).edges())
             assert prev <= cur
             prev = cur
-
-
-def test_remap_composition():
-    g = cycle(6)
-    g1, r1 = contract_edge(g, 0, 1)
-    g2, r2 = contract_edge(g1, r1.apply(2), r1.apply(3))
-    composed = r1.compose(r2)
-    for v in range(6):
-        step = r1.apply(v)
-        expect = None if step is None else r2.apply(step)
-        assert composed.apply(v) == expect
-    assert composed.target(0) == r2.apply(r1.apply(1))
 
 
 # -- formats ------------------------------------------------------------------
