@@ -19,6 +19,7 @@ from heapq import heappop, heappush
 from math import isqrt
 
 from .coloring import verify_r_dynamic
+from .configs import CATALOG_BUDGETS, KP_KINDS, ConfigKind, kp_deleted, kp_matches
 from .errors import (
     ApplicabilityError,
     BudgetExceeded,
@@ -401,6 +402,11 @@ def mad(g: Graph, *, max_n: int = 20, force: bool = False) -> Fraction:
 
 
 GIRTH7_HYPOTHESIS = "planar-girth-7 (asserted by caller)"
+# the remainder game's vertex cap and node budget
+KP_GAME_MAX_N = 8
+KP_GAME_NODE_BUDGET = 4_000_000
+_KP_CASES = {ConfigKind.KP_PENDANT: "1", ConfigKind.KP_TWO_TWO: "2a",
+             ConfigKind.KP_THREE_WITH_TWOS: "2b"}
 
 
 @dataclass
@@ -446,14 +452,13 @@ def kp_pipeline(
     *,
     girth7_planar: bool = False,
     mad_max_n: int = 20,
-    game_max_n: int = 8,
-    game_node_budget: int | None = 4_000_000,
 ) -> KpCertificate:
     """Reduction chain certifying 2-dynamic 4-paintability of a sparse graph.
 
     Checks the density hypothesis (or accepts the caller's planar-girth-7
-    assertion), peels the unavoidable one-vertex and two-vertex
-    configurations, and closes the low-degree remainder with the game solver.
+    assertion), peels the catalog's KP configurations, each step the first
+    kind in `KP_KINDS` order that matches at its least root, and closes the
+    low-degree remainder with the game solver.
     """
     if not g.is_connected():
         raise DisconnectedGraph("the pipeline requires a connected graph")
@@ -469,68 +474,35 @@ def kp_pipeline(
 
     adj = _adjacency(g)
     steps: list[KpStep] = []
-
-    def remove(vs):
-        for v in vs:
-            for w in adj[v]:
-                adj[w].discard(v)
-            del adj[v]
-
     while True:
-        pendant = next((v for v in sorted(adj) if len(adj[v]) == 1), None)
-        if pendant is not None:
-            (u,) = adj[pendant]
-            steps.append(KpStep("1", (pendant,), {"v": pendant, "u": u}, 2))
-            remove([pendant])
-            continue
-        isolated = next((v for v in sorted(adj) if len(adj[v]) == 0), None)
-        if isolated is not None and len(adj) > 1:
-            steps.append(KpStep("1", (isolated,), {"v": isolated}, 0))
-            remove([isolated])
-            continue
-        pair = None
-        for u in sorted(adj):
-            if len(adj[u]) != 2:
+        roots = sorted(adj)
+        match = next((m for kind in KP_KINDS for m in kp_matches(adj, kind, roots)),
+                     None)
+        if match is None or match.kind is not ConfigKind.KP_PENDANT:
+            # an isolated vertex goes after the pendants, before the pairs
+            isolated = next((v for v in roots if not adj[v]), None)
+            if isolated is not None and len(adj) > 1:
+                steps.append(KpStep("1", (isolated,), {"v": isolated}, 0))
+                del adj[isolated]
                 continue
-            for v in sorted(adj[u]):
-                if len(adj[v]) != 2:
-                    continue
-                (up,) = adj[u] - {v}
-                (vp,) = adj[v] - {u}
-                if len(adj[up]) >= 3:
-                    pair = (u, v, up, vp)
-                    break
-            if pair:
-                break
-        if pair:
-            u, v, up, vp = pair
-            steps.append(KpStep("2a", (u, v),
-                                {"u": u, "v": v, "u'": up, "v'": vp}, 3))
-            remove([u, v])
-            continue
-        found = None
-        for u in sorted(adj):
-            if len(adj[u]) != 3:
-                continue
-            t = tuple(sorted(w for w in adj[u] if len(adj[w]) == 2))
-            if t:
-                found = (u, t)
-                break
-        if found:
-            u, t = found
-            v = t[0]
-            (vp,) = adj[v] - {u}
-            steps.append(KpStep("2b", (u,) + t,
-                                {"u": u, "T": t, "v": v, "v'": vp}, 3))
-            remove([u, *t])
-            continue
-        if any(len(ns) >= 3 for ns in adj.values()):
-            raise AssertionError(
-                "no unavoidable configuration in a max-degree->=3 remainder; "
-                "the density hypothesis should make this impossible"
-            )
-        break
+        if match is None:
+            break
+        removed = kp_deleted(match)
+        steps.append(KpStep(_KP_CASES[match.kind], removed, match.roles,
+                            max(CATALOG_BUDGETS[match.kind].values())))
+        for x in removed:
+            for w in adj.pop(x):
+                adj[w].discard(x)
+    if any(len(ns) >= 3 for ns in adj.values()):
+        if girth7_planar:
+            raise HypothesisFail(
+                "a remainder of maximum degree >= 3 without a KP configuration "
+                f"refutes the assertion {GIRTH7_HYPOTHESIS}")
+        raise AssertionError(
+            "no unavoidable configuration in a max-degree->=3 remainder; "
+            "the density hypothesis should make this impossible")
 
+    r, k = KP_KINDS[0].target
     remainders: list[KpRemainder] = []
     rest, _ = subgraph(g, adj)
     label = sorted(adj)  # subgraph keeps the survivors in order
@@ -540,12 +512,12 @@ def kp_pipeline(
         if sub.n == 5 and all(sub.degree(v) == 2 for v in sub.vertices()):
             remainders.append(KpRemainder(comp, "is-c5"))
             continue
-        if sub.n > game_max_n:
+        if sub.n > KP_GAME_MAX_N:
             remainders.append(KpRemainder(comp, "too-large"))
             continue
         try:
-            verdict = solve_xp_r(sub, 2, 4, max_n=game_max_n,
-                                 node_budget=game_node_budget)
+            verdict = solve_xp_r(sub, r, k, max_n=KP_GAME_MAX_N,
+                                 node_budget=KP_GAME_NODE_BUDGET)
             remainders.append(KpRemainder(
                 comp, "game-pass" if verdict.painter_wins else "game-fail"
             ))

@@ -335,40 +335,36 @@ def _detect_all4s_quad_face(emb: EmbeddedGraph):
     return out
 
 
-def _detect_kp_pendant(g: Graph):
-    return [
-        ConfigMatch(ConfigKind.KP_PENDANT, {"v": v, "u": g.neighbors(v)[0]})
-        for v in g.vertices()
-        if g.degree(v) == 1
-    ]
-
-
-def _detect_kp_two_two(g: Graph):
-    out = []
-    for a, b in g.edges():
-        if g.degree(a) != 2 or g.degree(b) != 2:
+def kp_matches(adj, kind: ConfigKind, roots):
+    """The matches of a KP kind at each root in turn, neighbours in sorted
+    order; `adj[v]` is any collection of v's neighbours."""
+    d = KP_KINDS.index(kind) + 1  # the kinds are rooted at degrees 1, 2, 3
+    for u in roots:
+        if len(adj[u]) != d:
             continue
-        for u, v in ((a, b), (b, a)):
-            (uprime,) = (w for w in g.neighbors(u) if w != v)
-            (vprime,) = (w for w in g.neighbors(v) if w != u)
-            if g.degree(uprime) >= 3:
-                out.append(ConfigMatch(ConfigKind.KP_TWO_TWO,
-                                       {"u": u, "v": v, "u'": uprime, "v'": vprime}))
-    return out
+        if d == 1:
+            (w,) = adj[u]
+            yield ConfigMatch(kind, {"v": u, "u": w})
+        elif d == 2:
+            for v in sorted(adj[u]):
+                (up,) = (w for w in adj[u] if w != v)
+                if len(adj[v]) == 2 and len(adj[up]) >= 3:
+                    (vp,) = (w for w in adj[v] if w != u)
+                    yield ConfigMatch(kind, {"u": u, "v": v, "u'": up, "v'": vp})
+        else:
+            t = tuple(sorted(w for w in adj[u] if len(adj[w]) == 2))
+            if t:
+                (vp,) = (w for w in adj[t[0]] if w != u)
+                yield ConfigMatch(kind, {"u": u, "T": t, "v": t[0], "v'": vp})
 
 
-def _detect_kp_three_with_twos(g: Graph):
-    out = []
-    for u in g.vertices():
-        if g.degree(u) != 3:
-            continue
-        t = tuple(w for w in g.neighbors(u) if g.degree(w) == 2)
-        if t:
-            v = t[0]
-            (vprime,) = (w for w in g.neighbors(v) if w != u)
-            out.append(ConfigMatch(ConfigKind.KP_THREE_WITH_TWOS,
-                                   {"u": u, "T": t, "v": v, "v'": vprime}))
-    return out
+def kp_deleted(match: ConfigMatch) -> tuple[int, ...]:
+    """The vertices a KP reduction deletes, in the order Painter colors them."""
+    if match.kind is ConfigKind.KP_PENDANT:
+        return (match.role("v"),)
+    if match.kind is ConfigKind.KP_TWO_TWO:
+        return (match.role("u"), match.role("v"))
+    return (match.role("u"),) + match.role("T")
 
 
 _GRAPH_DETECTORS = {
@@ -376,9 +372,6 @@ _GRAPH_DETECTORS = {
     ConfigKind.ADJACENT_3S: _detect_adjacent_3s,
     ConfigKind.FOUR_WITH_3_NBR: _detect_four_with_3_nbr,
     ConfigKind.LIGHT_TRIANGLE: _detect_light_triangle,
-    ConfigKind.KP_PENDANT: _detect_kp_pendant,
-    ConfigKind.KP_TWO_TWO: _detect_kp_two_two,
-    ConfigKind.KP_THREE_WITH_TWOS: _detect_kp_three_with_twos,
 }
 
 _FACE_DETECTORS = {
@@ -399,7 +392,9 @@ def find_configs(target, kinds=TORUS_KINDS) -> list[ConfigMatch]:
         g, emb = target, None
     out: list[ConfigMatch] = []
     for kind in kinds:
-        if kind in _GRAPH_DETECTORS:
+        if kind in KP_KINDS:
+            out.extend(kp_matches(g.adj, kind, g.vertices()))
+        elif kind in _GRAPH_DETECTORS:
             out.extend(_GRAPH_DETECTORS[kind](g))
         else:
             if emb is None:
@@ -414,7 +409,6 @@ def find_configs(target, kinds=TORUS_KINDS) -> list[ConfigMatch]:
 
 @dataclass
 class Reduction:
-    kind: ConfigKind
     match: ConfigMatch
     s_order: tuple[int, ...]
     added_edges: tuple[tuple[int, int], ...]
@@ -446,7 +440,7 @@ def _colored_all(watch, note=""):
     return RejectionRule("colored_all", frozenset(watch), note=note)
 
 
-def _assemble(g: Graph, kind, match, s_order, wanted_edges, triggers, budgets,
+def _assemble(g: Graph, match, s_order, wanted_edges, triggers, budgets,
               emb: EmbeddedGraph | None) -> Reduction:
     s = set(s_order)
     added = tuple(
@@ -480,7 +474,7 @@ def _assemble(g: Graph, kind, match, s_order, wanted_edges, triggers, budgets,
                 raise AssertionError("remap mismatch between graph and embedding")
         except WouldDisconnect:
             gp_emb, witnesses = None, ()
-    return Reduction(kind, match, tuple(s_order), added, keep, gp_edges,
+    return Reduction(match, tuple(s_order), added, keep, gp_edges,
                      triggers, budgets, dense, remap, gp_emb, witnesses)
 
 
@@ -506,8 +500,7 @@ def _build_deg_le_2(g, emb, match):
             + [dull_rule(g, u) for u in nbrs]
         )}
         budget = CATALOG_BUDGETS[ConfigKind.DEG_LE_2]["deg1"]
-        return _assemble(g, match.kind, match, (v,), (), triggers,
-                         {v: budget}, emb)
+        return _assemble(g, match, (v,), (), triggers, {v: budget}, emb)
     y, z = nbrs
     triggers = {v: (
         _colored_any({y}, f"{y} colored"),
@@ -516,8 +509,7 @@ def _build_deg_le_2(g, emb, match):
         dull_rule(g, z),
     )}
     budget = CATALOG_BUDGETS[ConfigKind.DEG_LE_2]["deg2"]
-    return _assemble(g, match.kind, match, (v,), ((y, z),), triggers,
-                     {v: budget}, emb)
+    return _assemble(g, match, (v,), ((y, z),), triggers, {v: budget}, emb)
 
 
 def _build_adjacent_3s(g, emb, match):
@@ -535,8 +527,7 @@ def _build_adjacent_3s(g, emb, match):
                    _colored_any({v1}, "partner colored")]),
     }
     budgets = {v1: CATALOG_BUDGETS[match.kind]["v1"], v2: CATALOG_BUDGETS[match.kind]["v2"]}
-    return _assemble(g, match.kind, match, (v1, v2), ((y1, z1), (y2, z2)),
-                     triggers, budgets, emb)
+    return _assemble(g, match, (v1, v2), ((y1, z1), (y2, z2)), triggers, budgets, emb)
 
 
 def _build_many_3_nbrs(g, emb, match):
@@ -565,8 +556,7 @@ def _build_many_3_nbrs(g, emb, match):
         if {y, z} & ({v} | set(xs)) and not g.has_edge(y, z):
             raise ValueError(f"E' edge {y}-{z} meets a deleted 3-neighbor; "
                              "reduce the adjacent 3-vertices first")
-    return _assemble(g, match.kind, match, (v,) + tuple(xs), wanted,
-                     triggers, budgets, emb)
+    return _assemble(g, match, (v,) + tuple(xs), wanted, triggers, budgets, emb)
 
 
 def _build_four_with_3_nbr(g, emb, match):
@@ -593,8 +583,7 @@ def _build_four_with_3_nbr(g, emb, match):
                    _colored_any({v1}, "partner colored")]),
     }
     budgets = {v1: CATALOG_BUDGETS[match.kind]["v1"], v2: CATALOG_BUDGETS[match.kind]["v2"]}
-    red = _assemble(g, match.kind, match, (v1, v2), ((y1, z1), (y2, z2)),
-                    triggers, budgets, emb)
+    red = _assemble(g, match, (v1, v2), ((y1, z1), (y2, z2)), triggers, budgets, emb)
     red.match = replace(match, roles={**match.roles, "y1": y1, "z1": z1,
                                       "y2": y2, "z2": z2, "w": w})
     return red
@@ -634,8 +623,7 @@ def _build_light_triangle(g, emb, match):
                    _colored_any({v1}, "partner colored")]),
     }
     budgets = {v1: CATALOG_BUDGETS[match.kind]["v1"], v2: CATALOG_BUDGETS[match.kind]["v2"]}
-    red = _assemble(g, match.kind, match, (v1, v2), ((y1, z), (y2, z)),
-                    triggers, budgets, emb)
+    red = _assemble(g, match, (v1, v2), ((y1, z), (y2, z)), triggers, budgets, emb)
     red.match = replace(match, roles={**match.roles, "v1": v1, "v2": v2,
                                       "z": z, "y1": y1, "y2": y2})
     return red
@@ -646,7 +634,7 @@ def _build_twin_triangles(g, emb, match):
     triggers = {v: tuple([_colored_any(set(g.neighbors(v)), "neighborhood colored"),
                           dull_rule(g, y), dull_rule(g, z)])}
     budgets = {v: CATALOG_BUDGETS[match.kind]["v"]}
-    return _assemble(g, match.kind, match, (v,), ((y, z),), triggers, budgets, emb)
+    return _assemble(g, match, (v,), ((y, z),), triggers, budgets, emb)
 
 
 def _build_triangle_and_4vtx(g, emb, match):
@@ -657,7 +645,7 @@ def _build_triangle_and_4vtx(g, emb, match):
                   dull_rule(g, v), dull_rule(g, y), dull_rule(g, z)]),
     }
     budgets = {v: CATALOG_BUDGETS[match.kind]["v"], x: CATALOG_BUDGETS[match.kind]["x"]}
-    return _assemble(g, match.kind, match, (v, x), ((y, z),), triggers, budgets, emb)
+    return _assemble(g, match, (v, x), ((y, z),), triggers, budgets, emb)
 
 
 def _build_three_triangle_fan(g, emb, match):
@@ -673,7 +661,7 @@ def _build_three_triangle_fan(g, emb, match):
                                    threshold=1, note="N(z)-{v,x} still colorless"))
     triggers = {v: tuple(rules)}
     budgets = {v: CATALOG_BUDGETS[match.kind]["v"]}
-    return _assemble(g, match.kind, match, (v,), ((y, z),), triggers, budgets, emb)
+    return _assemble(g, match, (v,), ((y, z),), triggers, budgets, emb)
 
 
 def _build_exp4_meets_3face(g, emb, match):
@@ -681,7 +669,7 @@ def _build_exp4_meets_3face(g, emb, match):
     triggers = {v: tuple([_colored_any(set(g.neighbors(v)), "N(v) colored"),
                           dull_rule(g, y), dull_rule(g, z)])}
     budgets = {v: CATALOG_BUDGETS[match.kind]["v"]}
-    return _assemble(g, match.kind, match, (v,), ((y, z),), triggers, budgets, emb)
+    return _assemble(g, match, (v,), ((y, z),), triggers, budgets, emb)
 
 
 def _build_all4s_quad_face(g, emb, match):
@@ -725,7 +713,7 @@ def _build_all4s_quad_face(g, emb, match):
                           "listed set colored"),),
     }
     budgets = {v: CATALOG_BUDGETS[match.kind]["v"] for v in face}
-    return _assemble(g, match.kind, match, tuple(face), (), triggers, budgets, emb)
+    return _assemble(g, match, tuple(face), (), triggers, budgets, emb)
 
 
 def _build_kp_pendant(g, emb, match):
@@ -736,7 +724,7 @@ def _build_kp_pendant(g, emb, match):
         rules.append(_colored_all(others, "all other neighbors of u colored"))
     triggers = {v: tuple(rules)}
     budgets = {v: CATALOG_BUDGETS[match.kind]["v"]}
-    return _assemble(g, match.kind, match, (v,), (), triggers, budgets, emb)
+    return _assemble(g, match, kp_deleted(match), (), triggers, budgets, emb)
 
 
 def _deficient_rule(g, w: int, watch, r: int, note: str):
@@ -757,21 +745,18 @@ def _build_kp_two_two(g, emb, match):
                                   "v' not yet 2-dynamic")]),
     }
     budgets = {u: CATALOG_BUDGETS[match.kind]["u"], v: CATALOG_BUDGETS[match.kind]["v"]}
-    return _assemble(g, match.kind, match, (u, v), (), triggers, budgets, emb)
+    return _assemble(g, match, kp_deleted(match), (), triggers, budgets, emb)
 
 
 def _build_kp_three_with_twos(g, emb, match):
-    u, t = match.role("u"), match.role("T")
-    v = match.role("v")
-    vp = match.role("v'")
+    u, t, vp = match.role("u"), match.role("T"), match.role("v'")
     other = {w: next(q for q in g.neighbors(w) if q != u) for w in t}
     triggers = {u: (_colored_any(set(other.values()), "a T-partner colored"),)}
     for w in t:
         triggers[w] = (_colored_any({u, other[w], vp}, "u/w'/v' colored"),)
     budgets = {u: CATALOG_BUDGETS[match.kind]["u"]}
     budgets.update({w: CATALOG_BUDGETS[match.kind]["w"] for w in t})
-    return _assemble(g, match.kind, match, (u,) + tuple(t), (), triggers,
-                     budgets, emb)
+    return _assemble(g, match, kp_deleted(match), (), triggers, budgets, emb)
 
 
 _BUILDERS = {
@@ -824,7 +809,7 @@ def check_extendable(
     and the search stops at the first base that does not extend.
     """
     if k is None:
-        k = reduction.kind.target[1]
+        k = reduction.match.kind.target[1]
     inverse = {reduction.remap.image[v]: v
                for v in g.vertices() if reduction.remap.image[v] is not None}
     palette = range(1, k + 1)
@@ -853,7 +838,7 @@ def check_extendable(
 
 def reduction_without_added_edges(g: Graph, reduction: Reduction) -> Reduction:
     """Ablated copy with E' dropped (the not-a-subgraph negative control)."""
-    return _assemble(g, reduction.kind, reduction.match, reduction.s_order,
+    return _assemble(g, reduction.match, reduction.s_order,
                      (), reduction.triggers, reduction.budgets, None)
 
 
@@ -918,7 +903,8 @@ def check_budget(
     """Play the composite strategy against the exhaustive Lister.
 
     Passes iff Painter survives every line with an r-dynamic final coloring and
-    every deleted vertex stays within k-1 rejections.
+    every deleted vertex t stays within min(reduction.budgets[t], k - 1)
+    rejections.
     """
     g = g_or_emb.graph if isinstance(g_or_emb, EmbeddedGraph) else g_or_emb
     if tokens is None:
@@ -930,6 +916,7 @@ def check_budget(
         s_order=reduction.s_order, node_cap=node_cap,
     )
     ok = report.ok and all(
-        report.max_rejections.get(t, 0) <= k - 1 for t in reduction.s_order
+        report.max_rejections.get(t, 0) <= min(reduction.budgets[t], k - 1)
+        for t in reduction.s_order
     )
     return BudgetReport(ok, report, dict(tokens), k)

@@ -329,7 +329,7 @@ class DriverOutcome:
         return head + "\n" + self.report.render()
 
 
-def unavoidability_driver(emb: EmbeddedGraph, r: int = 3, k: int = 10) -> DriverOutcome:
+def unavoidability_driver(emb: EmbeddedGraph) -> DriverOutcome:
     """Find a reducible configuration, or expose the discharging contradiction.
 
     On genus <= 1 embeddings, the catalog is unavoidable, so falling through to

@@ -56,9 +56,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 
-    def min_degree(self) -> int:
-        return min((len(a) for a in self.adj), default=0)
-
     def is_connected(self) -> bool:
         if self.n == 0:
             return True

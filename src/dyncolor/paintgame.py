@@ -320,16 +320,16 @@ class RejectionRule:
         return f"reject while {body}{tag}"
 
 
-def dull_rule(g: Graph, w: int, r: int = 3, note: str = "") -> RejectionRule:
-    """Veto while w is dull (< min(r, d(w)) - 1 colors on N(w)) and a neighbor of w
-    is being colored."""
+def dull_rule(g: Graph, w: int) -> RejectionRule:
+    """Veto while w is dull (< min(3, d(w)) - 1 colors on N(w), at the torus
+    catalog's r = 3) and a neighbor of w is being colored."""
     nbrs = frozenset(g.neighbors(w))
     return RejectionRule(
         "few_colors",
         watch=nbrs,
         observe=nbrs,
-        threshold=min(r, g.degree(w)) - 1,
-        note=note or f"dull({w})",
+        threshold=min(3, g.degree(w)) - 1,
+        note=f"dull({w})",
     )
 
 
@@ -729,9 +729,7 @@ def xp_r_number(
 # -- strategy trees -------------------------------------------------------------------
 
 
-def strategy_tree(
-    g: Graph, r: int, f, solver: PaintSolver, *, node_cap: int = 200_000
-) -> dict:
+def strategy_tree(g: Graph, r: int, f, solver: PaintSolver) -> dict:
     """Materialized winning strategy: every Lister mark mapped to the response.
 
     Nodes are positions shared by (tokens, residual needs), so the tree is a
@@ -746,7 +744,7 @@ def strategy_tree(
         key = pos.tokens, pos.res
         if key in names:
             return names[key]
-        if len(nodes) > node_cap:
+        if len(nodes) > 200_000:
             raise BudgetExceeded("strategy tree too large to materialize")
         name = names[key] = str(len(nodes))
         entry = {"tokens": list(pos.tokens), "res": list(pos.res), "moves": {}}

@@ -385,6 +385,18 @@ def test_criterion_11_formula_tables(capsys):
                "derivation for genus <= 5, r <= 30; h(1) = 7", elapsed)
 
 
+def test_criterion_12_kp_chain_at_scale(capsys):
+    # the peel runs the matcher on its live adjacency, not on a Graph rebuilt
+    # at every step; the clock leaves wide room for a slow machine
+    clock = Clock(2, "criterion 12 at scale")
+    cert = kp_pipeline(random_tree(1000, random.Random(1000)), girth7_planar=True)
+    elapsed = clock.done()
+    ok = cert.certified and len(cert.steps) == 999
+    with capsys.disabled():
+        report(12, ok, f"1000-vertex tree under the girth-7 assertion: "
+               f"{len(cert.steps)} steps, certified {cert.certified}", elapsed)
+
+
 def test_criterion_12_mad_and_kp(capsys):
     clock = Clock(300, "criterion 12")
     ok = (mad(cycle(5)) == 2 and mad(complete(4)) == 3

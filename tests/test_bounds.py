@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import sqrt
+from types import SimpleNamespace
 
 import pytest
 
+from dyncolor import bounds
 from dyncolor.bounds import (
     ContractStep,
     ContractionTrace,
     DeleteStep,
+    KpCertificate,
+    KpStep,
     bound_profile,
     color_by_contraction,
     heawood_number,
@@ -17,6 +21,7 @@ from dyncolor.bounds import (
     replay_contraction,
 )
 from dyncolor.coloring import verify_r_dynamic
+from dyncolor.configs import CATALOG_BUDGETS, ConfigKind
 from dyncolor.errors import (
     ApplicabilityError,
     CertificateRefuted,
@@ -27,6 +32,7 @@ from dyncolor.errors import (
     TooLargeForExhaustive,
 )
 from dyncolor.families import (
+    all_connected_graphs,
     complete,
     complete_bipartite,
     cycle,
@@ -304,3 +310,124 @@ def test_kp_certificate_render_roundtrip():
     text = cert.render()
     assert text.startswith("kp-chain")
     assert f"certified {cert.certified}" in text
+
+
+def reference_kp_peel(g: Graph):
+    """The KP peel as hand-written scans with the budget literals: the least
+    pendant, else an isolated vertex (while others remain), else the least
+    2-vertex u with a 2-neighbour v (least first) whose other neighbour has
+    degree >= 3, else the least 3-vertex with a 2-neighbour.  Returns the
+    steps and the survivors' adjacency."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    steps = []
+
+    def remove(vs):
+        for v in vs:
+            for w in adj[v]:
+                adj[w].discard(v)
+            del adj[v]
+
+    while True:
+        pendant = next((v for v in sorted(adj) if len(adj[v]) == 1), None)
+        if pendant is not None:
+            (u,) = adj[pendant]
+            steps.append(KpStep("1", (pendant,), {"v": pendant, "u": u}, 2))
+            remove([pendant])
+            continue
+        isolated = next((v for v in sorted(adj) if len(adj[v]) == 0), None)
+        if isolated is not None and len(adj) > 1:
+            steps.append(KpStep("1", (isolated,), {"v": isolated}, 0))
+            remove([isolated])
+            continue
+        pair = next(((u, v) for u in sorted(adj) if len(adj[u]) == 2
+                     for v in sorted(adj[u]) if len(adj[v]) == 2
+                     and len(adj[next(iter(adj[u] - {v}))]) >= 3), None)
+        if pair:
+            u, v = pair
+            (up,) = adj[u] - {v}
+            (vp,) = adj[v] - {u}
+            steps.append(KpStep("2a", (u, v), {"u": u, "v": v, "u'": up, "v'": vp}, 3))
+            remove([u, v])
+            continue
+        u = next((u for u in sorted(adj) if len(adj[u]) == 3
+                  and any(len(adj[w]) == 2 for w in adj[u])), None)
+        if u is None:
+            return steps, adj
+        t = tuple(sorted(w for w in adj[u] if len(adj[w]) == 2))
+        (vp,) = adj[t[0]] - {u}
+        steps.append(KpStep("2b", (u,) + t, {"u": u, "T": t, "v": t[0], "v'": vp}, 3))
+        remove([u, *t])
+
+
+def two_diamonds(path_len: int) -> Graph:
+    """Two diamonds whose degree-3 vertices 0 and 4 are joined by a path: the
+    peel consumes the first diamond whole and leaves vertex 1 isolated."""
+    chain = [0, *range(8, 8 + path_len), 4]
+    edges = [(o + a, o + b) for o in (0, 4)
+             for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))]
+    return Graph(8 + path_len, edges + list(zip(chain, chain[1:])))
+
+
+def kp_reference_corpus():
+    for n in range(1, 7):
+        yield from all_connected_graphs(n)
+    rng = random.Random(7)
+    for i in range(300):
+        n = rng.randrange(4, 15)
+        g = random_tree(n, rng)
+        if i % 3:
+            extra = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(1, 4))]
+            g = Graph(n, g.edges() + [(a, b) for a, b in extra if a != b])
+            if rng.random() < 0.5:
+                g = subdivision(g)
+        yield g
+    yield from (subdivision(complete(4)), subdivision(prism()),
+                subdivision(complete_bipartite(3, 3)), subdivision(petersen()),
+                pendant_added(cycle(5), 0), two_diamonds(2), two_diamonds(3))
+
+
+@pytest.mark.parametrize("girth7", [False, True])
+def test_kp_pipeline_matches_the_reference_peel(monkeypatch, girth7):
+    # the remainder game is not what this compares, and it dominates the
+    # time; the stub records the target it is asked for
+    targets = set()
+
+    def game(sub, r, k, **_):
+        targets.add((r, k))
+        return SimpleNamespace(painter_wins=sub.n % 2 == 0)
+    monkeypatch.setattr(bounds, "solve_xp_r", game)
+    compared = isolated = stuck = 0
+    for g in kp_reference_corpus():
+        if g.n == 5 and g.m == 5 and g.max_degree() == 2:
+            continue  # the five-cycle is refused before the peel
+        if not girth7 and (g.n > 20 or mad(g) >= Fraction(8, 3)):
+            continue  # refused by the unchanged density check
+        steps, survivors = reference_kp_peel(g)
+        if any(len(ns) >= 3 for ns in survivors.values()):
+            stuck += 1
+            with pytest.raises(HypothesisFail if girth7 else AssertionError):
+                kp_pipeline(g, girth7_planar=girth7)
+            continue
+        cert = kp_pipeline(g, girth7_planar=girth7)
+        want = KpCertificate(cert.hypothesis, steps, cert.remainders)
+        assert cert.render() == want.render() and cert.steps == steps
+        assert sorted(v for rem in cert.remainders for v in rem.component) == sorted(survivors)
+        compared += 1
+        isolated += any(s.budget == 0 for s in steps)
+    assert compared > 300 and isolated == 2 and targets == {(2, 4)}
+    assert stuck if girth7 else not stuck
+
+
+def test_kp_step_budget_is_the_largest_role_budget(monkeypatch):
+    g = two_diamonds(2)
+    monkeypatch.setitem(CATALOG_BUDGETS, ConfigKind.KP_TWO_TWO, {"u": 1, "v": 5})
+    monkeypatch.setitem(CATALOG_BUDGETS, ConfigKind.KP_THREE_WITH_TWOS, {"u": 4, "w": 2})
+    budgets = {s.case: s.budget for s in kp_pipeline(g).steps}
+    assert budgets == {"2a": 5, "2b": 4, "1": 0}
+
+
+def test_kp_pipeline_refutes_the_girth7_assertion_on_a_dense_graph():
+    with pytest.raises(HypothesisFail, match="refutes the assertion planar-girth-7"):
+        kp_pipeline(complete(4), girth7_planar=True)
+    with pytest.raises(HypothesisFail, match="mad = 3 >= 8/3"):
+        kp_pipeline(complete(4))

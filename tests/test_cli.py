@@ -247,6 +247,27 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message)
     assert message in capsys.readouterr().err
 
 
+K4_EDGES = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kp-check", "G"], "error: mad = 3 >= 8/3\n"),
+    (["kp-check", "--girth7-planar", "G"],
+     "error: a remainder of maximum degree >= 3 without a KP configuration "
+     "refutes the assertion planar-girth-7 (asserted by caller)\n"),
+    (["replay", "--certificate", "F", "G"],
+     "error: a remainder of maximum degree >= 3 without a KP configuration "
+     "refutes the assertion planar-girth-7 (asserted by caller)\n"),
+])
+def test_a_refuted_kp_hypothesis_is_a_false_verdict(tmp_path, capsys, argv, message):
+    paths = {"G": tmp_path / "k4.el", "F": tmp_path / "cert.txt"}
+    paths["G"].write_text(K4_EDGES)
+    paths["F"].write_text("kp-chain\nhypothesis planar-girth-7 (asserted by caller)\n"
+                          "certified True\n")
+    assert main([str(paths[a]) if a in paths else a for a in argv]) == 1
+    assert capsys.readouterr().err == message
+
+
 def test_replay_of_an_illegal_contraction_trace_is_refuted(tmp_path, capsys):
     c5, trace = tmp_path / "c5.g6", tmp_path / "trace.txt"
     c5.write_text(emit_graph6(cycle(5)))

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from dataclasses import replace
+from itertools import combinations, permutations
 
 import pytest
 
@@ -32,7 +33,9 @@ from dyncolor.families import (
     diamond,
     petersen,
     random_connected_graph,
+    random_tree,
     star,
+    subdivision,
 )
 from dyncolor.gadgets import catalog_instances, notsubgraph_instance
 from dyncolor.graph import Graph
@@ -125,11 +128,40 @@ def naive_twin_triangles(emb):
     return out
 
 
+def naive_kp_pendants(g):
+    return {(v, u) for v, u in permutations(range(g.n), 2)
+            if g.has_edge(v, u) and g.degree(v) == 1}
+
+
+def naive_kp_two_twos(g):
+    out = set()
+    for u, v in permutations(range(g.n), 2):
+        if g.has_edge(u, v) and g.degree(u) == g.degree(v) == 2:
+            (up,) = set(g.neighbors(u)) - {v}
+            (vp,) = set(g.neighbors(v)) - {u}
+            if g.degree(up) >= 3:
+                out.add((u, v, up, vp))
+    return out
+
+
+def naive_kp_three_with_twos(g):
+    out = set()
+    for u in range(g.n):
+        t = tuple(w for w in range(g.n) if g.has_edge(u, w) and g.degree(w) == 2)
+        if g.degree(u) == 3 and t:
+            (vp,) = set(g.neighbors(t[0])) - {u}
+            out.add((u, t, t[0], vp))
+    return out
+
+
 def test_detectors_against_naive_enumerations():
     rng = random.Random(0)
     graphs = [random_connected_graph(rng.randrange(3, 9), 0.45, rng)
               for _ in range(30)]
     graphs += [petersen(), complete(5), cube(), diamond(), cycle(6)]
+    graphs += [subdivision(random_connected_graph(rng.randrange(3, 8), 0.4, rng))
+               for _ in range(10)]
+    graphs += [random_tree(rng.randrange(2, 12), rng) for _ in range(10)]
     for g in graphs:
         got = {m.role("v") for m in find_configs(g, [ConfigKind.DEG_LE_2])}
         assert got == naive_deg_le_2(g)
@@ -138,6 +170,15 @@ def test_detectors_against_naive_enumerations():
         assert got == naive_adjacent_3s(g)
         got = {m.role("cycle") for m in find_configs(g, [ConfigKind.LIGHT_TRIANGLE])}
         assert got == naive_light_triangles(g)
+        got = [(m.role("v"), m.role("u")) for m in find_configs(g, [ConfigKind.KP_PENDANT])]
+        assert set(got) == naive_kp_pendants(g) and got == sorted(got)
+        got = [tuple(m.role(n) for n in ("u", "v", "u'", "v'"))
+               for m in find_configs(g, [ConfigKind.KP_TWO_TWO])]
+        assert set(got) == naive_kp_two_twos(g)
+        assert got == sorted(got)  # listed in (u, v) order, the order the peel takes
+        got = [tuple(m.role(n) for n in ("u", "T", "v", "v'"))
+               for m in find_configs(g, [ConfigKind.KP_THREE_WITH_TWOS])]
+        assert set(got) == naive_kp_three_with_twos(g) and got == sorted(got)
 
 
 def test_face_detectors_against_naive(toroidal_corpus):
@@ -229,6 +270,21 @@ def test_check_budget_small_instance():
     ablated = reduction_without_rules(emb.graph, red)
     rep2 = check_budget(emb, ablated, 3, 10, tokens=rep.tokens)
     assert not rep2.ok
+
+
+def test_check_budget_holds_each_role_to_its_budget():
+    inst = catalog_instances()
+    for kind in (ConfigKind.DEG_LE_2, ConfigKind.ADJACENT_3S):
+        emb, match = inst[kind]
+        red = build_reduction(emb, match)
+        rep = check_budget(emb, red, 3, 10)
+        assert rep.ok
+        for t in red.s_order:
+            worst = rep.certification.max_rejections[t]
+            assert worst <= red.budgets[t]
+            tight = replace(red, budgets={**red.budgets, t: worst - 1})
+            below = check_budget(emb, tight, 3, 10, tokens=rep.tokens)
+            assert below.certification.ok and not below.ok, (kind, t)
 
 
 def test_suggested_tokens_cover_structural_budget():
