@@ -39,9 +39,9 @@ def _load_embedding(path: str) -> embedding.EmbeddedGraph:
     return embedding.parse_rotation(_read(path))
 
 
-def _at_least(text: str, low: int) -> int:
-    value = int(text)
-    if value < low:
+def _at_least(text: str, low: int, number=int):
+    value = number(text)
+    if not value >= low:  # a NaN is refused too
         raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
 
@@ -52,6 +52,10 @@ def _positive(text: str) -> int:
 
 def _nonnegative(text: str) -> int:
     return _at_least(text, 0)
+
+
+def _nonnegative_float(text: str) -> float:
+    return _at_least(text, 0, float)
 
 
 def _resolve_kinds(spec: str):
@@ -87,9 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chi-r", help="exact r-dynamic chromatic number")
     _add_graph_arg(p)
     p.add_argument("--r", type=_positive, required=True)
-    p.add_argument("--max-n", type=int, default=16)
-    p.add_argument("--max-nodes", type=int, default=5_000_000)
-    p.add_argument("--time-limit", type=float, default=None,
+    p.add_argument("--max-n", type=_nonnegative, default=16)
+    p.add_argument("--max-nodes", type=_nonnegative, default=5_000_000)
+    p.add_argument("--time-limit", type=_nonnegative_float, default=None,
                    help="wall-clock cap in seconds")
     p.add_argument("--witness", action="store_true")
 
@@ -103,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_positive, required=True)
     p.add_argument("--tokens", type=_positive,
                    help="solve one game at this uniform token count")
-    p.add_argument("--max-n", type=int, default=7)
-    p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--time-limit", type=float, default=None,
+    p.add_argument("--max-n", type=_nonnegative, default=7)
+    p.add_argument("--max-nodes", type=_nonnegative, default=None)
+    p.add_argument("--time-limit", type=_nonnegative_float, default=None,
                    help="wall-clock cap in seconds for one game solve")
     p.add_argument("--genus", type=_nonnegative, default=None,
                    help="declared genus enabling structural upper bounds")
@@ -142,13 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mad", help="exact maximum average degree")
     _add_graph_arg(p)
-    p.add_argument("--max-n", type=int, default=20)
+    p.add_argument("--max-n", type=_nonnegative, default=20)
 
     p = sub.add_parser("kp-check", help="2-dynamic 4-paintability certificate")
     _add_graph_arg(p)
     p.add_argument("--girth7-planar", action="store_true",
                    help="assert planarity with girth >= 7 instead of checking mad")
-    p.add_argument("--max-n", type=int, default=20, help="mad exhaustive cap")
+    p.add_argument("--max-n", type=_nonnegative, default=20, help="mad exhaustive cap")
     p.add_argument("--out", default=None, help="write the certificate here")
 
     p = sub.add_parser("contract-color",
@@ -343,6 +347,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option but -h: refuse one here, or argparse
+    # takes the option's value for the command and names that instead
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help", "--"):
+        parser.error(f"unrecognized arguments: {argv[0]}")
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
@@ -362,7 +371,9 @@ def main(argv=None) -> int:
     except DynColorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FALSE
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # an input that cannot be read or an output that cannot be written:
+        # a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,10 +11,14 @@ are N(v) with need min(r, d(v)), so Painter has won once all is colored and
 those residuals are 0; a painter may watch more sets (its `watch` attribute).
 Painters answer `respond(position, marked)` from the tokens and residuals
 alone, so the minimax solver, the exhaustive adversary and strategy trees all
-key positions on them.  The adversary may track a vertex set whose tokens its
-painter never reads (the deleted set of a reduction): it then keys positions
-on the other tokens, the residuals and the uncolored tracked vertices, and
-stores with each the most rejections every tracked vertex can still get.
+key positions on them.  The solver and the adversary pack a position into
+ints of bit fields (`Fields`): tokens with one field per vertex, residuals
+with one per watched set, vertex sets as masks; the solver and the composite
+painter also answer packed marks (`respond_packed`).  The adversary may
+track a vertex set whose tokens its painter never reads (the deleted set of
+a reduction): its memo key is then the int `res << (n*w) | tokens` with each
+tracked vertex's token field replaced by its uncolored bit, and it stores
+with each key the most rejections every tracked vertex can still get.
 The solver declares a position lost when some res(v) exceeds the uncolored
 neighbors of v, as each round adds at most one color there.  A scripted game
 is played with `advance` too; its transcript keeps the round in which each
@@ -108,16 +112,61 @@ def advance(g: Graph, slots: Sequence[Sequence[int]], pos: Position,
     return Position(tuple(tokens), tuple(res), pos.uncolored - response)
 
 
+# -- packed positions -----------------------------------------------------------------
+
+
+def field_width(largest: int) -> int:
+    """Bits per field for values up to `largest`, with the top bit clear."""
+    return max(4, largest.bit_length() + 1)
+
+
+class Fields:
+    """`count` bit fields of width w in one int, item i at bit i*w.
+
+    A set of items is the int with the low bit of each member's field set, so
+    subtracting a set lowers each member's field by one.  Values stay below
+    the top field bit, which lets `nonzero` test all fields at once.  The
+    solver packs tokens and residual needs this way (one field per vertex),
+    the exhaustive adversary its residuals (one field per watched set).
+    """
+
+    __slots__ = ("count", "w", "field", "high", "half")
+
+    def __init__(self, count: int, w: int):
+        self.count, self.w = count, w
+        self.field = (1 << w) - 1
+        low = sum(1 << (i * w) for i in range(count))
+        self.high = low << (w - 1)
+        self.half = self.high - low
+
+    def mask(self, items: Iterable[int]) -> int:
+        return sum(1 << (i * self.w) for i in items)
+
+    def items(self, mask: int) -> list[int]:
+        """The members of a set, in increasing order."""
+        return [i for i in range(self.count) if mask >> (i * self.w) & 1]
+
+    def nonzero(self, packed: int) -> int:
+        """The set of items whose field in `packed` is not zero."""
+        return ((packed + self.half) & self.high) >> (self.w - 1)
+
+    def pack(self, values: Iterable[int]) -> int:
+        return sum(x << (i * self.w) for i, x in enumerate(values))
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        return tuple(packed >> (i * self.w) & self.field for i in range(self.count))
+
+
 # -- exact minimax solver -----------------------------------------------------------
 
 
 class PaintSolver:
     """Minimax oracle for one (graph, r) pair; memo shared across queries.
 
-    Token and residual-need vectors are ints with a w-bit field per vertex (v
-    at bit v*w); a vertex set is the int with the low bit of each member's
-    field set, so marking a set subtracts it from the tokens.  Top field bits
-    stay clear, which lets `_nonzero` test all fields at once.
+    Tokens and residual needs are packed in `Fields` with one field per
+    vertex, and so are vertex sets, so marking a set subtracts it from the
+    tokens.  As a painter it answers `Position`s (`respond`) and packed
+    positions laid out by `fit` (`respond_packed`).
     """
 
     def __init__(self, g: Graph, r: int, *, node_budget: int | None = None,
@@ -133,67 +182,65 @@ class PaintSolver:
 
     def _layout(self, largest: int) -> None:
         # fields hold values up to `largest`; packed keys change, so start over
-        self._w = w = max(4, largest.bit_length() + 1)
-        self._field = (1 << w) - 1
-        low = self._mask(self.g.vertices())
-        self._high = low << (w - 1)
-        self._half = self._high - low
-        self._nbr = [self._mask(self.g.neighbors(v)) for v in self.g.vertices()]
+        self._lay = lay = Fields(self.g.n, field_width(largest))
+        self._nbr = [lay.mask(self.g.neighbors(v)) for v in self.g.vertices()]
         self._tables: dict[int, list] = {}
         self.memo.clear()
 
-    def _mask(self, vertices: Iterable[int]) -> int:
-        return sum(1 << (v * self._w) for v in vertices)
+    def fit(self, largest: int) -> int:
+        """Widen the fields to hold values up to `largest` if they do not;
+        returns the field width."""
+        if largest > self._lay.field >> 1:
+            self._layout(max(largest, *self._need))
+        return self._lay.w
 
-    def _vertices(self, mask: int) -> frozenset[int]:
-        return frozenset(v for v in self.g.vertices() if mask >> (v * self._w) & 1)
-
-    def _nonzero(self, packed: int) -> int:
-        """The set of vertices whose field in `packed` is not zero."""
-        return ((packed + self._half) & self._high) >> (self._w - 1)
+    def _start(self) -> None:
+        """Start one solve for the node budget."""
+        self._limit = self.nodes + (self.node_budget if self.node_budget is not None
+                                    else float("inf"))
 
     def _responses(self, marked: int) -> list:
         """Painter's answers to a mark, largest first, then by vertex list, as
         (set colored, set whose neighborhood it meets, mask clearing its fields)."""
         table = self._tables.get(marked)
         if table is None:
+            lay = self._lay
             subs = [()]
-            for v in sorted(self._vertices(marked)):
-                subs += [s + (v,) for s in subs if not self._mask(s) & self._nbr[v]]
+            for v in lay.items(marked):
+                subs += [s + (v,) for s in subs if not lay.mask(s) & self._nbr[v]]
             subs.sort(key=lambda s: (-len(s), s))
             table = self._tables[marked] = []
             for s in subs:
-                colored = self._mask(s)
-                touched = self._mask({u for v in s for u in self.g.neighbors(v)})
-                table.append((colored, touched, ~(colored * self._field)))
+                colored = lay.mask(s)
+                touched = lay.mask({u for v in s for u in self.g.neighbors(v)})
+                table.append((colored, touched, ~(colored * lay.field)))
         return table
 
     def _pack(self, pos: Position) -> tuple[int, int, int]:
         """Packed (tokens, residual needs, uncolored set) of a position whose
         first n residuals are this solver's neighborhoods; one call starts one
         solve for the node budget."""
-        self._limit = self.nodes + (self.node_budget if self.node_budget is not None
-                                    else float("inf"))
-        largest = max((pos.tokens[v] for v in pos.uncolored), default=0)
-        if largest > self._field >> 1:
-            self._layout(max(largest, *self._need))
-        w = self._w
-        tokens = sum(pos.tokens[v] << (v * w) for v in pos.uncolored)
-        res = sum(x << (v * w) for v, x in enumerate(pos.res[:self.g.n]))
-        return tokens, res, self._mask(pos.uncolored)
+        self._start()
+        self.fit(max((pos.tokens[v] for v in pos.uncolored), default=0))
+        lay = self._lay
+        tokens = sum(pos.tokens[v] << (v * lay.w) for v in pos.uncolored)
+        return tokens, lay.pack(pos.res[:self.g.n]), lay.mask(pos.uncolored)
 
     def _wins(self, tokens: int, res: int, uncolored: int) -> bool:
         """Verdict of a position in which every uncolored vertex has a token
         (the memo key leaves the uncolored set implicit in the tokens)."""
         if not uncolored:
             return not res
-        key = res << (self.g.n * self._w) | tokens
+        lay = self._lay
+        w = lay.w
+        key = res << (lay.count * w) | tokens
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         # dead: a vertex needs more new colors than it has uncolored
         # neighbors, and each round adds at most one color to a neighborhood
-        if any(res >> (v * self._w) & self._field > (nb & uncolored).bit_count()
+        field = lay.field
+        if any(res >> (v * w) & field > (nb & uncolored).bit_count()
                for v, nb in enumerate(self._nbr)):
             return False
         self.nodes += 1
@@ -201,12 +248,13 @@ class PaintSolver:
             raise BudgetExceeded(f"game search exceeded {self.node_budget} nodes")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("game search hit the time limit")
-        needy = self._nonzero(res)
+        nonzero = lay.nonzero
+        needy = nonzero(res)
         verdict = True
         marked = uncolored  # subsets in descending order: big marks refute fastest
         while verdict and marked:
             left = tokens - marked
-            spent = marked & ~self._nonzero(left)
+            spent = marked & ~nonzero(left)
             for colored, touched, clear in self._responses(marked):
                 if not spent & ~colored and self._wins(
                         left & clear, res - (needy & touched), uncolored ^ colored):
@@ -223,7 +271,7 @@ class PaintSolver:
         """Exact verdict of the game from `pos`; Lister has won if an uncolored
         vertex has no token."""
         tokens, res, uncolored = self._pack(pos)
-        return (self._nonzero(tokens) & uncolored == uncolored
+        return (self._lay.nonzero(tokens) & uncolored == uncolored
                 and self._wins(tokens, res, uncolored))
 
     def winning_response(self, pos: Position, marked: Iterable[int]) -> frozenset[int]:
@@ -234,13 +282,23 @@ class PaintSolver:
         if any(pos.tokens[v] == 0 for v in marked):
             raise InnerLost("a marked vertex had no tokens")
         tokens, res, uncolored = self._pack(pos)
-        mask = self._mask(marked)
-        needy = self._nonzero(res)
-        for colored, touched, clear in self._responses(mask):
-            left, rest = (tokens - mask) & clear, uncolored ^ colored
-            if (self._nonzero(left) & rest == rest
-                    and self._wins(left, res - (needy & touched), rest)):
-                return self._vertices(colored)
+        lay = self._lay
+        return frozenset(lay.items(self.respond_packed(tokens, res, uncolored,
+                                                       lay.mask(marked))))
+
+    def respond_packed(self, tokens: int, res: int, uncolored: int, marked: int) -> int:
+        """`winning_response` on a packed position: tokens and the n
+        neighborhood residuals at the width `fit` returned, vertex sets as
+        masks."""
+        nonzero = self._lay.nonzero
+        if marked & ~nonzero(tokens):
+            raise InnerLost("a marked vertex had no tokens")
+        self._start()
+        needy = nonzero(res)
+        for colored, touched, clear in self._responses(marked):
+            left, rest = (tokens - marked) & clear, uncolored ^ colored
+            if nonzero(left) & rest == rest and self._wins(left, res - (needy & touched), rest):
+                return colored
         raise InnerLost("no winning response from this position")
 
     respond = winning_response  # the solver is itself a Painter
@@ -300,13 +358,7 @@ class RejectionRule:
     note: str = ""
 
     def fires(self, residual: int, being_colored: frozenset[int]) -> bool:
-        if self.kind == "colored_any":
-            return bool(being_colored & self.watch)
-        if self.kind == "colored_all":
-            return bool(self.watch) and self.watch <= being_colored
-        if self.kind == "few_colors":
-            return residual > 0 and bool(being_colored & self.watch)
-        raise ValueError(f"unknown rule kind {self.kind}")
+        return _fires(self.kind, residual, being_colored & self.watch, self.watch)
 
     def render(self) -> str:
         if self.kind == "colored_any":
@@ -318,6 +370,18 @@ class RejectionRule:
                     f"any of {sorted(self.watch)} is being colored")
         tag = f" [{self.note}]" if self.note else ""
         return f"reject while {body}{tag}"
+
+
+def _fires(kind: str, residual: int, hit, watch) -> bool:
+    """Whether a rule of `kind` fires, given the part `hit` of its watched set
+    being colored; sets are frozensets or packed masks alike."""
+    if kind == "colored_any":
+        return bool(hit)
+    if kind == "colored_all":
+        return bool(watch) and hit == watch
+    if kind == "few_colors":
+        return residual > 0 and bool(hit)
+    raise ValueError(f"unknown rule kind {kind}")
 
 
 def dull_rule(g: Graph, w: int) -> RejectionRule:
@@ -341,6 +405,8 @@ class GPrimeFirstPainter:
     residuals) and the observed set of each few_colors rule, so it is a
     function of the residuals and the tokens on G'; it reads no token of S,
     so the exhaustive adversary tracking S keys positions without them.
+    It answers packed positions at its inner solver's field width: the
+    inner solver sees the G' token fields and the N_G'(v) residual block.
     """
 
     def __init__(
@@ -367,44 +433,82 @@ class GPrimeFirstPainter:
         self.watch = [(gprime.neighbors(v), min(r, gprime.degree(v)))
                       for v in g.vertices()]
         self.watch += [(rule.observe, rule.threshold) for rule in few]
-        self._gorder = sorted(self.gv)
-        # inner winning responses by (G' tokens and residuals, inner mark); an
-        # uncolored vertex of G' keeps a token under the inner strategy, so
+        # inner winning responses by (N_G' residuals, G' tokens, inner mark);
+        # an uncolored vertex of G' keeps a token under the inner strategy, so
         # the tokens give the uncolored part of G'
-        self._inner_responses: dict = {}
-        self._sets: dict = {}  # one copy of each mark and response, to keep the cache small
+        self._inner_responses: dict[int, int] = {}
+        self._w = 0
+        self.fit(0)
+
+    def fit(self, largest: int) -> int:
+        """Widen the fields to hold values up to `largest` if they do not;
+        returns the field width."""
+        w = self.inner.fit(largest)
+        if w != self._w:
+            lay = self._lay = self.inner._lay
+            self._w, n = w, self.g.n
+            self._span = n * w
+            self._gmask = lay.mask(self.gv)
+            self._gfields = self._gmask * lay.field
+            self._block = (1 << self._span) - 1
+            # per S-vertex in s_order: its bit and its rules as (kind,
+            # watched mask, shift of the residual it reads or None)
+            self._s_rules = [
+                (lay.mask((t,)), tuple(
+                    (rule.kind, lay.mask(rule.watch),
+                     self._slot[rule] * w if rule in self._slot else None)
+                    for rule in self.triggers.get(t, ())))
+                for t in self.s_order]
+            self._nbr = [lay.mask(self.g.neighbors(v)) for v in self.g.vertices()]
+            self._independent = {0}
+            self._inner_responses.clear()
+        return w
 
     def respond(self, pos: Position, marked: frozenset[int]) -> frozenset[int]:
-        n = self.g.n
-        inner_marked = self.gv.intersection(marked)
-        response: set[int] = set()
+        self.fit(max(pos.tokens + pos.res, default=0))
+        lay = self._lay
+        uncolored = lay.mask(pos.uncolored)
+        tokens = sum(pos.tokens[v] << (v * lay.w) for v in pos.uncolored)
+        colored = self.respond_packed(tokens, lay.pack(pos.res), uncolored,
+                                      lay.mask(marked) & uncolored)
+        return frozenset(lay.items(colored))
+
+    def respond_packed(self, tokens: int, res: int, uncolored: int, marked: int) -> int:
+        """`respond` on a packed position laid out at the width `fit` returned."""
+        colored = 0
+        inner_marked = marked & self._gmask
         if inner_marked:
-            inner_marked = self._sets.setdefault(inner_marked, inner_marked)
-            res = pos.res[n:2 * n]
-            key = tuple(map(pos.tokens.__getitem__, self._gorder)) + res, inner_marked
-            inner = self._inner_responses.get(key)
-            if inner is None:
-                inner = self.inner.winning_response(
-                    Position(pos.tokens, res, pos.uncolored & self.gv), inner_marked)
-                inner = self._inner_responses[key] = self._sets.setdefault(inner, inner)
-            response |= inner
-        for t in self.s_order:
-            if t not in marked or t not in pos.uncolored:
-                continue
-            being_colored = frozenset(response)
-            vetoed = any(
-                rule.fires(pos.res[self._slot[rule]] if rule in self._slot else 0,
-                           being_colored)
-                for rule in self.triggers.get(t, ())
-            )
-            if not vetoed:
-                response.add(t)
-        for u, v in combinations(sorted(response), 2):
-            if self.g.has_edge(u, v):
+            span = self._span
+            block, gtokens = res >> span & self._block, tokens & self._gfields
+            key = (block << span | gtokens) << span | inner_marked
+            colored = self._inner_responses.get(key)
+            if colored is None:
+                colored = self._inner_responses[key] = self.inner.respond_packed(
+                    gtokens, block, uncolored & self._gmask, inner_marked)
+        field = self._lay.field
+        for bit, rules in self._s_rules:
+            if marked & bit and not any(
+                    _fires(kind, 0 if shift is None else res >> shift & field,
+                           colored & watch, watch)
+                    for kind, watch, shift in rules):
+                colored |= bit
+        if colored not in self._independent:
+            pair = _adjacent_pair(self._lay, self._nbr, colored)
+            if pair:
                 raise IllegalResponse(
-                    f"triggers allowed adjacent pair {u},{v} in one round"
+                    f"triggers allowed adjacent pair {pair[0]},{pair[1]} in one round"
                 )
-        return frozenset(response)
+            self._independent.add(colored)
+        return colored
+
+
+def _adjacent_pair(lay: Fields, nbr: Sequence[int], colored: int):
+    """The first pair (u, v), u < v, of adjacent vertices in the set
+    `colored`, or None; `nbr` holds each vertex's neighborhood mask."""
+    for u in lay.items(colored):
+        if nbr[u] & colored:
+            return u, lay.items(nbr[u] & colored)[0]
+    return None
 
 
 # -- transcripts and adversaries -------------------------------------------------------
@@ -519,90 +623,133 @@ def certify_painter(
 
     The painter must be a function of the residuals it watches and of the
     tokens off the tracked set; it must not read a tracked vertex's tokens.
-    Positions are memoized on (tokens off the tracked set, residuals,
-    uncolored part of the tracked set).  A vertex's rejections are its spent
-    tokens while it is uncolored and stay fixed once it is colored, so an
-    entry holds, for each uncolored tracked t, the most rejections t can
-    still get below the position: a longest path over rounds.  States and
-    maxima are therefore the same for every choice of tracked tokens under
-    which no line drains.  An entry is written once its subtree has passed,
-    so a key still on the current line is a miss; meeting it again means
-    rounds that marked tracked vertices only and colored none, and the line
-    drains in the end.  A hit whose prefix plus future rejections of t
-    reaches f(t) is searched again, in mark order, down to the first drain,
-    so the verdict, reason, losing line and maxima are those a search
-    without the memo gives.  A line whose final residuals call the coloring
-    not r-dynamic is replayed and the verdict confirmed with
-    `verify_r_dynamic`.
+    A position is three ints in `Fields` of one width: tokens (one field per
+    vertex), residuals (one field per watched set) and the uncolored set.
+    Positions are memoized on the int `res << (n*w) | tokens`, with each
+    tracked vertex's token field replaced by its uncolored bit.  A vertex's
+    rejections are its spent tokens while it is uncolored and stay fixed once
+    it is colored, so an entry holds, for each uncolored tracked t, the most
+    rejections t can still get below the position: a longest path over
+    rounds.  States and maxima are therefore the same for every choice of
+    tracked tokens under which no line drains.  An entry is written once its
+    subtree has passed, so a key still on the current line is a miss;
+    meeting it again means rounds that marked tracked vertices only and
+    colored none, and the line drains in the end.  A hit whose prefix plus
+    future rejections of t reaches f(t) is searched again, in mark order,
+    down to the first drain, so the verdict, reason, losing line and maxima
+    are those a search without the memo gives.
+
+    Marks are the nonempty subsets of the uncolored set in increasing order
+    of their masks, which is the order of their indicator words over the
+    sorted uncolored vertices.  A painter with `fit` and `respond_packed`
+    (`PaintSolver`, `GPrimeFirstPainter`) answers packed marks at the width
+    `fit` returns; any other is shown a `Position` and a frozenset mark.
+    A line whose final residuals call the coloring not r-dynamic is replayed
+    with `run_transcript`, and the verdict confirmed with `verify_r_dynamic`.
     """
     f = normalize_tokens(g, f)
     track = tuple(sorted(set(track)))
     slots, start = start_position(g, r, f, getattr(painter, "watch", ()))
-    # in a key a tracked vertex reads 1 while uncolored (it has a token then)
-    # and 0 once colored
-    cap = [1 if v in track else f[v] for v in g.vertices()]
-    memo: dict = {}  # key -> most future rejections of each uncolored tracked vertex
+    largest = max(f + start.res)
+    packed = hasattr(painter, "respond_packed")
+    lay = Fields(len(start.res), painter.fit(largest) if packed else field_width(largest))
+    respond = painter.respond_packed if packed else _position_painter(g, lay, painter)
+    w, field, nonzero = lay.w, lay.field, lay.nonzero
+    span = g.n * w
+    neighborhoods = (1 << span) - 1  # the residual fields of the N(v)
+    track_bits = lay.mask(track)
+    untracked = ~(track_bits * field)
+    tracked = [(t, t * w, 1 << (t * w)) for t in track]
+    meets = {0: 0}  # independent response -> the residual slots it meets
+    slot_masks = [lay.mask(s) for s in slots]
+    nbr = [lay.mask(g.neighbors(v)) for v in g.vertices()]
+    memo: dict[int, dict[int, int]] = {}  # key -> most future rejections
     max_rej = {v: 0 for v in track}
     states = 0
     losing: list[tuple[int, ...]] | None = None
     reason = ""
 
-    def explore(pos: Position, line: list[tuple[int, ...]]) -> dict[int, int] | None:
+    def lowest(mask: int) -> int:
+        return ((mask & -mask).bit_length() - 1) // w
+
+    def spell(line: list[int]) -> list[tuple[int, ...]]:
+        return [tuple(lay.items(m)) for m in line]
+
+    def explore(tokens: int, res: int, uncolored: int, line: list[int]):
         """The most future rejections of each uncolored tracked vertex below
-        `pos`, or None once a line is lost."""
+        the position, or None once a line is lost."""
         nonlocal states, losing, reason
-        uncolored = pos.uncolored
-        for v in track:
-            if v in uncolored:
-                max_rej[v] = max(max_rej[v], f[v] - pos.tokens[v])
+        for t, shift, bit in tracked:
+            if uncolored & bit and f[t] - (tokens >> shift & field) > max_rej[t]:
+                max_rej[t] = f[t] - (tokens >> shift & field)
         if not uncolored:
-            if not any(pos.res[:g.n]):
+            if not res & neighborhoods:
                 return {}
-            losing, reason = list(line), "final coloring not r-dynamic"
+            losing, reason = spell(line), "final coloring not r-dynamic"
             return None
-        if any(pos.tokens[v] == 0 for v in uncolored):
-            v = min(v for v in uncolored if pos.tokens[v] == 0)
-            losing, reason = list(line) + [(v,)], "marked a token-less vertex"
+        dry = uncolored & ~nonzero(tokens)
+        if dry:
+            losing = spell(line) + [(lowest(dry),)]
+            reason = "marked a token-less vertex"
             return None
-        key = tuple(map(min, pos.tokens, cap)), pos.res
+        key = res << span | tokens & untracked | uncolored & track_bits
         future = memo.get(key)
-        if future is not None and all(n < pos.tokens[t] for t, n in future.items()):
-            for t, n in future.items():
-                max_rej[t] = max(max_rej[t], f[t] - pos.tokens[t] + n)
+        if future is not None and all(
+                k < tokens >> (t * w) & field for t, k in future.items()):
+            for t, k in future.items():
+                if f[t] - (tokens >> (t * w) & field) + k > max_rej[t]:
+                    max_rej[t] = f[t] - (tokens >> (t * w) & field) + k
             return future
         states += 1  # a miss, or a hit with a drain below it
         if states > node_cap:
             raise BudgetExceeded(f"exhaustive adversary exceeded {node_cap} states")
-        verts = sorted(uncolored)
-        future = {t: 0 for t in track if t in uncolored}
-        for mask in range(1, 1 << len(verts)):
-            step = tuple(v for i, v in enumerate(verts) if mask >> i & 1)
-            marked = frozenset(step)
+        future = {t: 0 for t, _, bit in tracked if uncolored & bit}
+        needy = nonzero(res)
+        marked = 0
+        while True:
+            marked = ((marked | ~uncolored) + 1) & uncolored
+            if not marked:
+                break
             try:
-                response = painter.respond(pos, marked)
+                colored = respond(tokens, res, uncolored, marked)
             except (IllegalResponse, InnerLost, BudgetViolated) as exc:
-                losing, reason = line + [step], f"{type(exc).__name__}: {exc}"
+                losing, reason = spell(line + [marked]), f"{type(exc).__name__}: {exc}"
                 return None
-            child = advance(g, slots, pos, marked, response)
-            drained = next((t for t in track
-                            if t in child.uncolored and not child.tokens[t]), None)
-            if drained is not None:
-                losing = line + [step]
+            if colored & ~marked:
+                raise IllegalResponse("response must be a subset of the marked set")
+            touched = meets.get(colored)
+            if touched is None:
+                pair = _adjacent_pair(lay, nbr, colored)
+                if pair:
+                    raise IllegalResponse(
+                        f"response contains adjacent pair {pair[0]},{pair[1]}")
+                touched = 0
+                for v in lay.items(colored):
+                    touched |= slot_masks[v]
+                meets[colored] = touched
+            left = (tokens - marked) & ~(colored * field)
+            rest = uncolored ^ colored
+            dry = rest & track_bits & ~nonzero(left)
+            if dry:
+                drained = lowest(dry)
+                losing = spell(line + [marked])
                 reason = (f"vertex {drained} drained: {f[drained]} rejections"
                           f" with {f[drained]} tokens")
                 return None
-            line.append(step)
-            below = explore(child, line)
+            line.append(marked)
+            below = explore(left, res - (needy & touched), rest, line)
             line.pop()
             if below is None:
                 return None
-            for t, n in below.items():  # t was uncolored and, if marked, rejected
-                future[t] = max(future[t], (t in marked) + n)
+            for t, k in below.items():  # t was uncolored and, if marked, rejected
+                k += marked >> (t * w) & 1
+                if k > future[t]:
+                    future[t] = k
         memo[key] = future
         return future
 
     try:
-        ok = explore(start, []) is not None
+        ok = explore(lay.pack(f), lay.pack(start.res), lay.mask(g.vertices()), []) is not None
     finally:
         explore = None  # explore's closure holds explore: free the memo now
     if reason == "final coloring not r-dynamic":
@@ -613,6 +760,16 @@ def certify_painter(
                 f"but its replay ends {replay.outcome!r}"
             )
     return CertificationReport(ok, "" if ok else reason, losing, max_rej, states)
+
+
+def _position_painter(g: Graph, lay: Fields, painter):
+    """A painter with only `respond(position, marked)` as one that answers
+    packed positions laid out in `lay`."""
+    def respond(tokens: int, res: int, uncolored: int, marked: int) -> int:
+        pos = Position(lay.unpack(tokens)[:g.n], lay.unpack(res),
+                       frozenset(lay.items(uncolored)))
+        return lay.mask(painter.respond(pos, frozenset(lay.items(marked))))
+    return respond
 
 
 def run_gprime_first(

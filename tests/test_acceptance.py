@@ -7,6 +7,8 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from dyncolor.bounds import (
     bound_profile,
     color_by_contraction,
@@ -314,8 +316,23 @@ def test_criterion_09_all_4s_quad_face_budget(capsys):
     maxima = rep.certification.max_rejections
     elapsed = clock.done()
     with capsys.disabled():
-        report(9, rep.ok and maxima == {0: 5, 1: 6, 6: 7, 7: 6},
+        report(9, rep.ok and maxima == {0: 5, 1: 6, 6: 7, 7: 6}
+               and rep.certification.states == 4_238,
                f"all-4s-quad-face: {rep.render()}", elapsed)
+
+
+@pytest.mark.slow
+def test_criterion_09_expensive_4_budget(capsys):
+    # opt-in (pytest -m slow): about a minute on 2 CPUs
+    clock = Clock(100, "criterion 9, expensive-4-meets-3-face")
+    emb, match = catalog_instances()[ConfigKind.EXP4_MEETS_3FACE]
+    red = build_reduction(emb, match)
+    rep = check_budget(emb, red, 3, 10)  # with suggested_tokens
+    elapsed = clock.done()
+    with capsys.disabled():
+        report(9, rep.ok and rep.certification.max_rejections == {v: 5 for v in red.s_order}
+               and rep.certification.states == 141_073,
+               f"expensive-4-meets-3-face: {rep.render()}", elapsed)
 
 
 def test_criterion_10_constructive_bound(capsys):

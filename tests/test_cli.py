@@ -5,7 +5,7 @@ import pytest
 from dyncolor.cli import main
 from dyncolor.coloring import emit_coloring
 from dyncolor.embedding import c3c3_torus, emit_rotation
-from dyncolor.families import complete, cycle, petersen, random_tree, subdivision
+from dyncolor.families import complete, cycle, path, petersen, random_tree, subdivision
 from dyncolor.graph import emit_graph6
 
 import random
@@ -294,3 +294,46 @@ def test_time_limit_flag(tmp_path):
     g = random_connected_graph(16, 0.5, random.Random(2))
     big.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
     assert main(["chi-r", "--r", "3", "--time-limit", "0.0", str(big)]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi-r", "--r", "2", "--max-nodes", "-5", "G"],
+    ["chi-r", "--r", "2", "--max-n", "-1", "G"],
+    ["chi-r", "--r", "2", "--time-limit", "-1", "G"],
+    ["chi-r", "--r", "2", "--time-limit", "nan", "G"],
+    ["paint", "--r", "1", "--max-n", "-1", "G"],
+    ["paint", "--r", "1", "--max-nodes", "-1", "G"],
+    ["paint", "--r", "1", "--tokens", "3", "--time-limit", "-0.5", "G"],
+    ["mad", "--max-n", "-1", "G"],
+    ["kp-check", "--max-n", "-1", "G"],
+])
+def test_negative_caps_are_usage_errors(tmp_path, capsys, argv):
+    c5 = tmp_path / "c5.g6"
+    c5.write_text(emit_graph6(cycle(5)))
+    with pytest.raises(SystemExit) as info:
+        main([str(c5) if a == "G" else a for a in argv])
+    assert info.value.code == 2
+    assert "must be at least 0" in capsys.readouterr().err
+
+
+def test_an_unknown_top_level_option_is_named(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--seed", "3", "chi-r", "--r", "1", "G"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi-r", "--r", "2", "D"],
+    ["verify", "--r", "1", "--coloring", "D", "G"],
+    ["kp-check", "--out", "D", "G"],
+    ["contract-color", "--r", "11", "--genus", "0", "--trace-out", "D", "G"],
+    ["contract-color", "--r", "11", "--genus", "0", "--coloring-out", "D", "G"],
+])
+def test_a_directory_for_a_file_is_a_usage_error(tmp_path, capsys, argv):
+    p5 = tmp_path / "p5.g6"
+    p5.write_text(emit_graph6(path(5)))
+    paths = {"G": str(p5), "D": str(tmp_path)}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err

@@ -681,13 +681,13 @@ def test_leaf_verdict_is_confirmed_by_replay(monkeypatch):
     assert lost.reason == "final coloring not r-dynamic"
     # a residual update that never lowers res(0) makes the terminal test
     # call a good coloring bad; the replay through verify_r_dynamic refuses it
-    real = paintgame.advance
+    real = paintgame.start_position
 
-    def mutated(g, watched, pos, marked, response):
-        child = real(g, watched, pos, marked, response)
-        return child._replace(res=(max(1, child.res[0]),) + child.res[1:])
+    def mutated(*args):
+        slots, start = real(*args)
+        return [tuple(i for i in s if i != 0) for s in slots], start
 
-    monkeypatch.setattr(paintgame, "advance", mutated)
+    monkeypatch.setattr(paintgame, "start_position", mutated)
     with pytest.raises(AssertionError, match="replay ends 'painter'"):
         certify_painter(g, 1, 2, Greedy(g))
 
@@ -831,3 +831,101 @@ def test_certification_frees_its_painter_without_a_cycle_collection(node_cap):
         assert alive() is None
     finally:
         gc.enable()
+
+
+# -- the packed adversary ----------------------------------------------------------
+
+
+class PositionOnly:
+    """Shows a painter `Position`s only, so `certify_painter` reaches it
+    through its adapter and not through `respond_packed`."""
+
+    def __init__(self, painter):
+        self.painter = painter
+        self.watch = getattr(painter, "watch", ())
+
+    def respond(self, pos, marked):
+        return self.painter.respond(pos, marked)
+
+
+SMALL_PAINTERS = {
+    "solver": lambda g, r, k: solve_xp_r(g, r, k).solver,
+    "solver-positions": lambda g, r, k: PositionOnly(solve_xp_r(g, r, k).solver),
+    "tree": lambda g, r, k: TreePainter(strategy_tree(g, r, k, solve_xp_r(g, r, k).solver)),
+}
+
+
+@pytest.mark.parametrize("kind", SMALL_PAINTERS)
+@pytest.mark.parametrize("g, r, k", [(cycle(4), 1, 2), (cycle(5), 1, 3),
+                                     (complete(3), 2, 3), (path(4), 2, 3)])
+def test_packed_and_position_painters_match_the_reference(kind, g, r, k):
+    # k is the paint number: a strategy for k tokens passes; with k - 1 the
+    # solver finds no winning response and the tree meets a position it lacks
+    painter = SMALL_PAINTERS[kind](g, r, k)
+    assert assert_same_certification(g, r, k, painter).ok
+    short = k - 1
+    lost = assert_same_certification(g, r, short, painter)
+    assert lost.reason.startswith("InnerLost")
+    if kind == "solver":  # the native and the adapter path agree state for state
+        assert lost == certify_painter(g, r, short, PositionOnly(painter))
+
+
+# states the token-free adversary searches with suggested_tokens on each
+# catalog budget and ablation control
+CATALOG_STATES = {
+    "deg<=2": 29, "adjacent-3s": 19, "4-with-3-neighbor": 279, "twin-triangles": 455,
+    "triangle-and-4-vertex": 207, "many-3-neighbors": 256, "three-triangle-fan": 350,
+    "light-triangle": 20, "ablation:deg<=2": 19, "ablation:adjacent-3s": 8,
+    "ablation:4-with-3-neighbor": 71,
+}
+ABLATIONS = {"deg<=2": ("few_colors",), "adjacent-3s": ("colored_any",),
+             "4-with-3-neighbor": ("colored_any",)}
+_references: dict = {}
+
+
+def catalog_case(name):
+    """Graph, reduction and suggested tokens of a catalog budget or ablation
+    control, with the partition reference's certification (computed once)."""
+    from dyncolor.configs import (
+        ConfigKind,
+        build_reduction,
+        reduction_without_rules,
+        suggested_tokens,
+    )
+    from dyncolor.gadgets import catalog_instances
+
+    if name not in _references:
+        kind = name.removeprefix("ablation:")
+        emb, match = catalog_instances()[ConfigKind(kind)]
+        g = emb.graph
+        red = build_reduction(emb, match)
+        tokens = suggested_tokens(g, red, 3, 10)
+        if name != kind:
+            red = reduction_without_rules(g, red, kinds=ABLATIONS[kind])
+        f = [tokens[v] for v in g.vertices()]
+        _references[name] = g, red, f, reference_certify(g, 3, f, composite(g, red),
+                                                         red.s_order)
+    return _references[name]
+
+
+@pytest.mark.parametrize("adapted", [False, True], ids=["native", "adapter"])
+@pytest.mark.parametrize("name", PASSING_KINDS + tuple(f"ablation:{k}" for k in ABLATIONS))
+def test_composite_certification_matches_the_reference(name, adapted):
+    g, red, f, (ok, reason, losing, max_rej, _) = catalog_case(name)
+    painter = composite(g, red)
+    rep = certify_painter(g, 3, f, PositionOnly(painter) if adapted else painter,
+                          track=red.s_order)
+    assert (rep.ok, rep.reason, rep.losing_line, rep.max_rejections) == (
+        ok, reason, losing, max_rej)
+    assert rep.ok == (name in PASSING_KINDS)
+    assert rep.states == CATALOG_STATES[name]
+
+
+@pytest.mark.parametrize("name", ["many-3-neighbors", "three-triangle-fan", "light-triangle"])
+def test_failing_catalog_budgets_search_the_pinned_states(name):
+    from dyncolor.configs import ConfigKind, build_reduction, check_budget
+    from dyncolor.gadgets import catalog_instances
+
+    emb, match = catalog_instances()[ConfigKind(name)]
+    rep = check_budget(emb, build_reduction(emb, match), 3, 10)
+    assert not rep.ok and rep.certification.states == CATALOG_STATES[name]
