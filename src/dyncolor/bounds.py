@@ -458,7 +458,8 @@ def kp_pipeline(
     Checks the density hypothesis (or accepts the caller's planar-girth-7
     assertion), peels the catalog's KP configurations, each step the first
     kind in `KP_KINDS` order that matches at its least root, and closes the
-    low-degree remainder with the game solver.
+    low-degree remainder with the game solver.  The roots come from lazy
+    heaps refreshed around each removed set, so the peel is near-linear.
     """
     if not g.is_connected():
         raise DisconnectedGraph("the pipeline requires a connected graph")
@@ -473,26 +474,61 @@ def kp_pipeline(
         hypothesis = f"mad {density} < 8/3"
 
     adj = _adjacency(g)
+    # One lazy heap of candidate roots per kind, and one of isolated
+    # vertices.  Removing vertices lowers the degrees of their neighbours.  A
+    # root's match reads its own degree and, for each neighbour, only whether
+    # that degree is 2 or at least 3 (and a 2-neighbour's other neighbour);
+    # so a lowered degree can change the matches only at that vertex and,
+    # when the new degree is at most 2, at its neighbours.  Those are pushed
+    # again after every step; stale entries are dropped when they surface.
+    heaps: dict[ConfigKind, list[int]] = {kind: [] for kind in KP_KINDS}
+    isolated: list[int] = []
+
+    def push(around) -> None:
+        for u in around:
+            if not adj[u]:
+                heappush(isolated, u)
+            for kind, heap in heaps.items():
+                if next(kp_matches(adj, kind, (u,)), None) is not None:
+                    heappush(heap, u)
+
+    def least(kind: ConfigKind):
+        """The match of `kind` at its least root, or None."""
+        heap = heaps[kind]
+        while heap:
+            if heap[0] in adj:
+                match = next(kp_matches(adj, kind, (heap[0],)), None)
+                if match is not None:
+                    return match
+            heappop(heap)
+        return None
+
+    push(adj)
     steps: list[KpStep] = []
     while True:
-        roots = sorted(adj)
-        match = next((m for kind in KP_KINDS for m in kp_matches(adj, kind, roots)),
-                     None)
+        match = next((m for kind in KP_KINDS if (m := least(kind)) is not None), None)
         if match is None or match.kind is not ConfigKind.KP_PENDANT:
-            # an isolated vertex goes after the pendants, before the pairs
-            isolated = next((v for v in roots if not adj[v]), None)
-            if isolated is not None and len(adj) > 1:
-                steps.append(KpStep("1", (isolated,), {"v": isolated}, 0))
-                del adj[isolated]
+            # an isolated vertex goes after the pendants, before the pairs;
+            # the adjacency only shrinks, so an isolated vertex stays isolated
+            while isolated and isolated[0] not in adj:
+                heappop(isolated)
+            if isolated and len(adj) > 1:
+                v = heappop(isolated)
+                steps.append(KpStep("1", (v,), {"v": v}, 0))
+                del adj[v]
                 continue
         if match is None:
             break
         removed = kp_deleted(match)
         steps.append(KpStep(_KP_CASES[match.kind], removed, match.roles,
                             max(CATALOG_BUDGETS[match.kind].values())))
+        lowered: set[int] = set()
         for x in removed:
             for w in adj.pop(x):
                 adj[w].discard(x)
+                lowered.add(w)
+        lowered.difference_update(removed)
+        push(lowered.union(*(adj[w] for w in lowered if len(adj[w]) <= 2)))
     if any(len(ns) >= 3 for ns in adj.values()):
         if girth7_planar:
             raise HypothesisFail(

@@ -25,7 +25,7 @@ from .errors import (
     EmbeddingSurgeryFailed,
     WouldDisconnect,
 )
-from .graph import Graph, VertexRemap, add_edges, subgraph
+from .graph import Graph, VertexRemap, _compact_remap
 from .paintgame import (
     CertificationReport,
     PaintSolver,
@@ -449,11 +449,11 @@ def _assemble(g: Graph, match, s_order, wanted_edges, triggers, budgets,
         if not g.has_edge(u, v)
     )
     keep = frozenset(g.vertices()) - s
-    gp_edges = frozenset(
-        (u, v) for u, v in g.edges() if u in keep and v in keep
-    ) | frozenset(added)
-    dense, remap = subgraph(g, keep)
-    dense = add_edges(dense, [(remap.image[u], remap.image[v]) for u, v in added])
+    kept_edges = [(u, v) for u, v in g.edges() if u in keep and v in keep]
+    gp_edges = frozenset(kept_edges) | frozenset(added)
+    remap = _compact_remap(g.n, s)
+    image = remap.image
+    dense = Graph(len(keep), [(image[u], image[v]) for u, v in kept_edges + list(added)])
     gp_emb = None
     witnesses: tuple = ()
     if emb is not None:

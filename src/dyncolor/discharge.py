@@ -34,10 +34,11 @@ def _census(g, face):
     return boundary, degs, t3
 
 
-def _rule_predicates(g, face) -> list[str]:
-    """Names of rules whose guard matches this face; must be exactly one."""
-    boundary, degs, t3 = _census(g, face)
-    ell = face.length
+def _rule_predicates(census) -> list[str]:
+    """Names of rules whose guard matches the face with this census; must be
+    exactly one."""
+    boundary, degs, t3 = census
+    ell = len(boundary)
     out = []
     if ell < 3:
         out.append("none")  # a walk around a pendant edge; keeps its charge
@@ -67,9 +68,9 @@ def _rule_predicates(g, face) -> list[str]:
     return out
 
 
-def _transfers_for(g, face, face_idx: int, rule: str) -> list[Transfer]:
-    boundary, degs, _ = _census(g, face)
-    ell = face.length
+def _transfers_for(census, face_idx: int, rule: str) -> list[Transfer]:
+    boundary, degs, _ = census
+    ell = len(boundary)
     out: list[Transfer] = []
 
     def give(i: int, q: int):
@@ -197,13 +198,14 @@ def apply_rules(ledger: ChargeLedger) -> ChargeLedger:
     transfers: list[Transfer] = []
     rules: list[str] = []
     for i, face in enumerate(emb.faces):
-        matched = _rule_predicates(g, face)
+        census = _census(g, face)
+        matched = _rule_predicates(census)
         if len(matched) != 1:
             raise RuleAmbiguity(
                 f"face {i} (len {face.length}) matched rules {matched}"
             )
         rules.append(matched[0])
-        transfers.extend(_transfers_for(g, face, i, matched[0]))
+        transfers.extend(_transfers_for(census, i, matched[0]))
     return ChargeLedger(emb, ledger.vertex_initial_q, ledger.face_initial_q,
                         tuple(transfers), tuple(rules))
 

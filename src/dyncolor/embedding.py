@@ -9,6 +9,12 @@ Every face lookup (the face of a dart, the faces at the corners of a vertex,
 a common face of two vertices) goes through one dart -> face index, built on
 an embedding's first lookup: embedding search traces many rotation systems it
 never queries.
+
+Surgery retraces locally.  Deleting vertices changes only the faces that pass
+through them, and adding an edge inside a face changes only that face, so
+`induced_embedding` and `add_cofacial_edge` keep every other face as it is
+and walk only the darts of the faces they touch.  One tracer serves both and
+`trace_faces`, which keeps no face and walks every dart.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ class Face:
 
 
 def _canonical_cycle(darts: list[Dart]) -> tuple[Dart, ...]:
-    k = min(range(len(darts)), key=lambda i: darts[i])
+    k = darts.index(min(darts))
     return tuple(darts[k:] + darts[:k])
 
 
@@ -99,7 +105,14 @@ class EmbeddedGraph:
         return tuple(sorted(f.length for f in self.faces))
 
 
-def trace_faces(rot: RotationSystem) -> EmbeddedGraph:
+def _trace(rot: RotationSystem, kept, darts) -> EmbeddedGraph:
+    """Embedding of rot whose faces are `kept` plus the walks through `darts`.
+
+    The caller vouches that each kept face is a face of rot and that every
+    other face passes through some dart in `darts`.  The walks may start
+    anywhere, since each face is stored in canonical form and the faces are
+    sorted by their least darts.
+    """
     rot.validate()
     g = rot.graph
     if not g.is_connected() or g.n == 0:
@@ -107,14 +120,12 @@ def trace_faces(rot: RotationSystem) -> EmbeddedGraph:
     if g.n == 1:
         # a lone vertex on the sphere: one face with an empty boundary walk
         return EmbeddedGraph(rot, (Face(()),), 0)
-    succ_at = [
-        {w: rot.rotation[v][(i + 1) % len(rot.rotation[v])]
-         for i, w in enumerate(rot.rotation[v])}
-        for v in range(g.n)
-    ]
+    rotation = rot.rotation
+    # the successor maps of the vertices the walks reach, built on first visit
+    succ_at: list[dict[int, int] | None] = [None] * g.n
     traced: set[Dart] = set()
-    faces: list[Face] = []
-    for start in sorted((u, v) for u in range(g.n) for v in g.neighbors(u)):
+    faces = list(kept)
+    for start in darts:
         if start in traced:
             continue
         walk: list[Dart] = []
@@ -123,14 +134,23 @@ def trace_faces(rot: RotationSystem) -> EmbeddedGraph:
             walk.append(dart)
             traced.add(dart)
             u, v = dart
-            dart = (v, succ_at[v][u])
+            succ = succ_at[v]
+            if succ is None:
+                order = rotation[v]
+                succ = succ_at[v] = dict(zip(order, order[1:] + order[:1]))
+            dart = (v, succ[u])
             if dart == start:
                 break
         faces.append(Face(_canonical_cycle(walk)))
     euler = g.n - g.m + len(faces)
     if euler > 2 or euler % 2 != 0:
         raise MalformedRotation(f"impossible Euler characteristic {euler}")
-    return EmbeddedGraph(rot, tuple(sorted(faces, key=lambda f: f.darts)), (2 - euler) // 2)
+    faces.sort(key=lambda f: f.darts)
+    return EmbeddedGraph(rot, tuple(faces), (2 - euler) // 2)
+
+
+def trace_faces(rot: RotationSystem) -> EmbeddedGraph:
+    return _trace(rot, (), ((u, v) for u, order in enumerate(rot.rotation) for v in order))
 
 
 def embed(g: Graph, rotation) -> EmbeddedGraph:
@@ -167,16 +187,16 @@ def add_cofacial_edge(emb: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
     # tails of the darts entering u and v at their first visits on the face
     a = next(t for t, h in face.darts if h == u)
     c = next(t for t, h in face.darts if h == v)
-    new_rot = []
-    for w in range(g.n):
-        order = list(emb.rotation.rotation[w])
-        if w == u:
-            order.insert(order.index(a) + 1, v)
-        elif w == v:
-            order.insert(order.index(c) + 1, u)
-        new_rot.append(tuple(order))
+    new_rot = list(emb.rotation.rotation)
+    for x, before, y in ((u, a, v), (v, c, u)):
+        order = new_rot[x]
+        k = order.index(before) + 1
+        new_rot[x] = order[:k] + (y,) + order[k:]
     g2 = Graph(g.n, list(g.edges()) + [(u, v)])
-    out = trace_faces(RotationSystem(g2, tuple(new_rot)))
+    # only the witness face changes: it splits into two faces, one through
+    # each new dart, and the genus check below fails if it does not
+    out = _trace(RotationSystem(g2, tuple(new_rot)),
+                 (f for f in emb.faces if f is not face), ((u, v), (v, u)))
     if out.genus != emb.genus:
         raise AssertionError("face split changed genus; corner bookkeeping bug")
     return out
@@ -185,19 +205,30 @@ def add_cofacial_edge(emb: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
 def induced_embedding(
     emb: EmbeddedGraph, delete
 ) -> tuple[EmbeddedGraph, VertexRemap]:
-    """Embedding induced on G - delete: rotations restricted, faces retraced."""
+    """Embedding induced on G - delete: rotations restricted, and the faces
+    through deleted vertices retraced.  The remap is monotone, so every other
+    face keeps its least dart and its place in the face order."""
     doomed = set(delete)
     g2, remap = delete_vertices(emb.graph, doomed)
     if g2.n == 0 or not g2.is_connected():
         raise WouldDisconnect("deletion disconnects (or empties) the graph")
-    rot = []
-    for v in range(emb.graph.n):
-        if v in doomed:
-            continue
-        rot.append(tuple(
-            remap.image[w] for w in emb.rotation.rotation[v] if w not in doomed
-        ))
-    out = trace_faces(RotationSystem(g2, tuple(rot)))
+    image, rotation = remap.image, emb.rotation.rotation
+    rot = tuple(
+        tuple(image[w] for w in order if w not in doomed)
+        for v, order in enumerate(rotation) if v not in doomed
+    )
+    index = emb._face_index
+    touched = {index[(w, x)] for x in doomed for w in rotation[x]}
+    kept = (
+        Face(tuple([(image[u], image[v]) for u, v in f.darts]))
+        for i, f in enumerate(emb.faces) if i not in touched
+    )
+    darts = [
+        (image[u], image[v])
+        for i in touched for u, v in emb.faces[i].darts
+        if u not in doomed and v not in doomed
+    ]
+    out = _trace(RotationSystem(g2, rot), kept, darts)
     if out.genus > emb.genus:
         raise AssertionError("induced embedding raised genus")
     return out, remap

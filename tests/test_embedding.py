@@ -2,7 +2,17 @@ import random
 
 import pytest
 
+from dyncolor import configs
+from dyncolor.configs import (
+    TORUS_KINDS,
+    ConfigKind,
+    ConfigMatch,
+    _assemble,
+    build_reduction,
+    find_configs,
+)
 from dyncolor.embedding import (
+    RotationSystem,
     add_cofacial_edge,
     all_rotation_systems,
     c3c3_torus,
@@ -20,6 +30,8 @@ from dyncolor.embedding import (
 )
 from dyncolor.errors import (
     DisconnectedGraph,
+    DynColorError,
+    EmbeddingSurgeryFailed,
     MalformedRotation,
     NotCofacial,
     ParseError,
@@ -34,7 +46,9 @@ from dyncolor.families import (
     random_tree,
     wheel,
 )
-from dyncolor.graph import Graph
+from dyncolor.graph import Graph, add_edges, delete_vertices, subgraph
+
+from tori import SIX_STEPS, SQUARE_STEPS, embed_rotation, lattice_torus, split_triangles
 
 
 def c5_embedding():
@@ -264,3 +278,142 @@ def test_face_index_matches_linear_scans(toroidal_corpus):
                 want = scan_first_common_face(emb, u, v)
                 assert ok == (want is not None) and face is want
     assert revisits > 0
+
+
+# -- local surgery against a full retrace ------------------------------------
+
+
+def full_induced_embedding(emb, delete):
+    """G - delete with the rotations restricted and every face traced anew."""
+    doomed = set(delete)
+    g2, remap = delete_vertices(emb.graph, doomed)
+    if g2.n == 0 or not g2.is_connected():
+        raise WouldDisconnect("deletion disconnects (or empties) the graph")
+    rot = tuple(tuple(remap.image[w] for w in order if w not in doomed)
+                for v, order in enumerate(emb.rotation.rotation) if v not in doomed)
+    return trace_faces(RotationSystem(g2, rot)), remap
+
+
+def full_add_cofacial_edge(emb, u, v):
+    """uv drawn after the entering darts' tails at u and v on the first common
+    face, and every face traced anew."""
+    g = emb.graph
+    if g.has_edge(u, v):
+        return emb
+    ok, face = cofacial(emb, u, v)
+    if not ok:
+        raise NotCofacial(f"{u} and {v} share no face")
+    a = next(t for t, h in face.darts if h == u)
+    c = next(t for t, h in face.darts if h == v)
+    rot = [list(order) for order in emb.rotation.rotation]
+    rot[u].insert(rot[u].index(a) + 1, v)
+    rot[v].insert(rot[v].index(c) + 1, u)
+    return embed(Graph(g.n, g.edges() + [(u, v)]), rot)
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the type of the program error it raised."""
+    try:
+        return f(*args)
+    except (ValueError, DynColorError) as exc:
+        return type(exc)
+
+
+def large_tori():
+    split = split_triangles(lattice_torus(8, 8, SIX_STEPS), 64, random.Random(3))
+    return [embed_rotation(lattice_torus(20, 20, SIX_STEPS)),
+            embed_rotation(lattice_torus(30, 30, SQUARE_STEPS)),
+            embed_rotation(split)]
+
+
+def test_local_surgery_matches_a_full_retrace(toroidal_corpus):
+    rng = random.Random(11)
+    trees = [find_embedding(path(n)) for n in range(2, 7)]
+    trees += [find_embedding(random_tree(n, rng)) for n in range(3, 10)]
+    small = list(toroidal_corpus) + trees
+    seen = {"n=1": 0, "n=2": 0, "revisit": 0, WouldDisconnect: 0, NotCofacial: 0}
+
+    def delete(emb, doomed):
+        got = outcome(induced_embedding, emb, doomed)
+        assert got == outcome(full_induced_embedding, emb, doomed)
+        if isinstance(got, type):
+            seen[got] += 1
+            return
+        seen["n=1"] += got[0].graph.n == 1
+        seen["n=2"] += got[0].graph.n == 2
+        seen["revisit"] += any(f.boundary_vertices().count(x) > 1
+                               for f in emb.faces for x in doomed)
+
+    def insert_chain(emb, steps):
+        for _ in range(steps):
+            if emb.graph.n < 2:
+                return
+            u, v = rng.sample(range(emb.graph.n), 2)
+            got = outcome(add_cofacial_edge, emb, u, v)
+            assert got == outcome(full_add_cofacial_edge, emb, u, v)
+            if isinstance(got, type):
+                seen[got] += 1
+            else:
+                emb = got
+
+    for emb in small:
+        for v in emb.graph.vertices():
+            delete(emb, {v})
+        if emb.graph.n > 2:
+            for _ in range(3):
+                delete(emb, set(rng.sample(range(emb.graph.n), 2)))
+        insert_chain(emb, 4)
+    for emb in large_tori():
+        for _ in range(8):
+            delete(emb, {rng.randrange(emb.graph.n)})
+            delete(emb, set(rng.sample(range(emb.graph.n), 2)))
+        insert_chain(emb, 4)
+        insert_chain(induced_embedding(emb, {0})[0], 4)
+    assert all(seen.values()), seen
+
+
+def test_reductions_match_a_full_retrace(monkeypatch):
+    # the first match of every kind, with G' built from subgraph and
+    # add_edges and its embedding from full retraces
+    quad = embed_rotation(lattice_torus(30, 30, SQUARE_STEPS))
+    split = embed_rotation(split_triangles(lattice_torus(16, 16, SIX_STEPS), 64,
+                                           random.Random(1)))
+    built = set()
+    for emb in (quad, split):
+        g = emb.graph
+        first = {}
+        for m in find_configs(emb, TORUS_KINDS):
+            first.setdefault(m.kind, m)
+        got = {kind: outcome(build_reduction, emb, m) for kind, m in first.items()}
+        with monkeypatch.context() as patch:
+            patch.setattr(configs, "induced_embedding", full_induced_embedding)
+            patch.setattr(configs, "add_cofacial_edge", full_add_cofacial_edge)
+            want = {kind: outcome(build_reduction, emb, m) for kind, m in first.items()}
+        assert got == want
+        for kind, red in got.items():
+            if isinstance(red, type):
+                continue
+            dense, remap = subgraph(g, red.gprime_vertices)
+            image = remap.image
+            assert red.remap == remap
+            assert red.gprime == add_edges(
+                dense, [(image[u], image[v]) for u, v in red.added_edges])
+            assert red.gprime_embedding.graph == red.gprime
+            built.add((kind, bool(red.witness_faces)))
+    assert len({kind for kind, _ in built}) >= 6
+    assert (ConfigKind.ALL4S_QUAD_FACE, False) in built
+    assert any(has_witness for _, has_witness in built)
+
+
+def test_an_added_edge_with_no_common_face_fails_the_surgery():
+    # on C4 x C4, deleting (0,2) merges its four squares into one 8-face that
+    # passes neither (0,0) nor (2,2), which share no square
+    emb = embed_rotation(lattice_torus(4, 4, SQUARE_STEPS))
+    match = ConfigMatch(ConfigKind.DEG_LE_2, {"v": 2})
+    with pytest.raises(EmbeddingSurgeryFailed, match="E' edge 0-10 not cofacial"):
+        _assemble(emb.graph, match, (2,), ((0, 10),), {}, {2: 0}, emb)
+    # the diagonal (0,0)-(1,1) of a square still splits it
+    red = _assemble(emb.graph, match, (2,), ((0, 5),), {}, {2: 0}, emb)
+    (face,) = red.witness_faces
+    assert {red.remap.image[0], red.remap.image[5]} <= face.vertex_set()
+    assert red.gprime_embedding.graph == red.gprime
