@@ -20,7 +20,9 @@ a reduction): its memo key is then the int `res << (n*w) | tokens` with each
 tracked vertex's token field replaced by its uncolored bit, and it stores
 with each key the most rejections every tracked vertex can still get.
 The solver declares a position lost when some res(v) exceeds the uncolored
-neighbors of v, as each round adds at most one color there.  A scripted game
+neighbors of v, as each round adds at most one color there; it packs each
+vertex's count of uncolored neighbors in one more int, in fields wide enough
+for the maximum degree, so the test is one subtraction.  A scripted game
 is played with `advance` too; its transcript keeps the round in which each
 vertex was colored, for `verify_r_dynamic`.
 """
@@ -126,8 +128,9 @@ class Fields:
     A set of items is the int with the low bit of each member's field set, so
     subtracting a set lowers each member's field by one.  Values stay below
     the top field bit, which lets `nonzero` test all fields at once.  The
-    solver packs tokens and residual needs this way (one field per vertex),
-    the exhaustive adversary its residuals (one field per watched set).
+    solver packs tokens, residual needs and counts of uncolored neighbors
+    this way (one field per vertex), the exhaustive adversary its residuals
+    (one field per watched set).
     """
 
     __slots__ = ("count", "w", "field", "high", "half")
@@ -165,8 +168,11 @@ class PaintSolver:
 
     Tokens and residual needs are packed in `Fields` with one field per
     vertex, and so are vertex sets, so marking a set subtracts it from the
-    tokens.  As a painter it answers `Position`s (`respond`) and packed
-    positions laid out by `fit` (`respond_packed`).
+    tokens.  A third packed int, `free`, holds each vertex's count of
+    uncolored neighbors; fields are wide enough for the maximum degree, so
+    one subtraction compares every residual need with its count.  As a
+    painter it answers `Position`s (`respond`) and packed positions laid out
+    by `fit` (`respond_packed`).
     """
 
     def __init__(self, g: Graph, r: int, *, node_budget: int | None = None,
@@ -177,13 +183,16 @@ class PaintSolver:
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
-        self._need = [min(r, g.degree(v)) for v in g.vertices()]
-        self._layout(max(self._need, default=0))
+        self._layout(0)
 
     def _layout(self, largest: int) -> None:
-        # fields hold values up to `largest`; packed keys change, so start over
-        self._lay = lay = Fields(self.g.n, field_width(largest))
-        self._nbr = [lay.mask(self.g.neighbors(v)) for v in self.g.vertices()]
+        # fields hold values up to `largest` and every degree; packed keys
+        # change, so start over
+        g = self.g
+        self._lay = lay = Fields(g.n, field_width(max([largest, *map(g.degree, g.vertices())])))
+        self._span = g.n * lay.w
+        self._nbr = [lay.mask(g.neighbors(v)) for v in g.vertices()]
+        self._nbr_at = {1 << (v * lay.w): nb for v, nb in enumerate(self._nbr)}
         self._tables: dict[int, list] = {}
         self.memo.clear()
 
@@ -191,7 +200,7 @@ class PaintSolver:
         """Widen the fields to hold values up to `largest` if they do not;
         returns the field width."""
         if largest > self._lay.field >> 1:
-            self._layout(max(largest, *self._need))
+            self._layout(largest)
         return self._lay.w
 
     def _start(self) -> None:
@@ -199,21 +208,32 @@ class PaintSolver:
         self._limit = self.nodes + (self.node_budget if self.node_budget is not None
                                     else float("inf"))
 
+    def _free(self, uncolored: int) -> int:
+        """Each vertex's count of uncolored neighbors, one field per vertex:
+        the sum of the neighborhood masks of the uncolored vertices."""
+        free, nbr_at = 0, self._nbr_at
+        while uncolored:
+            low = uncolored & -uncolored
+            free += nbr_at[low]
+            uncolored ^= low
+        return free
+
     def _responses(self, marked: int) -> list:
-        """Painter's answers to a mark, largest first, then by vertex list, as
-        (set colored, set whose neighborhood it meets, mask clearing its fields)."""
-        table = self._tables.get(marked)
-        if table is None:
-            lay = self._lay
-            subs = [()]
-            for v in lay.items(marked):
-                subs += [s + (v,) for s in subs if not lay.mask(s) & self._nbr[v]]
-            subs.sort(key=lambda s: (-len(s), s))
-            table = self._tables[marked] = []
-            for s in subs:
-                colored = lay.mask(s)
-                touched = lay.mask({u for v in s for u in self.g.neighbors(v)})
-                table.append((colored, touched, ~(colored * lay.field)))
+        """Build and cache in `_tables` Painter's answers to a mark, largest
+        first, then by vertex list, as (set colored, set whose neighborhood it
+        meets, mask clearing its fields, per-vertex count of its members among
+        the neighbors); callers look in `_tables` first."""
+        lay, nbr = self._lay, self._nbr
+        subs = [((), 0, 0, 0)]  # (vertices, colored, touched, lost)
+        for v in lay.items(marked):
+            bit, nb = 1 << (v * lay.w), nbr[v]
+            # lost is a sum, not an OR: two colored vertices may share a neighbor
+            subs += [(s + (v,), c | bit, t | nb, lost + nb)
+                     for s, c, t, lost in subs if not c & nb]
+        subs.sort(key=lambda e: (-len(e[0]), e[0]))
+        field = lay.field
+        table = self._tables[marked] = [(c, t, ~(c * field), lost)
+                                        for _, c, t, lost in subs]
         return table
 
     def _pack(self, pos: Position) -> tuple[int, int, int]:
@@ -226,38 +246,41 @@ class PaintSolver:
         tokens = sum(pos.tokens[v] << (v * lay.w) for v in pos.uncolored)
         return tokens, lay.pack(pos.res[:self.g.n]), lay.mask(pos.uncolored)
 
-    def _wins(self, tokens: int, res: int, uncolored: int) -> bool:
-        """Verdict of a position in which every uncolored vertex has a token
-        (the memo key leaves the uncolored set implicit in the tokens)."""
+    def _wins(self, tokens: int, res: int, uncolored: int, free: int) -> bool:
+        """Verdict of a position in which every uncolored vertex has a token;
+        `free` holds each vertex's count of uncolored neighbors (the memo key
+        leaves the uncolored set, and so `free`, implicit in the tokens)."""
         if not uncolored:
             return not res
-        lay = self._lay
-        w = lay.w
-        key = res << (lay.count * w) | tokens
+        key = res << self._span | tokens
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         # dead: a vertex needs more new colors than it has uncolored
-        # neighbors, and each round adds at most one color to a neighborhood
-        field = lay.field
-        if any(res >> (v * w) & field > (nb & uncolored).bit_count()
-               for v, nb in enumerate(self._nbr)):
+        # neighbors, and each round adds at most one color to a neighborhood;
+        # a field of free | high minus its need keeps its top bit iff need <= free
+        lay = self._lay
+        high = lay.high
+        if ((free | high) - res) & high != high:
             return False
         self.nodes += 1
         if self.nodes > self._limit:
             raise BudgetExceeded(f"game search exceeded {self.node_budget} nodes")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("game search hit the time limit")
-        nonzero = lay.nonzero
-        needy = nonzero(res)
+        half, top = lay.half, lay.w - 1
+        needy = ((res + half) & high) >> top  # Fields.nonzero, inlined
+        tables, wins = self._tables, self._wins
         verdict = True
         marked = uncolored  # subsets in descending order: big marks refute fastest
         while verdict and marked:
             left = tokens - marked
-            spent = marked & ~nonzero(left)
-            for colored, touched, clear in self._responses(marked):
-                if not spent & ~colored and self._wins(
-                        left & clear, res - (needy & touched), uncolored ^ colored):
+            spent = marked & ~(((left + half) & high) >> top)
+            table = tables.get(marked) or self._responses(marked)
+            for colored, touched, clear, lost in table:
+                if not spent & ~colored and wins(
+                        left & clear, res - (needy & touched), uncolored ^ colored,
+                        free - lost):
                     break
             else:
                 verdict = False
@@ -272,7 +295,7 @@ class PaintSolver:
         vertex has no token."""
         tokens, res, uncolored = self._pack(pos)
         return (self._lay.nonzero(tokens) & uncolored == uncolored
-                and self._wins(tokens, res, uncolored))
+                and self._wins(tokens, res, uncolored, self._free(uncolored)))
 
     def winning_response(self, pos: Position, marked: Iterable[int]) -> frozenset[int]:
         """First winning response in the solver's deterministic order."""
@@ -294,10 +317,11 @@ class PaintSolver:
         if marked & ~nonzero(tokens):
             raise InnerLost("a marked vertex had no tokens")
         self._start()
-        needy = nonzero(res)
-        for colored, touched, clear in self._responses(marked):
+        needy, free = nonzero(res), self._free(uncolored)
+        for colored, touched, clear, lost in self._tables.get(marked) or self._responses(marked):
             left, rest = (tokens - marked) & clear, uncolored ^ colored
-            if nonzero(left) & rest == rest and self._wins(left, res - (needy & touched), rest):
+            if nonzero(left) & rest == rest and self._wins(
+                    left, res - (needy & touched), rest, free - lost):
                 return colored
         raise InnerLost("no winning response from this position")
 

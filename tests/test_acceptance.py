@@ -291,7 +291,7 @@ def test_criterion_09_all_4s_quad_face_budget(capsys):
 
 @pytest.mark.slow
 def test_criterion_09_expensive_4_budget(capsys):
-    # opt-in (pytest -m slow): about a minute on 2 CPUs
+    # opt-in (pytest -m slow): 40 to 60 s on 2 CPUs, too slow for Tier-1
     clock = Clock(100, "criterion 9, expensive-4-meets-3-face")
     emb, match = catalog_instances()[ConfigKind.EXP4_MEETS_3FACE]
     red = build_reduction(emb, match)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from typing import NamedTuple
@@ -6,7 +7,7 @@ import pytest
 
 from dyncolor.coloring import verify_r_dynamic
 from dyncolor.errors import BudgetViolated, IllegalMark, IllegalResponse, InnerLost
-from dyncolor.families import complete, cycle, path, random_connected_graph
+from dyncolor.families import complete, cycle, path, random_connected_graph, star, wheel
 from dyncolor.graph import Graph
 from dyncolor.paintgame import (
     PaintSolver,
@@ -929,3 +930,72 @@ def test_failing_catalog_budgets_search_the_pinned_states(name):
     emb, match = catalog_instances()[ConfigKind(name)]
     rep = check_budget(emb, build_reduction(emb, match), 3, 10)
     assert not rep.ok and rep.certification.states == CATALOG_STATES[name]
+
+
+# search size at the change that packed the dead test: equal counts tell a
+# faster inner loop from a smaller search
+SEARCH_SIZES = [
+    ("C7", cycle(7), 1, 3, 526, True),
+    ("C8", cycle(8), 2, 3, 145, False),
+    ("C8", cycle(8), 2, 4, 4_770, True),
+    ("W5", wheel(5), 2, 4, 697, True),
+    ("K1,8", star(8), 2, 3, 4_640, True),  # degree 8: five-bit fields
+    ("W8", wheel(8), 3, 4, 659, False),
+]
+
+
+@pytest.mark.parametrize("name, g, r, k, nodes, wins", SEARCH_SIZES,
+                         ids=[f"{c[0]}-r{c[2]}-k{c[3]}" for c in SEARCH_SIZES])
+def test_search_size_is_pinned(name, g, r, k, nodes, wins):
+    verdict = solve_xp_r(g, r, k, max_n=9)
+    assert verdict.painter_wins == wins
+    assert verdict.solver.nodes == nodes
+    assert len(verdict.solver.memo) == nodes
+
+
+def test_packed_dead_test_and_free_counts_match_a_recount():
+    rng = random.Random(15)
+    graphs = [star(8), wheel(8)]
+    graphs += [random_connected_graph(rng.randrange(2, 10), rng.random(), rng)
+               for _ in range(40)]
+    dead_seen = live_seen = 0
+    for g in graphs:
+        solver = PaintSolver(g, 3)
+        lay = solver._lay
+        assert lay.field >> 1 >= max(g.degree(v) for v in g.vertices())
+
+        def recount(uncolored):
+            return tuple(len(set(g.neighbors(v)) & uncolored) for v in g.vertices())
+
+        for _ in range(20):
+            uncolored = {v for v in g.vertices() if rng.random() < 0.6}
+            free = solver._free(lay.mask(uncolored))
+            counts = recount(uncolored)
+            assert lay.unpack(free) == counts
+            res = [rng.randrange(g.degree(v) + 1) for v in g.vertices()]
+            packed = ((free | lay.high) - lay.pack(res)) & lay.high != lay.high
+            dead = any(need > count for need, count in zip(res, counts))
+            assert packed == dead
+            dead_seen += dead
+            live_seen += not dead
+        # lower the counts along a line of independent responses
+        uncolored = set(g.vertices())
+        free = solver._free(lay.mask(uncolored))
+        while uncolored:
+            marked = lay.mask(rng.sample(sorted(uncolored), rng.randrange(1, len(uncolored) + 1)))
+            colored, _, _, lost = rng.choice(solver._responses(marked))
+            free -= lost
+            uncolored -= set(lay.items(colored))
+            assert free == solver._free(lay.mask(uncolored))
+            assert lay.unpack(free) == recount(uncolored)
+    assert dead_seen >= 100 and live_seen >= 100
+
+
+def test_strategy_tree_response_order_is_pinned():
+    # the response order fixes strategy trees, GPrimeFirstPainter's answers
+    # and the budget maxima; this is the C5 tree at r = 2, k = xp = 5
+    g = cycle(5)
+    tree = strategy_tree(g, 2, 5, PaintSolver(g, 2))
+    assert len(tree["nodes"]) == 202
+    digest = hashlib.sha256(json.dumps(tree, sort_keys=True).encode()).hexdigest()
+    assert digest == "76ae52d9aaee9bb3487c6fc2e38e1cd6a04858d450953103f1a953d60dd7533a"
