@@ -29,7 +29,6 @@ from .errors import (
     IsC5,
     NoLightEdge,
     ParseError,
-    TooLargeForExhaustive,
 )
 from .graph import Graph, subgraph
 from .paintgame import solve_xp_r
@@ -344,57 +343,85 @@ def replay_contraction(g: Graph, trace: ContractionTrace) -> ContractionResult:
 
 
 # ---------------------------------------------------------------------------
-# maximum average degree (exhaustive-exact with a sound prune)
+# maximum average degree (exact, by parametric min cuts)
 
 
-def mad(g: Graph, *, max_n: int = 20, force: bool = False) -> Fraction:
-    """Exact max over non-empty vertex subsets of 2 e(H) / |H|."""
+def _densest_side(n: int, edges: list[tuple[int, int]], p: int, q: int) -> set[int]:
+    """The least H maximizing q e(H) - p |H|: the vertices on the source side
+    of the least minimum cut of the Picard-Queyranne network (source -> each
+    edge, capacity q; edge -> both its ends, capacity q; vertex -> sink,
+    capacity p), found by Dinic's blocking flows."""
+    source, sink = n + len(edges), n + len(edges) + 1
+    head: list[list[int]] = [[] for _ in range(sink + 1)]
+    to: list[int] = []
+    cap: list[int] = []
+    for a, b, c in ([(source, n + i, q) for i in range(len(edges))]
+                    + [(n + i, w, q) for i, e in enumerate(edges) for w in e]
+                    + [(v, sink, p) for v in range(n)]):
+        head[a].append(len(to))
+        to.append(b)
+        cap.append(c)
+        head[b].append(len(to))  # the reverse arc is the arc's id ^ 1
+        to.append(a)
+        cap.append(0)
+    while True:
+        level = [-1] * (sink + 1)
+        level[source] = 0
+        frontier = [source]
+        for x in frontier:
+            for a in head[x]:
+                if cap[a] and level[to[a]] < 0:
+                    level[to[a]] = level[x] + 1
+                    frontier.append(to[a])
+        if level[sink] < 0:
+            return {v for v in range(n) if level[v] >= 0}
+        # blocking flow along level-increasing arcs, by an explicit stack
+        # (a path can outgrow the recursion limit); a node that reaches no
+        # further is taken out of the level graph
+        nxt = [0] * (sink + 1)
+        path: list[int] = []
+        x = source
+        while True:
+            if x == sink:
+                push = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= push
+                    cap[a ^ 1] += push
+                path.clear()
+                x = source
+            arcs = head[x]
+            while nxt[x] < len(arcs):
+                a = arcs[nxt[x]]
+                if cap[a] and level[to[a]] == level[x] + 1:
+                    break
+                nxt[x] += 1
+            if nxt[x] < len(arcs):
+                path.append(a)
+                x = to[a]
+            elif x == source:
+                break
+            else:
+                level[x] = -1
+                x = to[path.pop() ^ 1]
+
+
+def mad(g: Graph) -> Fraction:
+    """Exact max over non-empty vertex subsets of 2 e(H) / |H|.
+
+    Dinkelbach's iteration (Management Science, 1967) on Goldberg's min-cut
+    formulation: at density p/q the least H maximizing q e(H) - p |H| is
+    empty exactly when no subgraph is denser, and is otherwise strictly
+    denser, so its density is the next p/q.
+    """
     if g.n == 0:
         raise ValueError("mad of the empty graph is undefined")
-    if g.n > max_n and not force:
-        raise TooLargeForExhaustive(f"n={g.n} above exhaustive cap {max_n}")
-    n = g.n
-    order = sorted(g.vertices(), key=lambda v: -g.degree(v))
-    pos = {v: i for i, v in enumerate(order)}
-    masks = [0] * n
-    for v in g.vertices():
-        for w in g.neighbors(v):
-            masks[pos[v]] |= 1 << pos[w]
-    best = Fraction(0)
-
-    def upper_bound(i: int, members: int, size: int, edges: int) -> Fraction:
-        rest = range(i, n)
-        live = members
-        for j in rest:
-            live |= 1 << j
-        pots = sorted(
-            (bin(masks[j] & live).count("1") for j in rest), reverse=True
-        )
-        bound = Fraction(2 * edges, size) if size else Fraction(0)
-        acc = 0
-        for t, p in enumerate(pots, start=1):
-            acc += p
-            cand = Fraction(2 * (edges + acc), size + t)
-            if cand > bound:
-                bound = cand
-        return bound
-
-    def rec(i: int, members: int, size: int, edges: int):
-        nonlocal best
-        if size:
-            cand = Fraction(2 * edges, size)
-            if cand > best:
-                best = cand
-        if i == n:
-            return
-        if upper_bound(i, members, size, edges) <= best:
-            return
-        gained = bin(masks[i] & members).count("1")
-        rec(i + 1, members | (1 << i), size + 1, edges + gained)
-        rec(i + 1, members, size, edges)
-
-    rec(0, 0, 0, 0)
-    return best
+    edges = g.edges()
+    density = Fraction(0)
+    while True:
+        dense = _densest_side(g.n, edges, density.numerator, density.denominator)
+        if not dense:
+            return 2 * density
+        density = Fraction(sum(u in dense and v in dense for u, v in edges), len(dense))
 
 
 # ---------------------------------------------------------------------------
@@ -447,19 +474,15 @@ class KpCertificate:
         return "\n".join(lines) + "\n"
 
 
-def kp_pipeline(
-    g: Graph,
-    *,
-    girth7_planar: bool = False,
-    mad_max_n: int = 20,
-) -> KpCertificate:
+def kp_pipeline(g: Graph, *, girth7_planar: bool = False) -> KpCertificate:
     """Reduction chain certifying 2-dynamic 4-paintability of a sparse graph.
 
-    Checks the density hypothesis (or accepts the caller's planar-girth-7
-    assertion), peels the catalog's KP configurations, each step the first
-    kind in `KP_KINDS` order that matches at its least root, and closes the
-    low-degree remainder with the game solver.  The roots come from lazy
-    heaps refreshed around each removed set, so the peel is near-linear.
+    Checks the density hypothesis mad < 8/3 exactly, at any size (or accepts
+    the caller's planar-girth-7 assertion instead), peels the catalog's KP
+    configurations, each step the first kind in `KP_KINDS` order that matches
+    at its least root, and closes the low-degree remainder with the game
+    solver.  The roots come from lazy heaps refreshed around each removed
+    set, so the peel is near-linear.
     """
     if not g.is_connected():
         raise DisconnectedGraph("the pipeline requires a connected graph")
@@ -468,7 +491,7 @@ def kp_pipeline(
     if girth7_planar:
         hypothesis = GIRTH7_HYPOTHESIS
     else:
-        density = mad(g, max_n=max(mad_max_n, 1), force=g.n <= mad_max_n)
+        density = mad(g)
         if density >= Fraction(8, 3):
             raise HypothesisFail(f"mad = {density} >= 8/3")
         hypothesis = f"mad {density} < 8/3"

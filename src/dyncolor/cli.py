@@ -11,8 +11,7 @@ import sys
 
 from . import bounds, configs, coloring, discharge, embedding, paintgame
 from .errors import (BudgetExceeded, CertificateRefuted, DisconnectedGraph,
-                     DynColorError, MalformedRotation, ParseError, PartialInput,
-                     TooLargeForExhaustive)
+                     DynColorError, MalformedRotation, ParseError, PartialInput)
 from .graph import Graph, parse_graph
 
 EXIT_OK = 0
@@ -146,13 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mad", help="exact maximum average degree")
     _add_graph_arg(p)
-    p.add_argument("--max-n", type=_nonnegative, default=20)
 
     p = sub.add_parser("kp-check", help="2-dynamic 4-paintability certificate")
     _add_graph_arg(p)
     p.add_argument("--girth7-planar", action="store_true",
-                   help="assert planarity with girth >= 7 instead of checking mad")
-    p.add_argument("--max-n", type=_nonnegative, default=20, help="mad exhaustive cap")
+                   help="assert planarity with girth >= 7 instead of checking "
+                        "mad < 8/3 (exact at any size)")
     p.add_argument("--out", default=None, help="write the certificate here")
 
     p = sub.add_parser("contract-color",
@@ -173,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_chi_r(args) -> int:
     g = _load_graph(args.graph, args.format)
     res = coloring.chi_r_exact(g, args.r, max_n=args.max_n,
-                               force=args.max_n >= g.n,
                                node_budget=args.max_nodes,
                                time_limit=args.time_limit)
     print(res.value)
@@ -194,7 +191,6 @@ def _cmd_paint(args) -> int:
     g = _load_graph(args.graph, args.format)
     if args.tokens is not None:
         verdict = paintgame.solve_xp_r(g, args.r, args.tokens, max_n=args.max_n,
-                                       force=args.max_n >= g.n,
                                        node_budget=args.max_nodes,
                                        time_limit=args.time_limit)
         print("painter wins" if verdict.painter_wins else "lister wins")
@@ -272,14 +268,13 @@ def _cmd_bound(args) -> int:
 
 def _cmd_mad(args) -> int:
     g = _load_graph(args.graph, args.format)
-    print(bounds.mad(g, max_n=args.max_n))
+    print(bounds.mad(g))
     return EXIT_OK
 
 
 def _cmd_kp_check(args) -> int:
     g = _load_graph(args.graph, args.format)
-    cert = bounds.kp_pipeline(g, girth7_planar=args.girth7_planar,
-                              mad_max_n=args.max_n)
+    cert = bounds.kp_pipeline(g, girth7_planar=args.girth7_planar)
     sys.stdout.write(cert.render())
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -355,7 +350,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (BudgetExceeded, TooLargeForExhaustive) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ParseError, MalformedRotation) as exc:

@@ -16,8 +16,8 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import BudgetExceeded, ParseError, PartialInput, RNotSaturating
-from .graph import Graph, graph_power
+from .errors import BudgetExceeded, ParseError, PartialInput
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -236,21 +236,6 @@ def is_L_colorable_r_dynamic(
         if not report.ok or any(witness[v] not in lists[v] for v in g.vertices()):
             raise AssertionError("solver returned a bad witness")
     return witness
-
-
-def chi_r_via_square(g: Graph, r: int, **kwargs) -> int:
-    """chi_r for saturating r (r >= max degree) via the square's chromatic number."""
-    if r < g.max_degree():
-        raise RNotSaturating(f"r={r} below max degree {g.max_degree()}")
-    return chi_r_exact(graph_power(g, 2), 1, **kwargs).value
-
-
-def ch_r_lower_bound_from_lists(
-    g: Graph, r: int, k: int, *, node_budget: int = 5_000_000
-) -> bool:
-    """True iff the identical {1..k} assignment refutes k, proving ch_r > k."""
-    lists = {v: set(range(1, k + 1)) for v in g.vertices()}
-    return is_L_colorable_r_dynamic(g, lists, r, node_budget=node_budget) is None
 
 
 # -- coloring file io -------------------------------------------------------------

@@ -45,10 +45,6 @@ class PartialInput(DynColorError):
     pass
 
 
-class RNotSaturating(DynColorError):
-    pass
-
-
 class BudgetExceeded(DynColorError):
     """Search cap hit.  lower/upper carry the best bounds proved so far."""
 
@@ -103,10 +99,6 @@ class NoLightEdge(DynColorError):
 
 
 class ApplicabilityError(DynColorError):
-    pass
-
-
-class TooLargeForExhaustive(DynColorError):
     pass
 
 

@@ -39,6 +39,7 @@ from dyncolor.families import (
     complete,
     complete_bipartite,
     cycle,
+    grid_torus,
     path,
     prism,
     random_tree,
@@ -387,6 +388,23 @@ def test_criterion_12_kp_chain_at_scale(capsys):
         report(12, ok, f"1000- and 8000-vertex trees under the girth-7 assertion: "
                f"{len(cert.steps)} and {len(big.steps)} steps, certified "
                f"{cert.certified and big.certified}", elapsed)
+
+
+def test_criterion_12_mad_at_scale(capsys):
+    # mad is exact by min cuts at any size; each graph takes well under 1 s
+    clock = Clock(5, "criterion 12, mad at scale")
+    tree = kp_pipeline(random_tree(2000, random.Random(2000)))
+    grid = subdivision(subdivision(grid_torus(40, 20)))  # 5,600 vertices
+    checked = kp_pipeline(grid).render().splitlines()
+    asserted = kp_pipeline(grid, girth7_planar=True).render().splitlines()
+    elapsed = clock.done()
+    ok = (tree.certified and tree.hypothesis == "mad 1999/1000 < 8/3"
+          and checked[1] == "hypothesis mad 16/7 < 8/3"
+          and checked[:1] + checked[2:] == asserted[:1] + asserted[2:])
+    with capsys.disabled():
+        report(12, ok, "2000-vertex tree certified under mad 1999/1000; the "
+               "5600-vertex double subdivision of C40 x C20 has mad 16/7 and "
+               "the chain of the girth-7 assertion", elapsed)
 
 
 def test_criterion_12_mad_and_kp(capsys):

@@ -29,7 +29,6 @@ from dyncolor.errors import (
     IsC5,
     NoLightEdge,
     ParseError,
-    TooLargeForExhaustive,
 )
 from dyncolor.families import (
     all_connected_graphs,
@@ -253,15 +252,25 @@ def test_mad_examples():
 
 def test_mad_against_second_enumeration():
     rng = random.Random(4)
-    for _ in range(40):
-        g = random_connected_graph(rng.randrange(1, 9), 0.4, rng)
+    graphs = [random_connected_graph(rng.randrange(1, 9), 0.4, rng) for _ in range(40)]
+    for _ in range(30):  # any density, often disconnected
+        n = rng.randrange(1, 12)
+        p = rng.random()
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    k5 = complete(5).edges()
+    graphs += [
+        Graph(1), Graph(7),  # edgeless
+        Graph(9, cycle(4).edges() + [(u + 4, v + 4) for u, v in k5]),  # C4 and K5
+        Graph(9, k5 + [(4, 5), (5, 6), (6, 7), (7, 8)]),  # K5 with a pendant path
+        Graph(11, k5 + [(5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 5)]),  # K5 and C6
+    ]
+    for g in graphs:
         assert mad(g) == brute_mad(g)
 
 
 def test_mad_cap():
-    with pytest.raises(TooLargeForExhaustive):
-        mad(random_tree(25, random.Random(5)))
-    assert mad(random_tree(25, random.Random(5)), force=True) == Fraction(48, 25)
+    # no vertex cap; a tree on n vertices has mad 2(n-1)/n
+    assert mad(random_tree(25, random.Random(5))) == Fraction(48, 25)
 
 
 def test_kp_pipeline_tree_and_rejections():
@@ -298,7 +307,7 @@ def test_kp_pipeline_pendant_on_c5_caveat():
 def test_kp_pipeline_subdivided_petersen_chain():
     # the density hypothesis holds and the chain is found; the leftover
     # ten-cycle is beyond the desk-scale game solver and is reported as such
-    cert = kp_pipeline(subdivision(petersen()), mad_max_n=25)
+    cert = kp_pipeline(subdivision(petersen()))
     assert cert.hypothesis.startswith("mad")
     assert Fraction(cert.hypothesis.split()[1]) < Fraction(8, 3)
     assert cert.steps
@@ -400,7 +409,7 @@ def test_kp_pipeline_matches_the_reference_peel(monkeypatch, girth7):
     for g in kp_reference_corpus():
         if g.n == 5 and g.m == 5 and g.max_degree() == 2:
             continue  # the five-cycle is refused before the peel
-        if not girth7 and (g.n > 20 or mad(g) >= Fraction(8, 3)):
+        if not girth7 and mad(g) >= Fraction(8, 3):
             continue  # refused by the unchanged density check
         steps, survivors = reference_kp_peel(g)
         if any(len(ns) >= 3 for ns in survivors.values()):

@@ -126,14 +126,14 @@ def test_replay_checks_every_kp_chain_line(tmp_path, capsys, old, new):
     assert "does not match" in capsys.readouterr().out
 
 
-def test_replay_of_girth7_certificate_above_the_mad_cap(tmp_path, capsys):
-    # the recorded hypothesis is an assertion, so replay does not recompute
-    # mad, which is capped at 20 vertices
+@pytest.mark.parametrize("flags", [["--girth7-planar"], []], ids=["girth7", "mad"])
+def test_replay_of_a_kp_certificate_on_25_vertices(tmp_path, capsys, flags):
+    # without the assertion, replay recomputes mad, which has no vertex cap
     tree = random_tree(25, random.Random(0))
     gf = tmp_path / "tree.el"
     gf.write_text("".join(f"{u} {v}\n" for u, v in tree.edges()))
     cert = tmp_path / "cert.txt"
-    assert main(["kp-check", "--girth7-planar", "--out", str(cert), str(gf),
+    assert main(["kp-check", *flags, "--out", str(cert), str(gf),
                  "--format", "edge-list"]) == 0
     capsys.readouterr()
     assert main(["replay", "--certificate", str(cert), str(gf),
@@ -304,8 +304,6 @@ def test_time_limit_flag(tmp_path):
     ["paint", "--r", "1", "--max-n", "-1", "G"],
     ["paint", "--r", "1", "--max-nodes", "-1", "G"],
     ["paint", "--r", "1", "--tokens", "3", "--time-limit", "-0.5", "G"],
-    ["mad", "--max-n", "-1", "G"],
-    ["kp-check", "--max-n", "-1", "G"],
 ])
 def test_negative_caps_are_usage_errors(tmp_path, capsys, argv):
     c5 = tmp_path / "c5.g6"
@@ -314,6 +312,16 @@ def test_negative_caps_are_usage_errors(tmp_path, capsys, argv):
         main([str(c5) if a == "G" else a for a in argv])
     assert info.value.code == 2
     assert "must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mad", "kp-check"])
+def test_mad_takes_no_vertex_cap(tmp_path, capsys, command):
+    c5 = tmp_path / "c5.g6"
+    c5.write_text(emit_graph6(cycle(5)))
+    with pytest.raises(SystemExit) as info:
+        main([command, "--max-n", "-1", str(c5)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --max-n" in capsys.readouterr().err
 
 
 def test_an_unknown_top_level_option_is_named(capsys):

@@ -7,9 +7,7 @@ import pytest
 from dyncolor.coloring import (
     _Searcher,
     canonical_palette,
-    ch_r_lower_bound_from_lists,
     chi_r_exact,
-    chi_r_via_square,
     emit_coloring,
     is_L_colorable_r_dynamic,
     parse_coloring,
@@ -17,7 +15,7 @@ from dyncolor.coloring import (
     r_dynamic_coloring,
     verify_r_dynamic,
 )
-from dyncolor.errors import BudgetExceeded, PartialInput, RNotSaturating
+from dyncolor.errors import BudgetExceeded, PartialInput
 from dyncolor.families import (
     complete,
     cycle,
@@ -89,11 +87,10 @@ def test_square_equivalence_cross_oracle():
 
 
 def test_chi_via_square():
-    assert chi_r_via_square(cycle(5), 2) == 5
-    assert chi_r_via_square(petersen(), 3) == 10
-    assert chi_r_via_square(path(3), 2) == 3
-    with pytest.raises(RNotSaturating):
-        chi_r_via_square(petersen(), 2)
+    # values that once pinned the graph-power route, now checked directly
+    assert chi_r_exact(cycle(5), 2).value == 5
+    assert chi_r_exact(petersen(), 3).value == 10
+    assert chi_r_exact(path(3), 2).value == 3
 
 
 def test_chi_budget_cap():
@@ -123,9 +120,11 @@ def test_list_witness_respects_lists():
 
 
 def test_ch_lower_bound_refuter():
-    # identical 4-lists refute, so ch_2(C5) >= 5
-    assert ch_r_lower_bound_from_lists(cycle(5), 2, 4)
-    assert not ch_r_lower_bound_from_lists(cycle(5), 2, 5)
+    # identical 4-lists refute, so ch_2(C5) >= 5; identical 5-lists do not
+    assert is_L_colorable_r_dynamic(
+        cycle(5), {v: {1, 2, 3, 4} for v in range(5)}, 2) is None
+    assert is_L_colorable_r_dynamic(
+        cycle(5), {v: {1, 2, 3, 4, 5} for v in range(5)}, 2) is not None
 
 
 def test_subdivided_k4():
