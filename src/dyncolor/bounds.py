@@ -571,9 +571,6 @@ def kp_pipeline(g: Graph, *, girth7_planar: bool = False) -> KpCertificate:
         if sub.n == 5 and all(sub.degree(v) == 2 for v in sub.vertices()):
             remainders.append(KpRemainder(comp, "is-c5"))
             continue
-        if sub.n > KP_GAME_MAX_N:
-            remainders.append(KpRemainder(comp, "too-large"))
-            continue
         try:
             verdict = solve_xp_r(sub, r, k, max_n=KP_GAME_MAX_N,
                                  node_budget=KP_GAME_NODE_BUDGET)

@@ -198,7 +198,8 @@ def chi_r_exact(
     """Exact r-dynamic chromatic number with a verifying witness."""
     if g.n > max_n and not force:
         raise BudgetExceeded(
-            f"n={g.n} above solver cap {max_n}; pass force=True to override",
+            f"n={g.n} above the vertex cap max_n={max_n}; "
+            "raise max_n (--max-n on the command line)",
             lower=None, upper=g.n,
         )
     if g.n == 0:

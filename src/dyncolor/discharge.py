@@ -1,9 +1,9 @@
 """Mechanical discharging on embedded graphs: face charging with exact quarters.
 
 Initial charges are c(v) = 2d(v) - 6 and c(f) = len(f) - 6, summing to
--6(2 - 2g).  Nine rules move charge from vertices to short faces; every face
-of length 3..5 triggers exactly one of R1..R8 and longer faces draw quarter
-charges through R9.  All amounts are quarter-integers, so conservation is
+-6(2 - 2g).  Nine rules move charge from vertices to faces; `face_rule`
+states them all as one function of a face's boundary degrees, and exactly one
+applies to each face.  All amounts are quarter-integers, so conservation is
 checked as exact integer equality.  The vertex case analysis reads the faces
 at a vertex's corners from the embedding's face index (`faces_at`).
 """
@@ -11,12 +11,13 @@ at a vertex's corners from the embedding's face index (`faces_at`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .configs import TORUS_KINDS, ConfigMatch, find_configs
 from .embedding import EmbeddedGraph
-from .errors import GenusTooLarge, RuleAmbiguity
+from .errors import GenusTooLarge
 
 
 @dataclass(frozen=True)
@@ -27,99 +28,54 @@ class Transfer:
     amount_q: int  # quarter units
 
 
-def _census(g, face):
-    boundary = face.boundary_vertices()
-    degs = tuple(g.degree(v) for v in boundary)
-    t3 = sum(1 for d in degs if d <= 3)
-    return boundary, degs, t3
+# quarters a boundary vertex of degree <= 3, 4, 5, >= 6 gives under each rule
+# that pays by degree alone
+_BY_DEGREE = {
+    "R1": (0, 0, 6, 6), "R2": (0, 2, 5, 5), "R3": (0, 0, 4, 4), "R4": (0, 0, 0, 4),
+    "R6": (0, 2, 2, 2), "R8": (0, 1, 1, 1), "R9": (0, 1, 1, 1),
+}
 
 
-def _rule_predicates(census) -> list[str]:
-    """Names of rules whose guard matches the face with this census; must be
-    exactly one."""
-    boundary, degs, t3 = census
-    ell = len(boundary)
-    out = []
+@lru_cache(maxsize=4096)  # faces of a graph repeat few degree sequences
+def face_rule(degs: tuple[int, ...]) -> tuple[str, tuple[tuple[int, int], ...]]:
+    """The rule that charges a face whose boundary walk has these vertex
+    degrees, and its gifts as (boundary position, quarters) pairs.
+
+    A vertex is light when its degree is at most 3; light vertices never give.
+    The guards split faces by length and by the number t of light vertices, so
+    exactly one rule applies to every face:
+      length < 3: none (a walk around a pendant edge keeps its charge);
+      length 3: R1 if t >= 1 (each 5+ vertex gives 3/2); else R2 if some vertex
+        has degree 4 (4-vertices give 1/2, 5+ vertices 5/4); else R3 (each gives 1);
+      length 4: R4 if t >= 2 (each 6+ vertex gives 1); R5 if t = 1 (the vertex
+        opposite the light one gives 1/2, then its two neighbors 3/4 each);
+        R6 if t = 0 (each gives 1/2);
+      length 5: R7 if t = 2 with the light vertices two apart (their common
+        neighbor gives 1/2 first, the other two 1/4 each); else R8 (each 4+
+        vertex gives 1/4);
+      length >= 6: R9 (each 4+ vertex gives 1/4).
+    """
+    ell = len(degs)
+    light = [i for i, d in enumerate(degs) if d <= 3]
     if ell < 3:
-        out.append("none")  # a walk around a pendant edge; keeps its charge
-    elif ell == 3:
-        if t3 >= 1:
-            out.append("R1")
-        if t3 == 0 and any(d == 4 for d in degs):
-            out.append("R2")
-        if t3 == 0 and all(d >= 5 for d in degs):
-            out.append("R3")
+        return "none", ()
+    if ell == 4 and len(light) == 1:
+        p = light[0]
+        return "R5", (((p + 2) % 4, 2), ((p + 1) % 4, 3), ((p + 3) % 4, 3))
+    if ell == 5 and len(light) == 2 and light[1] - light[0] in (2, 3):
+        a, b = light
+        common = (a + 1) % 5 if b - a == 2 else (b + 1) % 5
+        return "R7", ((common, 2),) + tuple(
+            (i, 1) for i in range(5) if i not in (a, b, common))
+    if ell == 3:
+        rule = "R1" if light else "R2" if 4 in degs else "R3"
     elif ell == 4:
-        if t3 >= 2:
-            out.append("R4")
-        if t3 == 1:
-            out.append("R5")
-        if t3 == 0:
-            out.append("R6")
-    elif ell == 5:
-        pos3 = [i for i in range(5) if degs[i] <= 3]
-        spread = len(pos3) == 2 and (pos3[1] - pos3[0]) % 5 in (2, 3)
-        if spread:
-            out.append("R7")
-        else:
-            out.append("R8")
-    elif ell >= 6:
-        out.append("R9")
-    return out
-
-
-def _transfers_for(census, face_idx: int, rule: str) -> list[Transfer]:
-    boundary, degs, _ = census
-    ell = len(boundary)
-    out: list[Transfer] = []
-
-    def give(i: int, q: int):
-        out.append(Transfer(rule, boundary[i], face_idx, q))
-
-    if rule == "none":
-        return out
-    if rule == "R1":
-        for i in range(ell):
-            if degs[i] >= 5:
-                give(i, 6)
-    elif rule == "R2":
-        for i in range(ell):
-            if degs[i] == 4:
-                give(i, 2)
-            elif degs[i] >= 5:
-                give(i, 5)
-    elif rule == "R3":
-        for i in range(ell):
-            give(i, 4)
-    elif rule == "R4":
-        for i in range(ell):
-            if degs[i] >= 6:
-                give(i, 4)
-    elif rule == "R5":
-        p = next(i for i in range(4) if degs[i] <= 3)
-        give((p + 2) % 4, 2)
-        give((p + 1) % 4, 3)
-        give((p + 3) % 4, 3)
-    elif rule == "R6":
-        for i in range(ell):
-            give(i, 2)
-    elif rule == "R7":
-        pos3 = [i for i in range(5) if degs[i] <= 3]
-        a, b = pos3
-        common = (a + 1) % 5 if (b - a) % 5 == 2 else (b + 1) % 5
-        give(common, 2)
-        for i in range(5):
-            if i not in (a, b, common):
-                give(i, 1)
-    elif rule == "R8":
-        for i in range(ell):
-            if degs[i] >= 4:
-                give(i, 1)
-    elif rule == "R9":
-        for i in range(ell):
-            if degs[i] >= 4:
-                give(i, 1)
-    return out
+        rule = "R4" if light else "R6"
+    else:
+        rule = "R8" if ell == 5 else "R9"
+    by_degree = _BY_DEGREE[rule]
+    return rule, tuple((i, q) for i, d in enumerate(degs)
+                       if (q := by_degree[min(max(d, 3), 6) - 3]))
 
 
 @dataclass
@@ -169,9 +125,11 @@ class ChargeLedger:
     def render(self) -> str:
         lines = ["element        initial     final   detail"]
         vf = self.vertex_final_q()
+        moved: list[list[str]] = [[] for _ in range(self.emb.graph.n)]
+        for t in self.transfers:
+            moved[t.vertex].append(f"{t.rule}->f{t.face}:{Fraction(t.amount_q, 4)}")
         for v in range(self.emb.graph.n):
-            moved = [t for t in self.transfers if t.vertex == v]
-            det = " ".join(f"{t.rule}->f{t.face}:{Fraction(t.amount_q, 4)}" for t in moved)
+            det = " ".join(moved[v])
             lines.append(f"vertex {v:<6} {Fraction(self.vertex_initial_q[v], 4)!s:>8} "
                          f"{Fraction(vf[v], 4)!s:>9}   {det}")
         ff = self.face_final_q()
@@ -192,26 +150,17 @@ def initial_charges(emb: EmbeddedGraph) -> ChargeLedger:
     return ChargeLedger(emb, v_q, f_q, (), ())
 
 
-def apply_rules(ledger: ChargeLedger) -> ChargeLedger:
-    emb = ledger.emb
-    g = emb.graph
+def run_discharge(emb: EmbeddedGraph) -> ChargeLedger:
+    degree = [emb.graph.degree(v) for v in emb.graph.vertices()]
     transfers: list[Transfer] = []
     rules: list[str] = []
     for i, face in enumerate(emb.faces):
-        census = _census(g, face)
-        matched = _rule_predicates(census)
-        if len(matched) != 1:
-            raise RuleAmbiguity(
-                f"face {i} (len {face.length}) matched rules {matched}"
-            )
-        rules.append(matched[0])
-        transfers.extend(_transfers_for(census, i, matched[0]))
-    return ChargeLedger(emb, ledger.vertex_initial_q, ledger.face_initial_q,
-                        tuple(transfers), tuple(rules))
-
-
-def run_discharge(emb: EmbeddedGraph) -> ChargeLedger:
-    return apply_rules(initial_charges(emb))
+        boundary = face.boundary_vertices()
+        rule, gifts = face_rule(tuple(map(degree.__getitem__, boundary)))
+        rules.append(rule)
+        transfers.extend(Transfer(rule, boundary[p], i, q) for p, q in gifts)
+    return replace(initial_charges(emb), transfers=tuple(transfers),
+                   face_rules=tuple(rules))
 
 
 # ---------------------------------------------------------------------------

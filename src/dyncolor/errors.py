@@ -84,10 +84,6 @@ class EmbeddingSurgeryFailed(DynColorError):
 
 # --- discharging ---
 
-class RuleAmbiguity(DynColorError):
-    pass
-
-
 class GenusTooLarge(DynColorError):
     pass
 

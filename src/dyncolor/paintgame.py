@@ -346,12 +346,11 @@ def solve_xp_r(
     f,
     *,
     max_n: int = 7,
-    force: bool = False,
     node_budget: int | None = None,
     time_limit: float | None = None,
 ) -> GameVerdict:
     """Exact minimax verdict of the r-dynamic paintability game with tokens f."""
-    if g.n > max_n and not force:
+    if g.n > max_n:
         raise BudgetExceeded(f"n={g.n} above game solver cap {max_n}")
     tokens = normalize_tokens(g, f)
     deadline = None if time_limit is None else time.monotonic() + time_limit
@@ -861,7 +860,6 @@ def xp_r_number(
     r: int,
     *,
     max_n: int = 7,
-    force: bool = False,
     node_budget: int | None = None,
     genus: int | None = None,
 ) -> XpResult:
@@ -874,7 +872,7 @@ def xp_r_number(
     if g.n == 0:
         return XpResult(0, 0, True, ("empty graph",))
     refuted = 0  # largest token count at which the game found a Lister win
-    if g.n <= max_n or force:
+    if g.n <= max_n:
         # one solver for every k: the memo key holds the tokens
         solver = PaintSolver(g, r, node_budget=node_budget)
         k = max(min(r, g.degree(v)) + 1 for v in g.vertices()) if g.m else 1

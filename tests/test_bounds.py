@@ -311,7 +311,7 @@ def test_kp_pipeline_subdivided_petersen_chain():
     assert cert.hypothesis.startswith("mad")
     assert Fraction(cert.hypothesis.split()[1]) < Fraction(8, 3)
     assert cert.steps
-    assert all(r.verdict in ("game-pass", "too-large") for r in cert.remainders)
+    assert [(len(r.component), r.verdict) for r in cert.remainders] == [(10, "too-large")]
 
 
 def test_kp_certificate_render_roundtrip():

@@ -162,6 +162,16 @@ def test_budget_exit_code(tmp_path):
     assert main(["chi-r", "--r", "2", "--max-n", "16", str(big)]) == 3
 
 
+def test_chi_r_cap_message_names_the_cli_option(tmp_path, capsys):
+    big = tmp_path / "big.el"
+    tree = random_tree(30, random.Random(1))
+    big.write_text("".join(f"{u} {v}\n" for u, v in tree.edges()))
+    assert main(["chi-r", "--r", "2", str(big), "--format", "edge-list"]) == 3
+    err = capsys.readouterr().err
+    assert err.strip() == ("budget exceeded: n=30 above the vertex cap max_n=16; "
+                           "raise max_n (--max-n on the command line)")
+
+
 def test_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.g6"
     bad.write_text("A")

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 
 from dyncolor.configs import ConfigKind
 from dyncolor.discharge import (
+    face_rule,
     final_report,
     initial_charges,
     run_discharge,
@@ -15,6 +18,7 @@ from dyncolor.embedding import c3c3_torus, find_embedding, k5_torus, k7_torus, p
 from dyncolor.errors import GenusTooLarge
 from dyncolor.families import complete, cycle, random_connected_graph
 from dyncolor.gadgets import wheel_gadget
+from tori import SIX_STEPS, SQUARE_STEPS, embed_rotation, lattice_torus, split_triangles
 
 
 def test_initial_charges_formulas():
@@ -86,6 +90,79 @@ def test_rule_exclusivity_and_totality():
                 assert rule in ("R7", "R8")
             else:
                 assert rule == "R9"
+
+
+# quarters a boundary vertex of degree d gives under the rules that pay by degree
+PAY_BY_DEGREE = {
+    "R1": lambda d: 6 if d >= 5 else 0,  # 3/2 from each 5+ vertex
+    "R2": lambda d: 2 if d == 4 else 5,  # 1/2 from 4-vertices, 5/4 from 5+ vertices
+    "R3": lambda d: 4,                   # 1 from each vertex
+    "R4": lambda d: 4 if d >= 6 else 0,  # 1 from each 6+ vertex
+    "R6": lambda d: 2,                   # 1/2 from each vertex
+    "R8": lambda d: 1 if d >= 4 else 0,  # 1/4 from each 4+ vertex
+    "R9": lambda d: 1 if d >= 4 else 0,
+}
+
+
+def test_face_rule_exhaustive_over_degree_classes():
+    # one degree per class (<= 3, 4, 5, >= 6), every length 0..7
+    for ell in range(8):
+        for degs in itertools.product((3, 4, 5, 6), repeat=ell):
+            light = [i for i, d in enumerate(degs) if d <= 3]
+            t = len(light)
+            rule, gifts = face_rule(degs)
+            if ell < 3:
+                want = "none"
+            elif ell == 3:
+                want = "R1" if t else "R2" if 4 in degs else "R3"
+            elif ell == 4:
+                want = {0: "R6", 1: "R5"}.get(t, "R4")
+            elif ell == 5:
+                spread = t == 2 and (light[1] - light[0]) % 5 in (2, 3)
+                want = "R7" if spread else "R8"
+            else:
+                want = "R9"
+            assert rule == want, degs
+            positions = [i for i, _ in gifts]
+            assert len(set(positions)) == len(positions)
+            assert all(0 <= i < ell and degs[i] >= 4 for i in positions), degs
+            if rule == "none":
+                assert gifts == ()
+            elif rule == "R5":
+                # the opposite vertex gives 1/2, then the light vertex's
+                # neighbors 3/4 each
+                p = light[0]
+                assert gifts == (((p + 2) % 4, 2), ((p + 1) % 4, 3), ((p + 3) % 4, 3))
+            elif rule == "R7":
+                # the common neighbor of the light pair gives 1/2 first, the
+                # other two 1/4 each
+                common = next(i for i in range(5)
+                              if {(i - 1) % 5, (i + 1) % 5} == set(light))
+                assert gifts[0] == (common, 2)
+                assert sorted(gifts[1:]) == [(i, 1) for i in range(5)
+                                             if i not in (*light, common)]
+            else:
+                pay = PAY_BY_DEGREE[rule]
+                assert gifts == tuple((i, pay(d)) for i, d in enumerate(degs) if pay(d))
+
+
+def _discharge_digest(embs) -> str:
+    h = hashlib.sha256()
+    for emb in embs:
+        led = run_discharge(emb)
+        h.update(led.to_json().encode())
+        h.update(final_report(led).render().encode())
+    return h.hexdigest()[:16]
+
+
+def test_discharge_output_pinned(toroidal_corpus):
+    # the ledger JSON and rendered report, hashed when the rules were still
+    # stated as guard and transfer switches keyed by name
+    split = split_triangles(lattice_torus(8, 8, SIX_STEPS), 64, random.Random(3))
+    assert _discharge_digest(toroidal_corpus) == "341f5ef5eab5f158"
+    assert _discharge_digest([embed_rotation(lattice_torus(20, 20, SIX_STEPS))]) == "595f3163d1b9487e"
+    assert _discharge_digest([embed_rotation(lattice_torus(30, 30, SQUARE_STEPS))]) == "bb39004b6f82b8ea"
+    assert _discharge_digest([embed_rotation(split)]) == "374c8ae9134ad7e9"
 
 
 def test_six_face_draws_quarters():
