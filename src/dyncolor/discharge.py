@@ -11,9 +11,9 @@ at a vertex's corners from the embedding's face index (`faces_at`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .configs import TORUS_KINDS, ConfigMatch, find_configs
 from .embedding import EmbeddedGraph
@@ -28,16 +28,7 @@ class Transfer:
     amount_q: int  # quarter units
 
 
-# quarters a boundary vertex of degree <= 3, 4, 5, >= 6 gives under each rule
-# that pays by degree alone
-_BY_DEGREE = {
-    "R1": (0, 0, 6, 6), "R2": (0, 2, 5, 5), "R3": (0, 0, 4, 4), "R4": (0, 0, 0, 4),
-    "R6": (0, 2, 2, 2), "R8": (0, 1, 1, 1), "R9": (0, 1, 1, 1),
-}
-
-
-@lru_cache(maxsize=4096)  # faces of a graph repeat few degree sequences
-def face_rule(degs: tuple[int, ...]) -> tuple[str, tuple[tuple[int, int], ...]]:
+def face_rule(degs: Sequence[int]) -> tuple[str, tuple[tuple[int, int], ...]]:
     """The rule that charges a face whose boundary walk has these vertex
     degrees, and its gifts as (boundary position, quarters) pairs.
 
@@ -59,23 +50,26 @@ def face_rule(degs: tuple[int, ...]) -> tuple[str, tuple[tuple[int, int], ...]]:
     light = [i for i, d in enumerate(degs) if d <= 3]
     if ell < 3:
         return "none", ()
-    if ell == 4 and len(light) == 1:
-        p = light[0]
-        return "R5", (((p + 2) % 4, 2), ((p + 1) % 4, 3), ((p + 3) % 4, 3))
+    if ell == 3:
+        if light:
+            return "R1", tuple((i, 6) for i, d in enumerate(degs) if d >= 5)
+        if 4 in degs:
+            return "R2", tuple((i, 2 if d == 4 else 5) for i, d in enumerate(degs))
+        return "R3", ((0, 4), (1, 4), (2, 4))
+    if ell == 4:
+        if len(light) >= 2:
+            return "R4", tuple((i, 4) for i, d in enumerate(degs) if d >= 6)
+        if light:
+            p = light[0]
+            return "R5", (((p + 2) % 4, 2), ((p + 1) % 4, 3), ((p + 3) % 4, 3))
+        return "R6", ((0, 2), (1, 2), (2, 2), (3, 2))
     if ell == 5 and len(light) == 2 and light[1] - light[0] in (2, 3):
         a, b = light
         common = (a + 1) % 5 if b - a == 2 else (b + 1) % 5
         return "R7", ((common, 2),) + tuple(
             (i, 1) for i in range(5) if i not in (a, b, common))
-    if ell == 3:
-        rule = "R1" if light else "R2" if 4 in degs else "R3"
-    elif ell == 4:
-        rule = "R4" if light else "R6"
-    else:
-        rule = "R8" if ell == 5 else "R9"
-    by_degree = _BY_DEGREE[rule]
-    return rule, tuple((i, q) for i, d in enumerate(degs)
-                       if (q := by_degree[min(max(d, 3), 6) - 3]))
+    rule = "R8" if ell == 5 else "R9"
+    return rule, tuple((i, 1) for i, d in enumerate(degs) if d >= 4)
 
 
 @dataclass
@@ -152,15 +146,16 @@ def initial_charges(emb: EmbeddedGraph) -> ChargeLedger:
 
 def run_discharge(emb: EmbeddedGraph) -> ChargeLedger:
     degree = [emb.graph.degree(v) for v in emb.graph.vertices()]
+    start = initial_charges(emb)
     transfers: list[Transfer] = []
     rules: list[str] = []
     for i, face in enumerate(emb.faces):
         boundary = face.boundary_vertices()
-        rule, gifts = face_rule(tuple(map(degree.__getitem__, boundary)))
+        rule, gifts = face_rule([degree[v] for v in boundary])
         rules.append(rule)
         transfers.extend(Transfer(rule, boundary[p], i, q) for p, q in gifts)
-    return replace(initial_charges(emb), transfers=tuple(transfers),
-                   face_rules=tuple(rules))
+    return ChargeLedger(emb, start.vertex_initial_q, start.face_initial_q,
+                        tuple(transfers), tuple(rules))
 
 
 # ---------------------------------------------------------------------------
