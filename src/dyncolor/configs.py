@@ -18,14 +18,15 @@ from enum import Enum
 from itertools import combinations
 
 from .coloring import _Searcher, canonical_palette, verify_r_dynamic
-from .embedding import EmbeddedGraph, add_cofacial_edge, cofacial, induced_embedding
+from .embedding import EmbeddedGraph, add_cofacial_edge, induced_embedding
 from .errors import (
     BudgetExceeded,
     EmbeddingRequired,
     EmbeddingSurgeryFailed,
+    NotCofacial,
     WouldDisconnect,
 )
-from .graph import Graph, VertexRemap, _compact_remap
+from .graph import Graph, VertexRemap, add_edges, delete_vertices
 from .paintgame import (
     CertificationReport,
     PaintSolver,
@@ -419,7 +420,6 @@ class Reduction:
     gprime: Graph
     remap: VertexRemap
     gprime_embedding: EmbeddedGraph | None = None
-    witness_faces: tuple = ()
 
     def render(self) -> str:
         lines = [f"reduction for {self.match.render()}",
@@ -442,40 +442,35 @@ def _colored_all(watch, note=""):
 
 def _assemble(g: Graph, match, s_order, wanted_edges, triggers, budgets,
               emb: EmbeddedGraph | None) -> Reduction:
+    """G' = G - S + E', built once: by the surgery on emb, if it has one."""
     s = set(s_order)
     added = tuple(
         (min(u, v), max(u, v))
         for u, v in dict.fromkeys(tuple(sorted(e)) for e in wanted_edges)
         if not g.has_edge(u, v)
     )
-    keep = frozenset(g.vertices()) - s
-    kept_edges = [(u, v) for u, v in g.edges() if u in keep and v in keep]
-    gp_edges = frozenset(kept_edges) | frozenset(added)
-    remap = _compact_remap(g.n, s)
-    image = remap.image
-    dense = Graph(len(keep), [(image[u], image[v]) for u, v in kept_edges + list(added)])
     gp_emb = None
-    witnesses: tuple = ()
     if emb is not None:
         try:
-            gp_emb, emb_remap = induced_embedding(emb, s)
-            wit = []
+            gp_emb, remap = induced_embedding(emb, s)
             for u, v in added:
-                du, dv = emb_remap.image[u], emb_remap.image[v]
-                ok, face = cofacial(gp_emb, du, dv)
-                if not ok:
-                    raise EmbeddingSurgeryFailed(
-                        f"E' edge {u}-{v} not cofacial after deleting S"
-                    )
-                wit.append(face)
-                gp_emb = add_cofacial_edge(gp_emb, du, dv)
-            witnesses = tuple(wit)
-            if emb_remap.image != remap.image:
-                raise AssertionError("remap mismatch between graph and embedding")
+                gp_emb = add_cofacial_edge(gp_emb, remap.image[u], remap.image[v])
         except WouldDisconnect:
-            gp_emb, witnesses = None, ()
-    return Reduction(match, tuple(s_order), added, keep, gp_edges,
-                     triggers, budgets, dense, remap, gp_emb, witnesses)
+            pass  # G - S is empty or disconnected: G' is a graph only
+        except NotCofacial:
+            raise EmbeddingSurgeryFailed(
+                f"E' edge {u}-{v} not cofacial after deleting S") from None
+    if gp_emb is not None:
+        gprime = gp_emb.graph
+    else:
+        gprime, remap = delete_vertices(g, s)
+        if added:
+            gprime = add_edges(gprime, [(remap.image[u], remap.image[v]) for u, v in added])
+    # the remap is monotone: G' vertex i is the i-th kept vertex of G
+    outer = [v for v, dv in enumerate(remap.image) if dv is not None]
+    gp_edges = frozenset((outer[a], outer[b]) for a, b in gprime.edges())
+    return Reduction(match, tuple(s_order), added, frozenset(outer), gp_edges,
+                     triggers, budgets, gprime, remap, gp_emb)
 
 
 def build_reduction(emb_or_graph, match: ConfigMatch) -> Reduction:
@@ -793,13 +788,16 @@ class ExtendabilityReport:
                 f"{self.colorings_checked} colorings: {self.counterexample}")
 
 
+# check_extendable's cap on base colorings of G'
+EXTEND_MAX_COLORINGS = 200_000
+
+
 def check_extendable(
     g: Graph,
     reduction: Reduction,
     r: int,
     *,
     k: int | None = None,
-    coloring_limit: int = 200_000,
 ) -> ExtendabilityReport:
     """r-extendability: every r-dynamic k-coloring of G' must extend to an
     r-dynamic coloring of G on the deleted vertices.
@@ -810,8 +808,7 @@ def check_extendable(
     """
     if k is None:
         k = reduction.match.kind.target[1]
-    inverse = {reduction.remap.image[v]: v
-               for v in g.vertices() if reduction.remap.image[v] is not None}
+    inverse = sorted(reduction.gprime_vertices)  # the remap is monotone
     palette = range(1, k + 1)
     extender = _Searcher(g, r, math.inf)
     checked = 0
@@ -819,7 +816,7 @@ def check_extendable(
     def fails_to_extend(base: dict[int, int]) -> bool:
         nonlocal checked
         checked += 1
-        if checked > coloring_limit:
+        if checked > EXTEND_MAX_COLORINGS:
             raise BudgetExceeded("too many base colorings to enumerate")
         fixed = {inverse[dv]: c for dv, c in base.items()}
         witness = extender.solve(lambda v, used_max: palette, fixed)
@@ -898,7 +895,6 @@ def check_budget(
     k: int,
     *,
     tokens=None,
-    node_cap: int = 10_000_000,
 ) -> BudgetReport:
     """Play the composite strategy against the exhaustive Lister.
 
@@ -912,8 +908,7 @@ def check_budget(
     f = [tokens[v] for v in g.vertices()]
     report = run_gprime_first(
         g, r, reduction.gprime_vertices, reduction.gprime_edges,
-        reduction.triggers, f, "exhaustive",
-        s_order=reduction.s_order, node_cap=node_cap,
+        reduction.triggers, f, "exhaustive", s_order=reduction.s_order,
     )
     ok = report.ok and all(
         report.max_rejections.get(t, 0) <= min(reduction.budgets[t], k - 1)

@@ -14,7 +14,7 @@ Surgery retraces locally.  Deleting vertices changes only the faces that pass
 through them, and adding an edge inside a face changes only that face, so
 `induced_embedding` and `add_cofacial_edge` keep every other face as it is
 and walk only the darts of the faces they touch.  One tracer serves both and
-`trace_faces`, which keeps no face and walks every dart.
+`trace_faces`, which walks every dart and alone tests that G is connected.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     WouldDisconnect,
 )
-from .graph import Graph, VertexRemap, delete_vertices
+from .graph import Graph, VertexRemap, add_edges, delete_vertices
 
 Dart = tuple[int, int]
 
@@ -108,15 +108,13 @@ class EmbeddedGraph:
 def _trace(rot: RotationSystem, kept, darts) -> EmbeddedGraph:
     """Embedding of rot whose faces are `kept` plus the walks through `darts`.
 
-    The caller vouches that each kept face is a face of rot and that every
-    other face passes through some dart in `darts`.  The walks may start
-    anywhere, since each face is stored in canonical form and the faces are
-    sorted by their least darts.
+    The caller vouches that rot's graph is connected and not empty, that each
+    kept face is a face of rot and that every other face passes through some
+    dart in `darts`.  The walks may start anywhere, since each face is stored
+    in canonical form and the faces are sorted by their least darts.
     """
     rot.validate()
     g = rot.graph
-    if not g.is_connected() or g.n == 0:
-        raise DisconnectedGraph("face tracing requires a connected, non-empty graph")
     if g.n == 1:
         # a lone vertex on the sphere: one face with an empty boundary walk
         return EmbeddedGraph(rot, (Face(()),), 0)
@@ -150,6 +148,8 @@ def _trace(rot: RotationSystem, kept, darts) -> EmbeddedGraph:
 
 
 def trace_faces(rot: RotationSystem) -> EmbeddedGraph:
+    if not rot.graph.is_connected() or rot.graph.n == 0:
+        raise DisconnectedGraph("face tracing requires a connected, non-empty graph")
     return _trace(rot, (), ((u, v) for u, order in enumerate(rot.rotation) for v in order))
 
 
@@ -192,10 +192,9 @@ def add_cofacial_edge(emb: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
         order = new_rot[x]
         k = order.index(before) + 1
         new_rot[x] = order[:k] + (y,) + order[k:]
-    g2 = Graph(g.n, list(g.edges()) + [(u, v)])
     # only the witness face changes: it splits into two faces, one through
     # each new dart, and the genus check below fails if it does not
-    out = _trace(RotationSystem(g2, tuple(new_rot)),
+    out = _trace(RotationSystem(add_edges(g, [(u, v)]), tuple(new_rot)),
                  (f for f in emb.faces if f is not face), ((u, v), (v, u)))
     if out.genus != emb.genus:
         raise AssertionError("face split changed genus; corner bookkeeping bug")

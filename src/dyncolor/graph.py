@@ -88,19 +88,6 @@ class Graph:
             comps.append(sorted(comp))
         return comps
 
-    def distances_from(self, s: int) -> list[int]:
-        """BFS distances; -1 for unreachable."""
-        dist = [-1] * self.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -150,19 +137,6 @@ def add_edges(g: Graph, new_edges) -> Graph:
         if u == v:
             raise LoopRequested(f"loop requested at vertex {u}")
     return Graph(g.n, list(g.edges()) + [tuple(e) for e in new_edges])
-
-
-def graph_power(g: Graph, k: int) -> Graph:
-    """Edge between u,v iff their distance in g is between 1 and k."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    edges = []
-    for s in range(g.n):
-        dist = g.distances_from(s)
-        for t in range(s + 1, g.n):
-            if 0 < dist[t] <= k:
-                edges.append((s, t))
-    return Graph(g.n, edges)
 
 
 def subgraph(g: Graph, keep) -> tuple[Graph, VertexRemap]:

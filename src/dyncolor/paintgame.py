@@ -38,6 +38,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .coloring import chi_r_exact, verify_r_dynamic
 from .errors import (
+    ApplicabilityError,
     BudgetExceeded,
     BudgetViolated,
     IllegalMark,
@@ -633,13 +634,16 @@ class CertificationReport:
         return f"{head} | states {self.states} | max rejections {rej or '-'}"
 
 
+# the exhaustive adversary's cap on searched states
+CERTIFY_MAX_STATES = 10_000_000
+
+
 def certify_painter(
     g: Graph,
     r: int,
     f,
     painter,
     *,
-    node_cap: int = 10_000_000,
     track: Iterable[int] = (),
 ) -> CertificationReport:
     """Exhaustive Lister: every mark sequence is played against the painter.
@@ -724,8 +728,9 @@ def certify_painter(
                     max_rej[t] = f[t] - (tokens >> (t * w) & field) + k
             return future
         states += 1  # a miss, or a hit with a drain below it
-        if states > node_cap:
-            raise BudgetExceeded(f"exhaustive adversary exceeded {node_cap} states")
+        if states > CERTIFY_MAX_STATES:
+            raise BudgetExceeded(
+                f"exhaustive adversary exceeded {CERTIFY_MAX_STATES} states")
         future = {t: 0 for t, _, bit in tracked if uncolored & bit}
         needy = nonzero(res)
         marked = 0
@@ -805,7 +810,6 @@ def run_gprime_first(
     lister="exhaustive",
     *,
     s_order: Sequence[int] | None = None,
-    node_cap: int = 10_000_000,
 ):
     """Drive the composite strategy; exhaustive lister or a scripted mark list.
 
@@ -821,7 +825,7 @@ def run_gprime_first(
         g, r, gv, frozenset(tuple(e) for e in gprime_edges), order, triggers
     )
     if lister == "exhaustive":
-        return certify_painter(g, r, f, painter, node_cap=node_cap, track=order)
+        return certify_painter(g, r, f, painter, track=order)
     transcript = run_transcript(g, r, painter, lister, f)
     tokens = normalize_tokens(g, f)
     for t in order:
@@ -867,7 +871,8 @@ def xp_r_number(
 
     When the game is out of reach, returns the sandwich between the exact (or
     partially-bounded) chromatic side and the best applicable structural upper
-    bound, each tagged with its provenance.
+    bound, each tagged with its provenance.  A declared genus whose bound lies
+    below the lower end raises ApplicabilityError: the graph is not on it.
     """
     if g.n == 0:
         return XpResult(0, 0, True, ("empty graph",))
@@ -902,6 +907,11 @@ def xp_r_number(
         prof = bound_profile(genus, r)
         if prof.applicable and prof.ell < upper:
             upper, upper_note = prof.ell, "genus contraction bound"
+    if upper < lower:  # only a declared genus bounds below the rainbow n
+        raise ApplicabilityError(
+            f"declared genus {genus} leaves no paint number: upper end {upper}"
+            f" ({upper_note}) is below lower end {lower} ({lower_note})"
+        )
     return XpResult(lower, upper, lower == upper, (lower_note, upper_note))
 
 

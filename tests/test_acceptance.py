@@ -260,14 +260,13 @@ def test_criterion_09_rejection_budgets(capsys):
     for kind, drop in ablations.items():
         emb, match = inst[kind]
         red = build_reduction(emb, match)
-        rep = check_budget(emb, red, 3, 10, node_cap=10_000_000)
+        rep = check_budget(emb, red, 3, 10)
         worst = max(rep.certification.max_rejections.values())
         notes.append(f"{kind.value}: max rejections {worst}")
         if not rep.ok or worst > 9:
             ok = False
         ablated = reduction_without_rules(emb.graph, red, kinds=drop)
-        rep2 = check_budget(emb, ablated, 3, 10, tokens=rep.tokens,
-                            node_cap=10_000_000)
+        rep2 = check_budget(emb, ablated, 3, 10, tokens=rep.tokens)
         if rep2.ok:
             ok = False
     elapsed = clock.done()

@@ -172,6 +172,17 @@ def test_chi_r_cap_message_names_the_cli_option(tmp_path, capsys):
                            "raise max_n (--max-n on the command line)")
 
 
+def test_paint_refuses_an_empty_sandwich(tmp_path, capsys):
+    k8 = tmp_path / "k8.g6"
+    k8.write_text(emit_graph6(complete(8)) + "\n")
+    assert main(["paint", "--r", "2", "--genus", "0", str(k8)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: declared genus 0 leaves no paint number: upper end 5"
+                       " (planar 2-dynamic paintability bound) is below lower end 8"
+                       " (exact chromatic side of the sandwich)\n")
+
+
 def test_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.g6"
     bad.write_text("A")

