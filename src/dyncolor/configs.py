@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
 
-from .coloring import _Searcher, canonical_palette, verify_r_dynamic
+from .coloring import _Searcher, verify_r_dynamic
 from .embedding import EmbeddedGraph, add_cofacial_edge, induced_embedding
 from .errors import (
     BudgetExceeded,
@@ -803,13 +803,14 @@ def check_extendable(
     r-dynamic coloring of G on the deleted vertices.
 
     The coloring search on G' meets each base coloring once up to renaming;
-    its leaf predicate precolors G with the base and searches S over 1..k,
-    and the search stops at the first base that does not extend.
+    its leaf predicate precolors G with the base and searches S over 1..k
+    (canonically: the unused colors above the base's largest are
+    interchangeable), and the search stops at the first base that does not
+    extend.
     """
     if k is None:
         k = reduction.match.kind.target[1]
     inverse = sorted(reduction.gprime_vertices)  # the remap is monotone
-    palette = range(1, k + 1)
     extender = _Searcher(g, r, math.inf)
     checked = 0
 
@@ -819,15 +820,14 @@ def check_extendable(
         if checked > EXTEND_MAX_COLORINGS:
             raise BudgetExceeded("too many base colorings to enumerate")
         fixed = {inverse[dv]: c for dv, c in base.items()}
-        witness = extender.solve(lambda v, used_max: palette, fixed)
+        witness = extender.solve(k, fixed)
         if witness is None:
             return True
         if not verify_r_dynamic(g, witness, r).ok:
             raise AssertionError("extension search returned a bad witness")
         return False
 
-    bad = _Searcher(reduction.gprime, r, math.inf).solve(
-        canonical_palette(k), accept=fails_to_extend)
+    bad = _Searcher(reduction.gprime, r, math.inf).solve(k, accept=fails_to_extend)
     if bad is None:
         return ExtendabilityReport(True, checked, None)
     return ExtendabilityReport(False, checked, {inverse[dv]: c for dv, c in bad.items()})

@@ -14,7 +14,8 @@ Surgery retraces locally.  Deleting vertices changes only the faces that pass
 through them, and adding an edge inside a face changes only that face, so
 `induced_embedding` and `add_cofacial_edge` keep every other face as it is
 and walk only the darts of the faces they touch.  One tracer serves both and
-`trace_faces`, which walks every dart and alone tests that G is connected.
+`trace_faces`, which walks every dart and tests that G is connected;
+`find_embedding` tests that once per search, not once per candidate rotation.
 """
 
 from __future__ import annotations
@@ -147,10 +148,15 @@ def _trace(rot: RotationSystem, kept, darts) -> EmbeddedGraph:
     return EmbeddedGraph(rot, tuple(faces), (2 - euler) // 2)
 
 
+def _trace_all(rot: RotationSystem) -> EmbeddedGraph:
+    """Every face of rot; the caller vouches that its graph is connected."""
+    return _trace(rot, (), ((u, v) for u, order in enumerate(rot.rotation) for v in order))
+
+
 def trace_faces(rot: RotationSystem) -> EmbeddedGraph:
     if not rot.graph.is_connected() or rot.graph.n == 0:
         raise DisconnectedGraph("face tracing requires a connected, non-empty graph")
-    return _trace(rot, (), ((u, v) for u, order in enumerate(rot.rotation) for v in order))
+    return _trace_all(rot)
 
 
 def embed(g: Graph, rotation) -> EmbeddedGraph:
@@ -290,6 +296,7 @@ def find_embedding(
 
     Returns the minimum-genus embedding encountered; None when max_genus is set
     and no embedding within it was found.  Deterministic for a fixed seed.
+    Connectivity is tested once, here: every candidate has the same graph.
     """
     if not g.is_connected() or g.n == 0:
         raise DisconnectedGraph("embedding search requires a connected graph")
@@ -297,7 +304,7 @@ def find_embedding(
     best: EmbeddedGraph | None = None
     if rotation_space(g) <= exhaustive_cap:
         for rot in all_rotation_systems(g):
-            emb = trace_faces(rot)
+            emb = _trace_all(rot)
             if best is None or emb.genus < best.genus:
                 best = emb
             if best.genus <= target:
@@ -308,7 +315,7 @@ def find_embedding(
     mutable = [v for v in range(g.n) if g.degree(v) >= 3]
     for _ in range(RESTARTS):
         rot = [list(order) for order in random_rotation(g, rng).rotation]
-        cur = trace_faces(RotationSystem(g, tuple(tuple(r) for r in rot)))
+        cur = _trace_all(RotationSystem(g, tuple(tuple(r) for r in rot)))
         if best is None or cur.genus < best.genus:
             best = cur
         for _ in range(STEPS):
@@ -317,7 +324,7 @@ def find_embedding(
             v = rng.choice(mutable)
             i, j = rng.sample(range(len(rot[v])), 2)
             rot[v][i], rot[v][j] = rot[v][j], rot[v][i]
-            cand = trace_faces(RotationSystem(g, tuple(tuple(r) for r in rot)))
+            cand = _trace_all(RotationSystem(g, tuple(tuple(r) for r in rot)))
             if cand.genus <= cur.genus:
                 cur = cand
                 if cur.genus < best.genus:

@@ -7,7 +7,6 @@ import pytest
 
 from dyncolor.coloring import (
     _Searcher,
-    canonical_palette,
     chi_r_exact,
     emit_coloring,
     is_L_colorable_r_dynamic,
@@ -18,8 +17,10 @@ from dyncolor.coloring import (
 )
 from dyncolor.errors import BudgetExceeded, PartialInput
 from dyncolor.families import (
+    all_connected_graphs,
     complete,
     cycle,
+    grid_torus,
     path,
     petersen,
     random_connected_graph,
@@ -211,7 +212,7 @@ def core_bases(g, r, k):
         out.append(dict(coloring))
         return False
 
-    assert _Searcher(g, r, math.inf).solve(canonical_palette(k), accept=keep) is None
+    assert _Searcher(g, r, math.inf).solve(k, accept=keep) is None
     return out
 
 
@@ -239,18 +240,17 @@ def test_core_enumerates_each_base_once():
 
 def test_precoloring_is_kept_or_refused():
     g = path(4)  # 0-1-2-3
-    palette = canonical_palette(3)
     improper = _Searcher(g, 2, math.inf)
-    assert improper.solve(palette, {0: 1, 1: 1}) is None
+    assert improper.solve(3, {0: 1, 1: 1}) is None
     assert improper.nodes == 0
     dead = _Searcher(g, 2, math.inf)  # vertex 1 sees only color 1
-    assert dead.solve(palette, {0: 1, 2: 1}) is None
+    assert dead.solve(3, {0: 1, 2: 1}) is None
     assert dead.nodes == 0
-    live = _Searcher(g, 2, math.inf).solve(palette, {0: 1, 2: 2})
+    live = _Searcher(g, 2, math.inf).solve(3, {0: 1, 2: 2})
     assert live is not None and live[0] == 1 and live[2] == 2
     assert verify_r_dynamic(g, live, 2).ok
     complete_ok = {0: 1, 1: 2, 2: 3, 3: 1}
-    assert _Searcher(g, 2, math.inf).solve(palette, complete_ok) == complete_ok
+    assert _Searcher(g, 2, math.inf).solve(3, complete_ok) == complete_ok
 
 
 def test_accept_takes_the_first_acceptable_leaf():
@@ -261,5 +261,75 @@ def test_accept_takes_the_first_acceptable_leaf():
         seen.append(dict(coloring))
         return len(seen) == 3
 
-    got = _Searcher(g, 1, math.inf).solve(canonical_palette(3), accept=third)
+    got = _Searcher(g, 1, math.inf).solve(3, accept=third)
     assert got == seen[2] and len(seen) == 3
+
+
+def test_chi_against_full_scan_on_every_small_graph():
+    for n in range(1, 6):
+        for g in all_connected_graphs(n):
+            for r in range(1, 5):
+                assert chi_r_exact(g, r).value == brute_chi_r(g, r), (g.edges(), r)
+
+
+def brute_list_colorable(g, lists, r):
+    """Independent oracle: scan the whole product of the lists."""
+    ordered = [sorted(lists[v]) for v in g.vertices()]
+    return any(verify_r_dynamic(g, dict(enumerate(assignment)), r).ok
+               for assignment in product(*ordered))
+
+
+def test_list_colorability_against_full_scan():
+    # lists drawn from a wide range, so most colors closed to a vertex lie
+    # outside its own list: a wipeout judged by counting closed colors
+    # would refuse colorable instances here
+    rng = random.Random(17)
+    for _ in range(300):
+        g = random_connected_graph(rng.randrange(2, 7), 0.45, rng)
+        r = rng.randrange(1, 4)
+        lists = {v: set(rng.sample(range(1, 7), rng.randrange(1, 4))) for v in g.vertices()}
+        w = is_L_colorable_r_dynamic(g, lists, r)
+        assert (w is not None) == brute_list_colorable(g, lists, r), (g.edges(), lists, r)
+
+
+# chi_r of the toroidal grid C_m x C_n at r = 2, 3, 4; the benchmark pins
+# the same values
+GRID_CHI = {
+    (4, 4): (4, 4, 8), (4, 5): (4, 4, 7), (4, 6): (3, 4, 6),
+    (5, 5): (4, 5, 5), (5, 6): (3, 5, 6), (6, 6): (3, 4, 6),
+    (4, 7): (4, 4, 7), (5, 7): (4, 5, 7), (6, 7): (3, 5, 6), (7, 7): (4, 5, 7),
+}
+
+
+def grid_chi_checked(m, n, r):
+    res = chi_r_exact(grid_torus(m, n), r, force=True)
+    assert res.value == GRID_CHI[m, n][r - 2], (m, n, r)
+    assert verify_r_dynamic(grid_torus(m, n), res.witness, r).ok
+    assert len(set(res.witness.values())) == res.value
+    return res
+
+
+def test_grids_up_to_c6_and_their_search_nodes():
+    # the 18 grids of the coloring benchmark; before forced-rainbow
+    # propagation their searches took 28,295 nodes together
+    total = 0
+    for m, n in GRID_CHI:
+        if n <= 6:
+            total += sum(grid_chi_checked(m, n, r).nodes for r in (2, 3, 4))
+    assert total <= 4_000
+
+
+@pytest.mark.parametrize("m,r", [
+    pytest.param(m, r, marks=[pytest.mark.slow] if (m, r) == (7, 4) else [])
+    for m in range(4, 8) for r in (2, 3, 4)
+])
+def test_grids_with_a_side_of_7(m, r):
+    grid_chi_checked(m, 7, r)
+
+
+def test_c5xc6_refutation_at_k4_is_small():
+    # chi_3(C5 x C6) = 5; refuting k = 4 took 13,393 nodes before
+    # forced-rainbow propagation
+    searcher = _Searcher(grid_torus(5, 6), 3, math.inf)
+    assert searcher.solve(4) is None
+    assert searcher.nodes <= 2_000

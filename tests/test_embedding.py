@@ -421,6 +421,24 @@ def test_an_added_edge_with_no_common_face_fails_the_surgery():
     assert out.genus == emb.genus
 
 
+def test_an_embedding_search_tests_connectivity_once(monkeypatch):
+    # every candidate rotation has the search's graph: K5 goes through the
+    # exhaustive branch (7,776 rotations), the random graph through the
+    # local search
+    calls = []
+    is_connected = Graph.is_connected
+
+    def counted(g):
+        calls.append(g.n)
+        return is_connected(g)
+
+    monkeypatch.setattr(Graph, "is_connected", counted)
+    for g in (complete(5), random_connected_graph(7, 0.85, random.Random(0))):
+        calls.clear()
+        assert find_embedding(g, max_genus=1, seed=0).genus == 1
+        assert calls == [g.n]
+
+
 def test_an_embedded_reduction_builds_its_gprime_once(monkeypatch):
     # G' is the surgery's graph, and the surgery tests connectivity once:
     # on deleting S; neither the tracer nor the added edge tests it again
