@@ -7,15 +7,18 @@ peeling in reverse, choosing each reinserted vertex's color outside an
 explicitly counted forbidden set.  The counting argument caps the forbidden
 set at one below the palette, so a color always exists; the result is checked
 by the verifier on every run.  The peel is one forward pass that takes its
-steps from two lazy heaps and keeps an undo record per step; the reverse pass
-undoes the steps in turn, so no step copies the adjacency.
+steps from two lazy heaps, pushed again only where a degree changed or an
+edge was added, and keeps an undo record per step; the reverse pass undoes
+the steps in turn, so no step copies the adjacency.  It keeps, for each
+vertex, a count of each color on its colored neighbors, so a step reads only
+the reinserted vertex's d neighbors and their counts and costs O(d r).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import isqrt
 
 from .coloring import verify_r_dynamic
@@ -71,6 +74,10 @@ def bound_profile(genus: int, r: int) -> BoundProfile:
                         threshold, r >= threshold)
 
 
+def _below_threshold(prof: BoundProfile) -> str:
+    return f"r={prof.r} below the threshold {prof.r_threshold} for genus {prof.genus}"
+
+
 # ---------------------------------------------------------------------------
 # contraction-based constructive coloring
 
@@ -114,9 +121,8 @@ class ContractionTrace:
             offset += len(line)
         if not lines or lines[0][0] != ["contraction-trace"]:
             raise ParseError("not a contraction trace", 0)
-        r = genus = None
+        header: dict[str, list[int]] = {}  # the r, genus and base lines
         steps: list = []
-        base: list[int] = []
         arity = {"r": 1, "genus": 1, "delete": 1, "contract": 3}
         for parts, off in lines[1:]:
             word, args = parts[0], parts[1:]
@@ -129,19 +135,18 @@ class ContractionTrace:
             if word == "r" and values[0] < 1 or word == "genus" and values[0] < 0:
                 raise ParseError(f"trace line {' '.join(parts)!r} needs r >= 1 "
                                  f"and genus >= 0", off)
-            if word == "r":
-                r = values[0]
-            elif word == "genus":
-                genus = values[0]
-            elif word == "delete":
+            if word in header:
+                raise ParseError(f"second {word} line {' '.join(parts)!r} in the trace", off)
+            if word == "delete":
                 steps.append(DeleteStep(*values))
             elif word == "contract":
                 steps.append(ContractStep(*values))
             else:
-                base = values
-        if r is None or genus is None:
+                header[word] = values
+        if "r" not in header or "genus" not in header:
             raise ParseError("trace missing r/genus header", offset)
-        return ContractionTrace(r, genus, steps, base)
+        return ContractionTrace(header["r"][0], header["genus"][0], steps,
+                                header.get("base", []))
 
 
 def _adjacency(g: Graph) -> dict[int, set[int]]:
@@ -170,39 +175,35 @@ def _apply(adj: dict[int, set[int]], step) -> tuple[int, set[int], list]:
     return x, nbrs, added
 
 
-def _undo(adj: dict[int, set[int]], record: tuple[int, set[int], list]) -> None:
-    """Revert the step `record` came from."""
-    x, nbrs, added = record
-    for a, b in added:
-        adj[a].discard(b)
-        adj[b].discard(a)
-    for w in nbrs:
-        adj[w].add(x)
-    adj[x] = nbrs
-
-
 def _peel(g: Graph, omega: int) -> tuple[ContractionTrace, dict[int, set[int]], list]:
     """Forward pass: the trace, the peeled adjacency and each step's undo
     record.  Deletions take the lowest id of degree <= 2 and contractions
-    the least (weight, a, b), each from a lazy heap that is refreshed around
-    the removed vertex's neighbors; once the minimum degree is >= 3, an edge
-    of weight <= omega has both ends of degree <= omega - 3."""
+    the least (weight, a, b), each from a lazy heap.  After a step only the
+    neighbors whose degree changed and the edges it added are pushed again:
+    every other entry still holds, and stale ones are dropped when they
+    surface.  Once the minimum degree is >= 3, an edge of weight <= omega
+    has both ends of degree <= omega - 3."""
     adj = _adjacency(g)
     steps: list = []
     undo: list = []
-    low: list[int] = []
-    light: list[tuple[int, int, int]] = []
+    cap = omega - 3
+    low = [a for a in adj if len(adj[a]) <= 2]
+    light = [(len(adj[a]) + len(adj[b]), a, b) for a in adj if len(adj[a]) <= cap
+             for b in adj[a] if a < b and len(adj[b]) <= cap]
+    heapify(low)
+    heapify(light)
 
     def push(around) -> None:
         for a in around:
-            if len(adj[a]) <= 2:
+            da = len(adj[a])
+            if da <= 2:
                 heappush(low, a)
-            if len(adj[a]) <= omega - 3:
+            if da <= cap:
                 for b in adj[a]:
-                    if len(adj[b]) <= omega - 3:
-                        heappush(light, (len(adj[a]) + len(adj[b]), min(a, b), max(a, b)))
+                    db = len(adj[b])
+                    if db <= cap:
+                        heappush(light, (da + db, a, b) if a < b else (da + db, b, a))
 
-    push(adj)
     while len(adj) > 4:
         while low and (low[0] not in adj or len(adj[low[0]]) > 2):
             heappop(low)
@@ -230,7 +231,16 @@ def _peel(g: Graph, omega: int) -> tuple[ContractionTrace, dict[int, set[int]], 
                 step = ContractStep(max(a, b), min(a, b), w)
         undo.append(_apply(adj, step))
         steps.append(step)
-        push(undo[-1][1])
+        _, nbrs, added = undo[-1]
+        # a neighbor's degree is unchanged exactly when it ends one added
+        # edge, so its other edges' entries still hold; the added edges are new
+        gained = dict.fromkeys(nbrs, 0)
+        for a, b in added:
+            gained[a] += 1
+            gained[b] += 1
+            if len(adj[a]) <= cap and len(adj[b]) <= cap:
+                heappush(light, (len(adj[a]) + len(adj[b]), min(a, b), max(a, b)))
+        push([w for w, k in gained.items() if k != 1])
     return ContractionTrace(0, 0, steps, sorted(adj)), adj, undo
 
 
@@ -250,32 +260,43 @@ def _reverse_color(
     r: int, ell: int, trace: ContractionTrace, adj: dict[int, set[int]], undo: list,
 ) -> tuple[dict[int, int], int]:
     """Color the peeled graph `adj` back up, undoing each step before its
-    vertex is colored; `adj` ends as the input graph again."""
+    vertex is colored; `adj` ends as the input graph again.  Every vertex
+    in `adj` but the one being reinserted is colored, and `seen[w]` counts
+    the colors on w's colored neighbors (color -> count), so a step reads
+    its vertex's neighbors and their counts only: O(d r)."""
     color = {v: i + 1 for i, v in enumerate(trace.base)}
+    seen: dict[int, dict[int, int]] = {v: {} for v in adj}
+    for v, counts in seen.items():
+        for w in adj[v]:
+            counts[color[w]] = counts.get(color[w], 0) + 1
     max_forbidden = 0
-
-    def deficiency_forbids(w: int, skipping: int) -> set[int]:
-        shown = {color[x] for x in adj[w] if x != skipping and x in color}
-        if len(shown) < min(r, len(adj[w])):
-            return shown
-        return set()
-
-    for step, record in zip(reversed(trace.steps), reversed(undo)):
-        _undo(adj, record)
+    for step, (x, nbrs, added) in zip(reversed(trace.steps), reversed(undo)):
+        # undo the step: drop the edges it added, then put x back
+        for a, b in added:
+            adj[a].discard(b)
+            adj[b].discard(a)
+            for p, c in ((a, color[b]), (b, color[a])):
+                seen[p][c] -= 1
+                if not seen[p][c]:
+                    del seen[p][c]
+        adj[x] = nbrs
+        counts = seen[x] = {}
+        forbidden: set[int] = set()
+        for w in nbrs:
+            adj[w].add(x)
+            counts[color[w]] = counts.get(color[w], 0) + 1
+            # x is not colored yet, so w shows the seen[w] colors, at most
+            # d(w) - 1: w is deficient, short of min(r, d(w)), exactly when
+            # it shows fewer than r
+            if len(seen[w]) < r:
+                forbidden.update(seen[w])
+        forbidden.update(counts)
         if isinstance(step, DeleteStep):
-            v = step.vertex
-            forbidden = {color[w] for w in adj[v]}
-            for w in adj[v]:
-                forbidden |= deficiency_forbids(w, v)
-            limit = len(adj[v]) * r
+            limit = len(nbrs) * r
         else:
-            u, v = step.u, step.v
-            forbidden = {color[w] for w in adj[u]} | {color[w] for w in adj[v] if w != u}
-            for w in adj[u]:
-                forbidden |= deficiency_forbids(w, u)
-            du, dv = len(adj[u]), len(adj[v])
+            forbidden.update(seen[step.v])
+            du, dv = len(nbrs), len(adj[step.v])
             limit = du + dv - 1 + (r - 1) * (du - 1)
-            v = u
         if len(forbidden) > min(limit, ell - 1):
             raise AssertionError(
                 f"forbidden set of size {len(forbidden)} exceeds the counting "
@@ -287,7 +308,9 @@ def _reverse_color(
             c += 1
         if c > ell:
             raise AssertionError("needed more colors than the palette bound")
-        color[v] = c
+        color[x] = c
+        for w in nbrs:
+            seen[w][c] = seen[w].get(c, 0) + 1
     return color, max_forbidden
 
 
@@ -297,9 +320,7 @@ def color_by_contraction(
     """An r-dynamic coloring with at most ell(genus, r) colors, plus its trace."""
     prof = bound_profile(declared_genus, r)
     if not prof.applicable:
-        raise ApplicabilityError(
-            f"r={r} below the threshold {prof.r_threshold} for genus {declared_genus}"
-        )
+        raise ApplicabilityError(_below_threshold(prof))
     if g.n == 0:
         return ContractionResult({}, ContractionTrace(r, declared_genus, [], []), 0, 0)
     # the counting chain behind the forbidden-set cap closes exactly at ell - 1
@@ -319,6 +340,10 @@ def color_by_contraction(
 def replay_contraction(g: Graph, trace: ContractionTrace) -> ContractionResult:
     """Re-run the coloring from a recorded trace, verifying each step is legal."""
     prof = bound_profile(trace.genus, trace.r)
+    if not prof.applicable:
+        # below the threshold the counting bound does not hold, so a
+        # successful replay would certify nothing
+        raise CertificateRefuted(_below_threshold(prof))
     adj = _adjacency(g)
     undo = []
     for step in trace.steps:

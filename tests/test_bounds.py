@@ -175,6 +175,14 @@ def peel_reference_corpus():
             yield random_connected_graph(rng.randrange(8, 20), 0.6, rng), r, genus
         # the least edge weighs exactly omega: a 3-vertex meets an (omega-3)-vertex
         yield complete_bipartite(3, bound_profile(genus, r).omega - 3), r, genus
+    # benchmark scale: the coloring workload's stacked triangulations at
+    # n = 250 and 400, whose hubs (degree 45 and 58) carry many colour counts
+    big = {n: stacked_triangulation(n, random.Random(n)) for n in (250, 400)}
+    yield big[250], 11, 0
+    yield big[400], 11, 0
+    yield Graph(400, [e for e in big[400].edges() if rng.random() > 0.25]), 11, 0
+    yield big[250], 13, 1
+    yield big[400], 15, 2
 
 
 def test_peel_order_matches_the_full_scan_reference():
@@ -226,10 +234,15 @@ def test_replay_rejects_tampered_trace():
          f"contraction {u},{v} has weight {w}, not light"),
         (lines[:-1] + ["base " + " ".join(map(str, res.trace.base[1:]))],
          "trace base does not match"),
+        # below the threshold the counting bound certifies nothing
+        (["r 3" if ln == "r 11" else ln for ln in lines],
+         "^r=3 below the threshold 11 for genus 0$"),
     ]
     for text, message in cases:
         with pytest.raises(CertificateRefuted, match=message):
             replay_contraction(g, ContractionTrace.parse("\n".join(text) + "\n"))
+    with pytest.raises(ApplicabilityError, match="^r=3 below the threshold 11 for genus 0$"):
+        color_by_contraction(g, 3, 0)
     with pytest.raises(ParseError, match="not a contraction trace"):
         ContractionTrace.parse(res.trace.render().replace("contraction-trace", "bogus"))
 

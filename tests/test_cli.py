@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from dyncolor.bounds import ContractionTrace, bound_profile, replay_contraction
 from dyncolor.cli import main
-from dyncolor.coloring import emit_coloring
+from dyncolor.coloring import emit_coloring, parse_coloring
 from dyncolor.embedding import c3c3_torus, emit_rotation
-from dyncolor.families import complete, cycle, path, petersen, random_tree, subdivision
+from dyncolor.families import (complete, cycle, path, petersen, random_tree,
+                               stacked_triangulation, subdivision)
 from dyncolor.graph import emit_graph6
 
 import random
@@ -155,6 +157,40 @@ def test_contract_color_and_replay(tmp_path, capsys):
                  "--format", "edge-list"]) == 0
 
 
+def test_replay_refuses_a_trace_below_the_threshold(tmp_path, capsys):
+    gf, trace = tmp_path / "g.g6", tmp_path / "trace.txt"
+    gf.write_text(emit_graph6(stacked_triangulation(60, random.Random(5))) + "\n")
+    assert main(["contract-color", "--r", "11", "--genus", "0",
+                 "--trace-out", str(trace), str(gf)]) == 0
+    trace.write_text(trace.read_text().replace("\nr 11\n", "\nr 3\n"))
+    capsys.readouterr()
+    assert main(["replay", "--certificate", str(trace), str(gf)]) == 1
+    assert capsys.readouterr().out == ("certificate refuted: "
+                                       "r=3 below the threshold 11 for genus 0\n")
+    assert main(["contract-color", "--r", "3", "--genus", "0", str(gf)]) == 1
+    assert capsys.readouterr().err == "error: r=3 below the threshold 11 for genus 0\n"
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2])
+def test_contract_color_and_replay_at_2000_vertices(tmp_path, capsys, genus):
+    r = bound_profile(genus, 1).r_threshold
+    ell = bound_profile(genus, r).ell
+    g = stacked_triangulation(2000, random.Random(genus))
+    gf, trace, col = tmp_path / "g.el", tmp_path / "trace.txt", tmp_path / "col.txt"
+    gf.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+    graph = [str(gf), "--format", "edge-list"]
+    assert main(["contract-color", "--r", str(r), "--genus", str(genus),
+                 "--trace-out", str(trace), "--coloring-out", str(col), *graph]) == 0
+    summary = capsys.readouterr().out
+    assert main(["replay", "--certificate", str(trace), *graph]) == 0
+    replayed_summary = capsys.readouterr().out
+    assert replayed_summary == f"replayed: {summary}"
+    assert int(replayed_summary.split()[-1]) <= ell - 1  # the largest forbidden set
+    replayed = replay_contraction(g, ContractionTrace.parse(trace.read_text()))
+    assert replayed.coloring == parse_coloring(col.read_text())
+    assert replayed.max_forbidden <= ell - 1
+
+
 def test_budget_exit_code(tmp_path):
     big = tmp_path / "big.el"
     tree = random_tree(30, random.Random(1))
@@ -254,6 +290,12 @@ ROTATION_COMMANDS = ("genus", "find-config", "reduce", "discharge", "unavoidable
      "contraction-trace\nr 0\ngenus 0\nbase 0\n", "trace line 'r 0' needs r >= 1"),
     (["replay", "--certificate", "F", "G"],
      "contraction-trace\nr 11\ngenus -1\nbase 0\n", "trace line 'genus -1' needs r >= 1"),
+    (["replay", "--certificate", "F", "G"],
+     TRACE_HEAD + "r 3\nbase 0\n", "second r line 'r 3' in the trace (byte 31)"),
+    (["replay", "--certificate", "F", "G"],
+     TRACE_HEAD + "base 0\ngenus 1\n", "second genus line 'genus 1' in the trace (byte 38)"),
+    (["replay", "--certificate", "F", "G"],
+     TRACE_HEAD + "base 0\nbase 1\n", "second base line 'base 1' in the trace (byte 38)"),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
     paths = {"G": tmp_path / "c5.g6", "F": tmp_path / "input.txt"}
