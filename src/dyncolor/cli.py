@@ -348,6 +348,11 @@ def main(argv=None) -> int:
     if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help", "--"):
         parser.error(f"unrecognized arguments: {argv[0]}")
     args = parser.parse_args(argv)
+    # paint's two modes take different options: refuse one the mode ignores
+    if args.command == "paint" and args.tokens is None and args.time_limit is not None:
+        parser.error("paint: --time-limit applies only with --tokens")
+    if args.command == "paint" and args.tokens is not None and args.genus is not None:
+        parser.error("paint: --genus does not apply with --tokens")
     try:
         return _COMMANDS[args.command](args)
     except BudgetExceeded as exc:

@@ -7,24 +7,23 @@ embedding is (2 - V + E - F) / 2.
 
 Every face lookup (the face of a dart, the faces at the corners of a vertex,
 a common face of two vertices) goes through one dart -> face index, built on
-an embedding's first lookup: embedding search traces many rotation systems it
-never queries.
+an embedding's first lookup.
 
 Surgery retraces locally.  Deleting vertices changes only the faces that pass
 through them, and adding an edge inside a face changes only that face, so
 `induced_embedding` and `add_cofacial_edge` keep every other face as it is
 and walk only the darts of the faces they touch.  One tracer serves both and
-`trace_faces`, which walks every dart and tests that G is connected;
-`find_embedding` tests that once per search, not once per candidate rotation.
+`trace_faces`, which walks every dart and tests that G is connected.
+
+`find_embedding` is an exact branch and bound over partial rotations (after
+Brinkmann, arXiv:2005.13066), exponential in the worst case.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
-from math import factorial
+from itertools import count, permutations, product
 
 from .errors import (
     DisconnectedGraph,
@@ -241,99 +240,104 @@ def induced_embedding(
 
 # -- rotation-system search ------------------------------------------------------
 
-def rotation_space(g: Graph) -> int:
-    out = 1
-    for v in range(g.n):
-        out *= factorial(max(g.degree(v) - 1, 0))
-    return out
-
-
 def all_rotation_systems(g: Graph):
-    """All rotation systems of g, one per choice of cyclic orders."""
-    choices = []
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        if len(nbrs) <= 2:
-            choices.append([tuple(nbrs)])
+    """All rotation systems of g, one per choice of cyclic orders: each vertex
+    keeps its least neighbour first and runs through `permutations` of the
+    rest, the last vertex fastest."""
+    choices = [[order[:1] + rest for rest in permutations(order[1:])] for order in g.adj]
+    return (RotationSystem(g, rot) for rot in product(*choices))
+
+
+def _first_rotation(g: Graph, genus: int) -> tuple[tuple[int, ...], ...] | None:
+    """The first rotation in `all_rotation_systems` order of genus at most
+    `genus`, or None.
+
+    Vertices take their orders by id, one neighbour at a time in that order;
+    placing b after a at v links dart a -> v to v -> b.  Links close faces and join the other
+    darts into chains, and each open face will be one or more chains.  On 3+
+    vertices every face has 3+ darts (with fewer, no order is chosen), so a
+    branch is cut when its closed faces, plus one per chain of 3+ darts and
+    one per group of shorter chains with 3+ darts, fall short of the
+    2 - 2·genus - V + E faces of that genus.
+    """
+    n = g.n
+    need = 2 - 2 * genus - n + g.m
+    dart = {d: i for i, d in enumerate((v, w) for v in range(n) for w in g.adj[v])}
+    # a chain is kept at its ends: first[e] starts the chain ending with dart
+    # e, last[s] ends the one starting with s, and size[s] counts its darts;
+    # tally holds the closed faces (a lone vertex has one, with no darts),
+    # then the chains of 1, 2 and 3+ darts
+    first, last, size = list(range(len(dart))), list(range(len(dart))), [1] * len(dart)
+    tally = [int(n == 1), len(dart), 0, 0]
+
+    def link(a: int, v: int, b: int) -> None:
+        head, s = first[dart[a, v]], dart[v, b]
+        x, y = size[head], size[s]
+        tally[min(x, 3)] -= 1
+        if head == s:
+            tally[0] += 1
         else:
-            first = nbrs[0]
-            choices.append([(first,) + rest for rest in permutations(nbrs[1:])])
+            tally[min(y, 3)] -= 1
+            tally[min(x + y, 3)] += 1
+            tail = last[s]
+            last[head], first[tail], size[head] = tail, head, x + y
 
-    def rec(v: int, acc: list[tuple[int, ...]]):
-        if v == g.n:
-            yield RotationSystem(g, tuple(acc))
-            return
-        for order in choices[v]:
-            acc.append(order)
-            yield from rec(v + 1, acc)
-            acc.pop()
+    def feasible() -> bool:
+        closed, ones, twos, longs = tally
+        return closed + longs + min((2 * twos + ones) // 3, (twos + ones) // 2) >= need
 
-    yield from rec(0, [])
+    rot = [list(order[:1]) for order in g.adj]
+    free = [list(order[1:]) for order in g.adj]
+    for v, order in enumerate(g.adj):  # orders of degree <= 2 are forced
+        if len(order) <= 2:
+            rot[v], free[v] = list(order), []
+            for a, b in zip(order, order[1:] + order[:1]):
+                link(a, v, b)
+    # slot k places one more neighbour of vertex slots[k]: it tries the free
+    # ones in increasing order, tried[k] counts those tried so far, and
+    # saved[k] is the chain state before the first
+    slots = [v for v in range(n) for _ in free[v]]
+    tried, saved = [0] * len(slots), [None] * len(slots)
+    k = 0 if feasible() else -1
+    while 0 <= k < len(slots):
+        v, i = slots[k], tried[k]
+        opts = free[v]
+        if i:  # take back the neighbour placed here last
+            opts.insert(i - 1, rot[v].pop())
+            first[:], last[:], size[:], tally[:] = saved[k]
+        else:
+            saved[k] = first[:], last[:], size[:], tally[:]
+        if i == len(opts):
+            tried[k] = 0
+            k -= 1
+            continue
+        b = opts.pop(i)
+        tried[k] = i + 1
+        link(rot[v][-1], v, b)
+        rot[v].append(b)
+        if not opts:  # the order is complete: b is followed by the first
+            link(b, v, rot[v][0])
+        if feasible():
+            k += 1
+    return tuple(map(tuple, rot)) if k >= 0 else None
 
 
-def random_rotation(g: Graph, rng: random.Random) -> RotationSystem:
-    rot = []
-    for v in range(g.n):
-        order = list(g.neighbors(v))
-        rng.shuffle(order)
-        rot.append(tuple(order))
-    return RotationSystem(g, tuple(rot))
+def find_embedding(g: Graph, *, max_genus: int | None = None,
+                   seed: int = 0) -> EmbeddedGraph | None:
+    """The first embedding in `all_rotation_systems` order of genus at most
+    max_genus, or None; with max_genus=None, the first of minimum genus,
+    found by trying genus 0, 1, 2, ... in turn.
 
-
-# local search: random restarts, each a walk of single swaps in one rotation
-RESTARTS = 60
-STEPS = 1500
-
-
-def find_embedding(
-    g: Graph,
-    *,
-    max_genus: int | None = None,
-    seed: int = 0,
-    exhaustive_cap: int = 20000,
-) -> EmbeddedGraph | None:
-    """Best embedding found by bounded search (exhaustive when cheap, else local).
-
-    Returns the minimum-genus embedding encountered; None when max_genus is set
-    and no embedding within it was found.  Deterministic for a fixed seed.
-    Connectivity is tested once, here: every candidate has the same graph.
+    Exact and deterministic, but exponential in the worst case: C4 x C4 at
+    max_genus=None takes about 40 s.  `seed` is unused, kept for callers.
     """
     if not g.is_connected() or g.n == 0:
         raise DisconnectedGraph("embedding search requires a connected graph")
-    target = 0 if max_genus is None else max_genus
-    best: EmbeddedGraph | None = None
-    if rotation_space(g) <= exhaustive_cap:
-        for rot in all_rotation_systems(g):
-            emb = _trace_all(rot)
-            if best is None or emb.genus < best.genus:
-                best = emb
-            if best.genus <= target:
-                return best
-        return best if max_genus is None or best.genus <= max_genus else None
-
-    rng = random.Random(seed)
-    mutable = [v for v in range(g.n) if g.degree(v) >= 3]
-    for _ in range(RESTARTS):
-        rot = [list(order) for order in random_rotation(g, rng).rotation]
-        cur = _trace_all(RotationSystem(g, tuple(tuple(r) for r in rot)))
-        if best is None or cur.genus < best.genus:
-            best = cur
-        for _ in range(STEPS):
-            if best.genus <= target:
-                return best
-            v = rng.choice(mutable)
-            i, j = rng.sample(range(len(rot[v])), 2)
-            rot[v][i], rot[v][j] = rot[v][j], rot[v][i]
-            cand = _trace_all(RotationSystem(g, tuple(tuple(r) for r in rot)))
-            if cand.genus <= cur.genus:
-                cur = cand
-                if cur.genus < best.genus:
-                    best = cur
-            else:
-                rot[v][i], rot[v][j] = rot[v][j], rot[v][i]
-    if best is not None and best.genus <= target:
-        return best
-    return best if max_genus is None else None
+    for genus in count() if max_genus is None else (max_genus,):
+        rot = _first_rotation(g, genus)
+        if rot is not None:
+            return _trace_all(RotationSystem(g, rot))
+    return None
 
 
 # -- rotation-system text format --------------------------------------------------
@@ -407,17 +411,10 @@ def c3c3_torus() -> EmbeddedGraph:
     """C3 x C3 quadrangulation of the torus: 9 vertices, 9 square faces."""
     from .families import grid_torus
 
-    g = grid_torus(3, 3)
-    rot = []
-    for i in range(3):
-        for j in range(3):
-            rot.append((
-                i * 3 + (j + 1) % 3,      # right
-                ((i + 1) % 3) * 3 + j,    # down
-                i * 3 + (j + 2) % 3,      # left
-                ((i + 2) % 3) * 3 + j,    # up
-            ))
-    emb = embed(g, rot)
+    # each vertex's neighbours to the right, below, to the left and above
+    rot = [(i * 3 + (j + 1) % 3, (i + 1) % 3 * 3 + j, i * 3 + (j + 2) % 3, (i + 2) % 3 * 3 + j)
+           for i in range(3) for j in range(3)]
+    emb = embed(grid_torus(3, 3), rot)
     if emb.genus != 1 or emb.face_multiset() != (4,) * 9:
         raise AssertionError("C3xC3 torus rotation is wrong")
     return emb
@@ -442,17 +439,11 @@ def k5_torus() -> EmbeddedGraph:
     """A genus-1 embedding of K5 (5 faces)."""
     from .families import complete
 
-    emb = find_embedding(complete(5), max_genus=1)
-    if emb is None or emb.genus != 1:
-        raise AssertionError("K5 torus embedding not found")
-    return emb
+    return find_embedding(complete(5), max_genus=1)  # K5 is not planar
 
 
 def petersen_torus() -> EmbeddedGraph:
     """A genus-1 embedding of the Petersen graph (5 faces)."""
     from .families import petersen
 
-    emb = find_embedding(petersen(), max_genus=1)
-    if emb is None or emb.genus != 1:
-        raise AssertionError("Petersen torus embedding not found")
-    return emb
+    return find_embedding(petersen(), max_genus=1)  # nor is Petersen

@@ -13,6 +13,7 @@ from .embedding import (
     EmbeddedGraph,
     RotationSystem,
     c3c3_torus,
+    embed,
     find_embedding,
     trace_faces,
 )
@@ -127,7 +128,8 @@ def catalog_instances() -> dict[ConfigKind, tuple[EmbeddedGraph, ConfigMatch]]:
         ds, _first(find_configs(ds, [ConfigKind.FOUR_WITH_3_NBR]),
                    lambda m: m.role("v1") == 0 and m.role("v2") == 1))
 
-    octa = find_embedding(octahedron(), max_genus=0, exhaustive_cap=0, seed=1)
+    octa = embed(octahedron(), ((5, 2, 4, 3), (2, 5, 3, 4), (4, 0, 5, 1),
+                                (5, 0, 4, 1), (2, 1, 3, 0), (2, 0, 3, 1)))
     out[ConfigKind.LIGHT_TRIANGLE] = (
         octa, _first(find_configs(octa, [ConfigKind.LIGHT_TRIANGLE])))
     out[ConfigKind.TWIN_TRIANGLES] = (

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import LoopRequested, ParseError
 
@@ -147,6 +148,8 @@ def subgraph(g: Graph, keep) -> tuple[Graph, VertexRemap]:
 # -- graph6 ------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+# the set bits of each 6-bit graph6 data value, counted from its high bit
+_SET_BITS = [tuple(j for j in range(6) if x >> (5 - j) & 1) for x in range(64)]
 
 
 def _g6_decode_n(data: bytes) -> tuple[int, int]:
@@ -192,20 +195,18 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) - off > nbytes:
         raise ParseError("trailing bytes after graph6 data", off + nbytes)
-    bits = []
+    edges = []
     for i in range(nbytes):
         b = data[off + i]
         if not 63 <= b <= 126:
             raise ParseError(f"data byte {b} out of graph6 range", off + i)
-        x = b - 63
-        bits.extend((x >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
+        # bit k is the pair (u, v) with k = v(v-1)/2 + u; bits past the last
+        # pair pad the final byte
+        for k in _SET_BITS[b - 63]:
+            k += 6 * i
+            if k < nbits:
+                v = (1 + isqrt(8 * k + 1)) // 2
+                edges.append((k - v * (v - 1) // 2, v))
     return Graph(n, edges)
 
 

@@ -36,17 +36,17 @@ def toroidal_corpus():
     corpus = []
     for n in range(1, 7):
         for g in all_connected_graphs(n):
-            emb = find_embedding(g, max_genus=1, seed=0)
+            emb = find_embedding(g, max_genus=1)
             if emb is not None:
                 corpus.append(emb)
     for i in range(40):
         g = random_connected_graph(7, 0.25, random.Random(10_000 + i))
-        emb = find_embedding(g, max_genus=1, seed=i)
+        emb = find_embedding(g, max_genus=1)
         if emb is not None:
             corpus.append(emb)
     for i in range(25):
         g = random_connected_graph(8, 0.2, random.Random(20_000 + i))
-        emb = find_embedding(g, max_genus=1, seed=i)
+        emb = find_embedding(g, max_genus=1)
         if emb is not None:
             corpus.append(emb)
     corpus += [c3c3_torus(), k5_torus(), k7_torus(), petersen_torus()]

@@ -296,6 +296,10 @@ ROTATION_COMMANDS = ("genus", "find-config", "reduce", "discharge", "unavoidable
      TRACE_HEAD + "base 0\ngenus 1\n", "second genus line 'genus 1' in the trace (byte 38)"),
     (["replay", "--certificate", "F", "G"],
      TRACE_HEAD + "base 0\nbase 1\n", "second base line 'base 1' in the trace (byte 38)"),
+    (["paint", "--r", "2", "--time-limit", "0", "G"], None,
+     "--time-limit applies only with --tokens"),
+    (["paint", "--r", "1", "--tokens", "3", "--genus", "0", "G"], None,
+     "--genus does not apply with --tokens"),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
     paths = {"G": tmp_path / "c5.g6", "F": tmp_path / "input.txt"}

@@ -16,11 +16,11 @@ from dyncolor.discharge import (
     unavoidability_driver,
     vertex_case,
 )
-from dyncolor.embedding import c3c3_torus, emit_rotation, find_embedding, k5_torus, k7_torus, petersen_torus, random_rotation, trace_faces
+from dyncolor.embedding import c3c3_torus, emit_rotation, find_embedding, k5_torus, k7_torus, petersen_torus, trace_faces
 from dyncolor.errors import GenusTooLarge
 from dyncolor.families import complete, cycle, random_connected_graph
 from dyncolor.gadgets import wheel_gadget
-from tori import SIX_STEPS, SQUARE_STEPS, embed_rotation, lattice_torus, split_triangles
+from tori import SIX_STEPS, SQUARE_STEPS, embed_rotation, lattice_torus, random_rotation, split_triangles
 
 
 def test_initial_charges_formulas():
@@ -159,9 +159,11 @@ def _discharge_digest(embs) -> str:
 
 def test_discharge_output_pinned(toroidal_corpus):
     # the ledger JSON and rendered report, hashed when the rules were still
-    # stated as guard and transfer switches keyed by name
+    # stated as guard and transfer switches keyed by name; the corpus digest
+    # was taken again when the exact embedding search replaced a seeded local
+    # search on 16 corpus graphs, with those rules' code unchanged
     split = split_triangles(lattice_torus(8, 8, SIX_STEPS), 64, random.Random(3))
-    assert _discharge_digest(toroidal_corpus) == "341f5ef5eab5f158"
+    assert _discharge_digest(toroidal_corpus) == "b2f2c898f9977814"
     assert _discharge_digest([embed_rotation(lattice_torus(20, 20, SIX_STEPS))]) == "595f3163d1b9487e"
     assert _discharge_digest([embed_rotation(lattice_torus(30, 30, SQUARE_STEPS))]) == "bb39004b6f82b8ea"
     assert _discharge_digest([embed_rotation(split)]) == "374c8ae9134ad7e9"

@@ -11,6 +11,7 @@ from dyncolor.families import (
     path,
     petersen,
     random_connected_graph,
+    stacked_triangulation,
 )
 from dyncolor.graph import (
     Graph,
@@ -78,6 +79,15 @@ def test_graph6_header_and_errors():
         parse_graph6("A")  # missing data byte
     with pytest.raises(ParseError):
         parse_graph6("A_~")  # trailing garbage
+
+
+def test_graph6_parse_of_2000_vertices_equals_the_edge_list_parse():
+    # the parser decodes only the set bits, byte by byte; padding bits after
+    # the last pair are ignored, as the format allows
+    g = stacked_triangulation(2000, random.Random(0))
+    text = emit_graph6(g)
+    assert parse_graph6(text) == parse_edge_list(emit_edge_list(g)) == g
+    assert parse_graph6("Bx") == parse_graph6("Bw") == complete(3)
 
 
 def test_edge_list_roundtrip():
