@@ -4,8 +4,10 @@ rejection budgets (against the exhaustive adversary).
 
 The first ten kinds target 3-dynamic 10-paintability on the torus; the three
 KP kinds target 2-dynamic 4-paintability of sparse graphs.  Detectors match
-the catalog statements and look faces up through the embedding's dart ->
-face index (`face_of_dart`, `faces_at`); reduction builders transcribe the
+the catalog statements; they read degrees from one list per call, face
+lengths at a vertex's corners from the embedding's `corner_lengths` table,
+and faces through its dart -> face index (`face_of_dart`, `faces_at`) only
+where a match needs them; reduction builders transcribe the
 proof constructions (deletion set S, added edges E', and the per-vertex
 rejection triggers).
 """
@@ -120,21 +122,8 @@ class ConfigMatch:
 
 
 # ---------------------------------------------------------------------------
-# face census helpers
-
-
-def is_expensive_3face(g: Graph, face) -> bool:
-    return face.length == 3 and any(g.degree(v) == 3 for v in face.vertex_set())
-
-
-def is_expensive_4face(g: Graph, face) -> bool:
-    if face.length != 4:
-        return False
-    return sum(1 for v in face.boundary_vertices() if g.degree(v) == 3) >= 2
-
-
-# ---------------------------------------------------------------------------
-# detectors
+# detectors: each reads the degrees once, as a list, and the face lengths at
+# the corners of a vertex from `corner_lengths`
 
 
 def _detect_deg_le_2(g: Graph):
@@ -153,34 +142,45 @@ def _detect_deg_le_2(g: Graph):
 
 
 def _detect_adjacent_3s(g: Graph):
+    adj = g.adj
+    deg = [len(a) for a in adj]
     out = []
-    for u, v in g.edges():
-        if g.degree(u) <= 3 and g.degree(v) <= 3:
-            roles = {"v1": u, "v2": v}
-            if g.degree(u) == 3 and g.degree(v) == 3:
-                y1, z1 = (w for w in g.neighbors(u) if w != v)
-                y2, z2 = (w for w in g.neighbors(v) if w != u)
-                roles.update({"y1": y1, "z1": z1, "y2": y2, "z2": z2})
-            out.append(ConfigMatch(ConfigKind.ADJACENT_3S, roles))
+    for u, row in enumerate(adj):
+        if deg[u] > 3:
+            continue
+        for v in row:
+            if v > u and deg[v] <= 3:
+                roles = {"v1": u, "v2": v}
+                if deg[u] == 3 and deg[v] == 3:
+                    y1, z1 = (w for w in row if w != v)
+                    y2, z2 = (w for w in adj[v] if w != u)
+                    roles.update({"y1": y1, "z1": z1, "y2": y2, "z2": z2})
+                out.append(ConfigMatch(ConfigKind.ADJACENT_3S, roles))
     return out
 
 
 def _detect_many_3_nbrs(emb: EmbeddedGraph):
     g = emb.graph
+    deg = [len(a) for a in g.adj]
+    rotation = emb.rotation.rotation
     out = []
-    for v in g.vertices():
-        xs = [x for x in emb.rotation.rotation[v] if g.degree(x) == 3]
+    for v, order in enumerate(rotation):
+        xs = [x for x in order if deg[x] == 3]
         k = len(xs)
         if k < 2:
             continue
-        at_v = set(emb.faces_at(v))  # distinct: a 4-face can visit v twice
-        e3 = sum(1 for f in at_v if is_expensive_3face(g, f))
-        e4 = sum(1 for f in at_v if is_expensive_4face(g, f))
-        d = g.degree(v)
-        if d + k - e3 - e4 < 10:
+        # expensive faces at v, each counted once: a 4-face can visit v twice
+        e3 = e4 = 0
+        for f in set(emb.faces_at(v)):
+            threes = sum(1 for u, _ in f.darts if deg[u] == 3)
+            if len(f.darts) == 3:
+                e3 += threes >= 1
+            elif len(f.darts) == 4:
+                e4 += threes >= 2
+        if deg[v] + k - e3 - e4 < 10:
             pairs = []
             for x in xs:
-                rot = emb.rotation.rotation[x]
+                rot = rotation[x]
                 i = rot.index(v)
                 pairs.append((rot[(i + 1) % 3], rot[(i + 2) % 3]))
             out.append(ConfigMatch(ConfigKind.MANY_3_NBRS, {
@@ -193,43 +193,53 @@ def _detect_many_3_nbrs(emb: EmbeddedGraph):
 
 
 def _detect_four_with_3_nbr(g: Graph):
+    deg = [len(a) for a in g.adj]
     out = []
-    for u, v in g.edges():
-        for v1, v2 in ((u, v), (v, u)):
-            if g.degree(v1) <= 4 and g.degree(v2) <= 3 and g.degree(v1) > 3:
-                out.append(ConfigMatch(ConfigKind.FOUR_WITH_3_NBR, {"v1": v1, "v2": v2}))
-        if g.degree(u) <= 3 and g.degree(v) <= 3:
-            # both small: still within the statement; canonical orientation
-            out.append(ConfigMatch(ConfigKind.FOUR_WITH_3_NBR, {"v1": u, "v2": v}))
+    for u, row in enumerate(g.adj):
+        if deg[u] > 4:
+            continue  # a match needs one end of degree 4 and the other <= 3
+        for v in row:
+            if v < u:
+                continue
+            for v1, v2 in ((u, v), (v, u)):
+                if deg[v1] == 4 and deg[v2] <= 3:
+                    out.append(ConfigMatch(ConfigKind.FOUR_WITH_3_NBR, {"v1": v1, "v2": v2}))
+            if deg[u] <= 3 and deg[v] <= 3:
+                # both small: still within the statement; canonical orientation
+                out.append(ConfigMatch(ConfigKind.FOUR_WITH_3_NBR, {"v1": u, "v2": v}))
     return out
 
 
 def _detect_light_triangle(g: Graph):
+    adj = g.adj
+    heavy = [len(a) >= 5 for a in adj]
     out = []
-    for a in g.vertices():
-        for b, c in combinations(g.neighbors(a), 2):
-            if a < b < c and g.has_edge(b, c):
-                if sum(1 for x in (a, b, c) if g.degree(x) >= 5) <= 1:
-                    out.append(ConfigMatch(ConfigKind.LIGHT_TRIANGLE,
-                                           {"cycle": (a, b, c)}))
+    for a, row in enumerate(adj):
+        # rows are sorted: the pairs b < c after a, in the order of the row
+        for b, c in combinations([w for w in row if w > a], 2):
+            if c in adj[b] and heavy[a] + heavy[b] + heavy[c] <= 1:
+                out.append(ConfigMatch(ConfigKind.LIGHT_TRIANGLE, {"cycle": (a, b, c)}))
     return out
 
 
 def _detect_twin_triangles(emb: EmbeddedGraph):
     g = emb.graph
+    adj = g.adj
+    deg = [len(a) for a in adj]
     out = []
     for u, w in g.edges():
+        if deg[u] > 5 and deg[w] > 5:
+            continue
         f1 = emb.face_of_dart((u, w))
         f2 = emb.face_of_dart((w, u))
-        if f1 is f2 or f1.length != 3 or f2.length != 3:
+        if f1 is f2 or len(f1.darts) != 3 or len(f2.darts) != 3:
             continue
+        y = next(iter(f1.vertex_set() - {u, w}))
+        z = next(iter(f2.vertex_set() - {u, w}))
         for uu, vv in ((u, w), (w, u)):
-            if g.degree(vv) > 5:
+            if deg[vv] > 5:
                 continue
-            y = next(iter(f1.vertex_set() - {u, w}))
-            z = next(iter(f2.vertex_set() - {u, w}))
-            off = set(g.neighbors(vv)) - {uu, y, z}
-            if all(g.degree(x) >= 4 for x in off):
+            if all(deg[x] >= 4 for x in adj[vv] if x not in (uu, y, z)):
                 out.append(ConfigMatch(ConfigKind.TWIN_TRIANGLES,
                                        {"u": uu, "v": vv, "y": y, "z": z}))
     return out
@@ -247,23 +257,19 @@ def _consecutive_pair_avoiding(emb: EmbeddedGraph, x: int, avoid: int):
 
 
 def _detect_triangle_and_4vtx(emb: EmbeddedGraph):
-    g = emb.graph
+    adj = emb.graph.adj
+    deg = [len(a) for a in adj]
+    lengths = emb.corner_lengths
     out = []
-    for v in g.vertices():
-        if g.degree(v) > 7:
+    for v, row in enumerate(adj):
+        if deg[v] > 7 or lengths[v].count(3) <= 1:
             continue
-        if sum(1 for f in emb.faces_at(v) if f.length == 3) <= 1:
-            continue
-        threes = [w for w in g.neighbors(v) if g.degree(w) == 3]
+        threes = [w for w in row if deg[w] == 3]
         if len(threes) > 1:
             continue
-        if len(threes) == 1:
-            candidates = threes if g.degree(threes[0]) <= 4 else []
-        else:
-            candidates = [w for w in g.neighbors(v) if g.degree(w) <= 4]
-        for x in candidates:
-            if g.degree(x) < 3:
-                continue  # low degree is its own configuration
+        # a lone 3-neighbor is the candidate, else every 4-neighbor is; lower
+        # degree is its own configuration
+        for x in threes or [w for w in row if deg[w] == 4]:
             pair = _consecutive_pair_avoiding(emb, x, v)
             if pair is None:
                 continue
@@ -274,41 +280,40 @@ def _detect_triangle_and_4vtx(emb: EmbeddedGraph):
 
 
 def _detect_three_triangle_fan(emb: EmbeddedGraph):
-    g = emb.graph
     out = []
-    for v in g.vertices():
-        d = g.degree(v)
+    for v, (rot, ells) in enumerate(zip(emb.rotation.rotation, emb.corner_lengths)):
+        d = len(rot)
         if not 4 <= d <= 6:
             continue
-        rot, corners = emb.rotation.rotation[v], emb.faces_at(v)
+        # with d >= 4, four consecutive rotation entries are distinct
+        ells += ells[:2]
+        rot += rot[:3]
         for i in range(d):
-            z, x, y, u = (rot[(i + j) % d] for j in range(4))
-            if len({z, x, y, u}) != 4:
-                continue
-            if all(corners[(i + j) % d].length == 3 for j in range(3)):
+            if ells[i] == ells[i + 1] == ells[i + 2] == 3:
+                z, x, y, u = rot[i:i + 4]
                 out.append(ConfigMatch(ConfigKind.THREE_TRIANGLE_FAN,
                                        {"v": v, "z": z, "x": x, "y": y, "u": u}))
     return out
 
 
 def _detect_exp4_meets_3face(emb: EmbeddedGraph):
-    g = emb.graph
+    deg = [len(a) for a in emb.graph.adj]
     out = []
     for f4 in emb.faces:
-        if f4.length != 4:
+        if len(f4.darts) != 4:
             continue
         b = f4.boundary_vertices()
-        three_pos = [i for i in range(4) if g.degree(b[i]) == 3]
+        three_pos = [i for i in range(4) if deg[b[i]] == 3]
         if len(three_pos) != 2 or (three_pos[1] - three_pos[0]) % 4 != 2:
             continue
         for i in range(4):
             u, w = f4.darts[i]
             other = emb.face_of_dart((w, u))
-            if other is f4 or other.length != 3:
+            if other is f4 or len(other.darts) != 3:
                 continue
-            if g.degree(u) == 3:
+            if deg[u] == 3:
                 v, u1 = u, w
-            elif g.degree(w) == 3:
+            elif deg[w] == 3:
                 v, u1 = w, u
             else:
                 continue
@@ -323,15 +328,13 @@ def _detect_exp4_meets_3face(emb: EmbeddedGraph):
 
 
 def _detect_all4s_quad_face(emb: EmbeddedGraph):
-    g = emb.graph
+    deg = [len(a) for a in emb.graph.adj]
     out = []
     for f in emb.faces:
-        if f.length != 4:
+        if len(f.darts) != 4:
             continue
         b = f.boundary_vertices()
-        if len(set(b)) != 4:
-            continue
-        if all(g.degree(v) <= 4 for v in b):
+        if len(set(b)) == 4 and all(deg[v] <= 4 for v in b):
             out.append(ConfigMatch(ConfigKind.ALL4S_QUAD_FACE, {"face": b}))
     return out
 

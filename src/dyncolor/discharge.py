@@ -4,8 +4,9 @@ Initial charges are c(v) = 2d(v) - 6 and c(f) = len(f) - 6, summing to
 -6(2 - 2g).  Nine rules move charge from vertices to faces; `face_rule`
 states them all as one function of a face's boundary degrees, and exactly one
 applies to each face.  All amounts are quarter-integers, so conservation is
-checked as exact integer equality.  The vertex case analysis reads the faces
-at a vertex's corners from the embedding's face index (`faces_at`).
+checked as exact integer equality.  Degrees are read once per call as a
+list, and the vertex case analysis reads the lengths of the faces at a
+vertex's corners from the embedding's `corner_lengths` table.
 """
 
 from __future__ import annotations
@@ -14,14 +15,16 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .configs import TORUS_KINDS, ConfigMatch, find_configs
 from .embedding import EmbeddedGraph
 from .errors import GenusTooLarge
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
+    """One gift of charge; a named tuple, since a ledger holds one per gift."""
+
     rule: str
     vertex: int
     face: int
@@ -138,19 +141,18 @@ class ChargeLedger:
 
 
 def initial_charges(emb: EmbeddedGraph) -> ChargeLedger:
-    g = emb.graph
-    v_q = tuple(4 * (2 * g.degree(v) - 6) for v in g.vertices())
-    f_q = tuple(4 * (f.length - 6) for f in emb.faces)
+    v_q = tuple(4 * (2 * len(a) - 6) for a in emb.graph.adj)
+    f_q = tuple(4 * (len(f.darts) - 6) for f in emb.faces)
     return ChargeLedger(emb, v_q, f_q, (), ())
 
 
 def run_discharge(emb: EmbeddedGraph) -> ChargeLedger:
-    degree = [emb.graph.degree(v) for v in emb.graph.vertices()]
+    degree = [len(a) for a in emb.graph.adj]
     start = initial_charges(emb)
     transfers: list[Transfer] = []
     rules: list[str] = []
     for i, face in enumerate(emb.faces):
-        boundary = face.boundary_vertices()
+        boundary = [u for u, _ in face.darts]
         rule, gifts = face_rule([degree[v] for v in boundary])
         rules.append(rule)
         transfers.extend(Transfer(rule, boundary[p], i, q) for p, q in gifts)
@@ -164,7 +166,7 @@ def run_discharge(emb: EmbeddedGraph) -> ChargeLedger:
 
 def _three_face_runs(emb: EmbeddedGraph, v: int) -> tuple[int, int]:
     """(number of corner 3-faces around v, number of maximal cyclic runs)."""
-    flags = [f.length == 3 for f in emb.faces_at(v)]
+    flags = [ell == 3 for ell in emb.corner_lengths[v]]
     count = sum(flags)
     if count == 0:
         return 0, 0
@@ -176,11 +178,11 @@ def _three_face_runs(emb: EmbeddedGraph, v: int) -> tuple[int, int]:
 
 
 def vertex_case(emb: EmbeddedGraph, v: int) -> str:
-    g = emb.graph
-    d = g.degree(v)
+    adj = emb.graph.adj
+    d = len(adj[v])
     if d <= 2:
         return "low degree (reducible outright)"
-    t3 = sum(1 for w in g.neighbors(v) if g.degree(w) == 3)
+    t3 = sum(1 for w in adj[v] if len(adj[w]) == 3)
     if d == 3:
         return "Case 1"
     if d == 4:
@@ -243,11 +245,11 @@ def final_report(ledger: ChargeLedger) -> DischargeReport:
     cases = tuple(vertex_case(emb, v) for v in g.vertices())
     neg_v = tuple(v for v in g.vertices() if vf[v] < 0)
     neg_f = tuple(i for i in range(len(emb.faces)) if ff[i] < 0)
-    degs = {g.degree(v) for v in g.vertices()}
+    degs = {len(a) for a in g.adj}
     return DischargeReport(
         ledger, cases, neg_v, neg_f,
         four_regular=degs == {4},
-        all_faces_len5=all(f.length == 5 for f in emb.faces),
+        all_faces_len5=all(len(f.darts) == 5 for f in emb.faces),
     )
 
 
@@ -284,8 +286,9 @@ def unavoidability_driver(emb: EmbeddedGraph) -> DriverOutcome:
     """
     if emb.genus > 1:
         raise GenusTooLarge(f"driver handles genus <= 1, got {emb.genus}")
-    matches = find_configs(emb, TORUS_KINDS)
-    if matches:
-        return DriverOutcome(matches[0], None)
+    for kind in TORUS_KINDS:  # the first match of the first kind found
+        matches = find_configs(emb, (kind,))
+        if matches:
+            return DriverOutcome(matches[0], None)
     report = final_report(run_discharge(emb))
     return DriverOutcome(None, report)

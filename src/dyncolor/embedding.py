@@ -7,7 +7,8 @@ embedding is (2 - V + E - F) / 2.
 
 Every face lookup (the face of a dart, the faces at the corners of a vertex,
 a common face of two vertices) goes through one dart -> face index, built on
-an embedding's first lookup.
+an embedding's first lookup.  `corner_lengths` tabulates, once, the length of
+the face at every corner, for callers that need only lengths.
 
 Surgery retraces locally.  Deleting vertices changes only the faces that pass
 through them, and adding an edge inside a face changes only that face, so
@@ -101,6 +102,15 @@ class EmbeddedGraph:
         (rotation[v][i], v)."""
         return tuple(self.face_of_dart((a, v)) for a in self.rotation.rotation[v])
 
+    @cached_property
+    def corner_lengths(self) -> tuple[tuple[int, ...], ...]:
+        """The length of the face at each corner of each vertex, in
+        `faces_at` order: corner_lengths[v][i] == faces_at(v)[i].length."""
+        index = self._face_index
+        length = [len(f.darts) for f in self.faces]
+        return tuple(tuple([length[index[a, v]] for a in order])
+                     for v, order in enumerate(self.rotation.rotation))
+
     def face_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(f.length for f in self.faces))
 
@@ -130,7 +140,6 @@ def _trace(rot: RotationSystem, kept, darts) -> EmbeddedGraph:
         dart = start
         while True:
             walk.append(dart)
-            traced.add(dart)
             u, v = dart
             succ = succ_at[v]
             if succ is None:
@@ -139,6 +148,7 @@ def _trace(rot: RotationSystem, kept, darts) -> EmbeddedGraph:
             dart = (v, succ[u])
             if dart == start:
                 break
+        traced.update(walk)
         faces.append(Face(_canonical_cycle(walk)))
     euler = g.n - g.m + len(faces)
     if euler > 2 or euler % 2 != 0:
@@ -366,36 +376,38 @@ def parse_rotation(text: str) -> EmbeddedGraph:
     if n <= 0:
         raise ParseError("vertex count must be positive", header[1])
     orders: dict[int, list[int]] = {}
+    # the neighbours each vertex lists, as a set, for the symmetry check
+    listed: list[frozenset[int] | set[int]] = [frozenset()] * n
     for stripped, off in body:
         if ":" not in stripped:
             raise ParseError("expected '<v>: w1 w2 ...'", off)
         head, _, tail = stripped.partition(":")
         try:
             v = int(head.strip())
-            nbrs = [int(t) for t in tail.split()]
+            nbrs = list(map(int, tail.split()))
         except ValueError:
             raise ParseError("non-integer vertex id", off)
         if not 0 <= v < n:
             raise ParseError(f"vertex {v} out of range", off)
         if v in orders:
             raise ParseError(f"duplicate line for vertex {v}", off)
-        if len(set(nbrs)) != len(nbrs):
+        listed[v] = set(nbrs)
+        if len(listed[v]) != len(nbrs):
             raise ParseError(f"repeated neighbor at vertex {v}", off)
-        if v in nbrs:
+        if v in listed[v]:
             raise ParseError(f"loop at vertex {v}", off)
-        if any(not 0 <= w < n for w in nbrs):
+        if nbrs and (min(nbrs) < 0 or max(nbrs) >= n):
             raise ParseError(f"neighbor out of range at vertex {v}", off)
         orders[v] = nbrs
-    for v in range(n):
-        orders.setdefault(v, [])
-    for v in range(n):
-        for w in orders[v]:
-            if v not in orders[w]:
+    rotation = tuple(tuple(orders.get(v, ())) for v in range(n))
+    for v, order in enumerate(rotation):
+        for w in order:
+            if v not in listed[w]:
                 raise MalformedRotation(
                     f"vertex {v} lists {w} but {w} does not list {v}")
-    edges = [(v, w) for v in range(n) for w in orders[v] if v < w]
-    g = Graph(n, edges)
-    return trace_faces(RotationSystem(g, tuple(tuple(orders[v]) for v in range(n))))
+    # the orders are checked loop-free, repeat-free, in range and symmetric
+    g = Graph._from_adj(tuple(tuple(sorted(order)) for order in rotation))
+    return trace_faces(RotationSystem(g, rotation))
 
 
 def emit_rotation(emb: EmbeddedGraph) -> str:

@@ -33,6 +33,14 @@ class Graph:
         self.n = n
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in nbrs)
 
+    @classmethod
+    def _from_adj(cls, adj: tuple[tuple[int, ...], ...]) -> Graph:
+        """The graph with these rows; the caller vouches that each row is
+        sorted, loop-free and in range, and that the rows are symmetric."""
+        g = cls.__new__(cls)
+        g.n, g.adj = len(adj), adj
+        return g
+
     # -- queries ------------------------------------------------------------
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -122,22 +130,32 @@ def _compact_remap(n: int, removed: set[int]) -> VertexRemap:
 
 
 def delete_vertices(g: Graph, doomed) -> tuple[Graph, VertexRemap]:
+    """G - doomed, its rows filtered: the remap is monotone, so they stay sorted."""
     doomed = set(doomed)
     remap = _compact_remap(g.n, doomed)
-    edges = [
-        (remap.image[u], remap.image[v])
-        for u, v in g.edges()
-        if u not in doomed and v not in doomed
-    ]
-    return Graph(g.n - len(doomed), edges), remap
+    image = remap.image
+    adj = tuple(
+        tuple([image[w] for w in row if w not in doomed])
+        for v, row in enumerate(g.adj) if v not in doomed
+    )
+    return Graph._from_adj(adj), remap
 
 
 def add_edges(g: Graph, new_edges) -> Graph:
-    """Union with the given pairs; already-present edges are silently kept single."""
+    """Union with the given pairs; already-present edges are silently kept single.
+    Only the rows of the pairs' ends are rebuilt."""
+    added: dict[int, set[int]] = {}
     for u, v in new_edges:
         if u == v:
             raise LoopRequested(f"loop requested at vertex {u}")
-    return Graph(g.n, list(g.edges()) + [tuple(e) for e in new_edges])
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={g.n}")
+        added.setdefault(u, set()).add(v)
+        added.setdefault(v, set()).add(u)
+    adj = list(g.adj)
+    for v, new in added.items():
+        adj[v] = tuple(sorted(new.union(adj[v])))
+    return Graph._from_adj(tuple(adj))
 
 
 def subgraph(g: Graph, keep) -> tuple[Graph, VertexRemap]:
@@ -218,19 +236,17 @@ def emit_graph6(g: Graph) -> str:
         head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
     else:
         raise ValueError("graph too large for this graph6 writer")
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytearray()
-    for i in range(0, len(bits), 6):
-        x = 0
-        for b in bits[i:i + 6]:
-            x = (x << 1) | b
-        body.append(x + 63)
-    return (head + bytes(body)).decode("ascii")
+    # bit k = v(v-1)/2 + u stands for the pair u < v, six to a byte from its
+    # high bit; zero bits pad the last byte
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for v, row in enumerate(g.adj):
+        base = v * (v - 1) // 2
+        for u in row:
+            if u >= v:
+                break  # rows are sorted
+            k = base + u
+            body[k // 6] |= 32 >> k % 6
+    return (head + bytes(x + 63 for x in body)).decode("ascii")
 
 
 # -- edge list ----------------------------------------------------------------

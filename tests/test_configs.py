@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from itertools import combinations, permutations
@@ -21,6 +22,7 @@ from dyncolor.configs import (
 )
 from dyncolor.embedding import (
     c3c3_torus,
+    emit_rotation,
     find_embedding,
     k5_torus,
     parse_rotation,
@@ -40,6 +42,7 @@ from dyncolor.families import (
 )
 from dyncolor.gadgets import catalog_instances, notsubgraph_instance
 from dyncolor.graph import Graph
+from tori import SIX_STEPS, SQUARE_STEPS, embed_rotation, lattice_torus, split_triangles
 
 
 def test_embedding_required():
@@ -519,3 +522,36 @@ def test_coloring_limit_below_base_count(monkeypatch):
     monkeypatch.setattr(configs, "EXTEND_MAX_COLORINGS", count - 1)
     with pytest.raises(BudgetExceeded):
         check_extendable(emb.graph, red, 3, k=10)
+
+
+def _configs_digest(embs, stride: int) -> str:
+    """Hash of every match's render and, for every stride-th match of each
+    kind, its reduction: render, G' edges and G' rotation, or the refusal."""
+    h = hashlib.sha256()
+    for emb in embs:
+        seen: dict[ConfigKind, int] = {}
+        for m in find_configs(emb):
+            h.update(m.render().encode())
+            seen[m.kind] = seen.get(m.kind, -1) + 1
+            if seen[m.kind] % stride:
+                continue
+            try:
+                red = build_reduction(emb, m)
+            except (ValueError, TypeError, DynColorError) as exc:
+                h.update(f"{type(exc).__name__}: {exc}".encode())
+                continue
+            h.update(red.render().encode())
+            h.update(repr(sorted(red.gprime_edges)).encode())
+            if red.gprime_embedding is not None:
+                h.update(emit_rotation(red.gprime_embedding).encode())
+    return h.hexdigest()[:16]
+
+
+def test_configs_and_reductions_output_pinned(toroidal_corpus):
+    # hashed before the detectors read degree and corner-length tables and
+    # before G' surgery stopped rebuilding graphs from edge lists
+    split = split_triangles(lattice_torus(8, 8, SIX_STEPS), 64, random.Random(3))
+    assert _configs_digest(toroidal_corpus, 1) == "b8e316ca5b65b109"
+    assert _configs_digest([embed_rotation(lattice_torus(20, 20, SIX_STEPS))], 40) == "2e7d41bfa352c81a"
+    assert _configs_digest([embed_rotation(lattice_torus(30, 30, SQUARE_STEPS))], 40) == "d0505d270aba9e2b"
+    assert _configs_digest([embed_rotation(split)], 1) == "8a8af746ddcd973c"

@@ -7,7 +7,7 @@ import pytest
 
 from dyncolor import discharge
 from dyncolor.cli import main
-from dyncolor.configs import ConfigKind
+from dyncolor.configs import ConfigKind, find_configs
 from dyncolor.discharge import (
     face_rule,
     final_report,
@@ -294,3 +294,9 @@ def test_driver_found_on_corpus_sample(toroidal_corpus):
     rng = random.Random(5)
     for emb in rng.sample(toroidal_corpus.embeddings, 30):
         assert unavoidability_driver(emb).found
+
+
+def test_driver_reports_the_first_match_of_all_kinds(toroidal_corpus):
+    # the driver stops at the first kind with a match, in TORUS_KINDS order
+    for emb in toroidal_corpus:
+        assert unavoidability_driver(emb).config == find_configs(emb)[0]

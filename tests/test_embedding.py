@@ -218,6 +218,15 @@ def test_rotation_format_rejects_bad_input():
         parse_rotation("rot 2\n0: 1 1\n1: 0\n")
     with pytest.raises(MalformedRotation):
         parse_rotation("rot 3\n0: 1\n1: 0 2\n2:\n")
+    with pytest.raises(MalformedRotation, match="vertex 1 lists 2 but 2 does not list 1"):
+        parse_rotation("rot 3\n0: 1 2\n1: 2 0\n2: 0\n")
+
+
+def test_parsed_graph_equals_a_rebuild_from_the_edge_list(toroidal_corpus):
+    for emb in toroidal_corpus:
+        again = parse_rotation(emit_rotation(emb))
+        assert again.graph == Graph(emb.graph.n, emb.graph.edges())
+        assert again.rotation == emb.rotation and again.faces == emb.faces
 
 
 def test_faces_are_canonical_cycles():
@@ -521,3 +530,43 @@ def test_an_embedded_reduction_builds_its_gprime_once(monkeypatch):
     assert calls == [15]
     assert red.gprime is red.gprime_embedding.graph
     assert red.added_edges == ((0, 5),)
+
+
+def test_surgery_builds_no_graph_from_an_edge_list(monkeypatch):
+    # G' comes from filtered and patched adjacency rows, on an embedding and
+    # on a bare graph alike: Graph.__init__ never runs
+    emb = embed_rotation(lattice_torus(6, 6, SQUARE_STEPS))
+    match = ConfigMatch(ConfigKind.DEG_LE_2, {"v": 2})
+    built = []
+    init = Graph.__init__
+
+    def counted(g, n, edges=()):
+        built.append(n)
+        init(g, n, edges)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    for target in (emb, None):
+        red = _assemble(emb.graph, match, (2, 20), ((0, 7), (1, 8), (7, 0)), {}, {2: 0}, target)
+        assert red.added_edges == ((0, 7), (1, 8))
+        assert red.gprime.m == emb.graph.m - 8 + 2
+    assert built == []
+
+
+def test_corner_lengths_equal_the_faces_at_each_corner(toroidal_corpus):
+    rng = random.Random(8)
+    embs = list(toroidal_corpus)
+    # random rotations of dense graphs land at genus 2 and above
+    for n in (6, 7, 8, 9):
+        embs += [trace_faces(random_rotation(random_connected_graph(n, 0.8, rng), rng))
+                 for _ in range(10)]
+    # a path's one face visits each inner vertex twice
+    embs += [find_embedding(path(5)), find_embedding(random_tree(9, rng))]
+    assert max(emb.genus for emb in embs) >= 2
+    revisits = 0
+    for emb in embs:
+        assert len(emb.corner_lengths) == emb.graph.n
+        for v in emb.graph.vertices():
+            at_v = emb.faces_at(v)
+            assert emb.corner_lengths[v] == tuple(f.length for f in at_v)
+            revisits += len(set(at_v)) < len(at_v)
+    assert revisits > 0

@@ -16,6 +16,7 @@ from dyncolor.families import (
 from dyncolor.graph import (
     Graph,
     add_edges,
+    delete_vertices,
     emit_edge_list,
     emit_graph6,
     parse_edge_list,
@@ -40,6 +41,38 @@ def test_add_edges_cases():
     assert add_edges(p, [(0, 1)]).m == 15
     with pytest.raises(LoopRequested):
         add_edges(c4, [(1, 1)])
+
+
+def test_surgery_equals_a_rebuild_from_the_edge_list():
+    # delete_vertices filters the rows and add_edges patches the rows it
+    # touches; both must give the graph that Graph(n, edges) builds
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randrange(1, 16)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.35])
+        doomed = set(rng.sample(range(n), rng.randrange(n + 1)))
+        h, remap = delete_vertices(g, doomed)
+        image = remap.image
+        assert [v for v in range(n) if image[v] is None] == sorted(doomed)
+        assert [image[v] for v in range(n) if v not in doomed] == list(range(n - len(doomed)))
+        assert h == Graph(n - len(doomed), [(image[u], image[v]) for u, v in g.edges()
+                                            if u not in doomed and v not in doomed])
+        if n < 2:
+            continue
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(4))]
+        pairs += g.edges()[:1] + pairs[:1] + [p[::-1] for p in pairs[:1]]
+        rng.shuffle(pairs)
+        assert add_edges(g, pairs) == Graph(n, g.edges() + pairs)
+
+
+def test_add_edges_refuses_loops_and_vertices_out_of_range():
+    c4 = cycle(4)
+    with pytest.raises(LoopRequested):
+        add_edges(c4, [(0, 2), (3, 3)])
+    for bad in [(0, 4), (-1, 2)]:
+        with pytest.raises(ValueError, match="out of range"):
+            add_edges(c4, [bad])
+    assert add_edges(c4, []) == c4
 
 
 # -- formats ------------------------------------------------------------------
@@ -69,6 +102,36 @@ def test_graph6_roundtrip_against_networkx():
         # and the reference parser agrees with ours
         back = nx.from_graph6_bytes(mine.encode())
         assert back.number_of_edges() == g.m
+
+
+def per_pair_graph6(g: Graph) -> str:
+    """The graph6 writer as first written: one has_edge call per vertex pair."""
+    n = g.n
+    if n <= 62:
+        head = bytes([n + 63])
+    else:
+        head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
+    bits = [1 if g.has_edge(u, v) else 0 for v in range(1, n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    body = bytearray()
+    for i in range(0, len(bits), 6):
+        x = 0
+        for b in bits[i:i + 6]:
+            x = (x << 1) | b
+        body.append(x + 63)
+    return (head + bytes(body)).decode("ascii")
+
+
+def test_graph6_writer_equals_the_per_pair_writer():
+    rng = random.Random(12)
+    for _ in range(150):
+        n = rng.randrange(0, 71)
+        p = rng.random()
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        assert emit_graph6(g) == per_pair_graph6(g)
+    long_form = random_connected_graph(100, 0.1, rng)
+    text = emit_graph6(long_form)
+    assert text.startswith("~") and text == per_pair_graph6(long_form)
 
 
 def test_graph6_header_and_errors():
