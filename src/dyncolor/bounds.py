@@ -439,7 +439,7 @@ def mad(g: Graph) -> Fraction:
     denser, so its density is the next p/q.
     """
     if g.n == 0:
-        raise ValueError("mad of the empty graph is undefined")
+        raise DisconnectedGraph("mad requires a non-empty graph")
     edges = g.edges()
     density = Fraction(0)
     while True:
@@ -511,6 +511,8 @@ def kp_pipeline(g: Graph, *, girth7_planar: bool = False) -> KpCertificate:
     """
     if not g.is_connected():
         raise DisconnectedGraph("the pipeline requires a connected graph")
+    if g.n == 0:
+        raise DisconnectedGraph("the pipeline requires a non-empty graph")
     if g.n == 5 and all(g.degree(v) == 2 for v in g.vertices()):
         raise IsC5("the five-cycle is the excluded graph")
     if girth7_planar:

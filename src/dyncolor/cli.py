@@ -363,9 +363,9 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DisconnectedGraph, PartialInput) as exc:
-        # input the command does not take: a disconnected graph or rotation
-        # file, a coloring or list file that misses a vertex or names one
-        # the graph does not have
+        # input the command does not take: a disconnected or empty graph, a
+        # disconnected rotation file, a coloring or list file that misses a
+        # vertex or names one the graph does not have
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DynColorError as exc:

@@ -74,7 +74,7 @@ def verify_r_dynamic(g: Graph, coloring: Mapping[int, int], r: int) -> DynamicRe
 # -- exact search ----------------------------------------------------------------
 
 
-class _Searcher:
+class Searcher:
     """The r-dynamic backtracker behind every exact coloring question.
 
     Each vertex w keeps the multiset of colors on N(w) and its count of
@@ -286,14 +286,6 @@ def _verified(g: Graph, r: int, witness: dict[int, int] | None) -> dict[int, int
     return witness
 
 
-def r_dynamic_coloring(
-    g: Graph, r: int, k: int, *, node_budget: int = 5_000_000,
-    deadline: float | None = None,
-) -> dict[int, int] | None:
-    """A witness r-dynamic coloring with colors in 1..k, or None."""
-    return _verified(g, r, _Searcher(g, r, node_budget, deadline).solve(k))
-
-
 @dataclass(frozen=True)
 class ChiResult:
     value: int
@@ -325,7 +317,7 @@ def chi_r_exact(
     if g.n == 0:
         return ChiResult(0, {}, 0)
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    searcher = _Searcher(g, r, node_budget, deadline)
+    searcher = Searcher(g, r, node_budget, deadline)
     lower = max(min(r, g.degree(v)) + 1 for v in g.vertices())
     for k in range(lower, g.n + 1):
         try:
@@ -350,7 +342,7 @@ def is_L_colorable_r_dynamic(
             raise PartialInput(f"vertex {v} has no list")
     _refuse_unknown_vertices(g, lists, "lists")
     ordered = {v: tuple(sorted(lists[v])) for v in g.vertices()}
-    witness = _verified(g, r, _Searcher(g, r, node_budget).solve(lists=ordered))
+    witness = _verified(g, r, Searcher(g, r, node_budget).solve(lists=ordered))
     if witness is not None and any(witness[v] not in lists[v] for v in g.vertices()):
         raise AssertionError("solver returned a bad witness")
     return witness
@@ -374,6 +366,8 @@ def parse_coloring(text: str) -> dict[int, int]:
                 raise ParseError(f"non-integer in {stripped!r}", offset)
             if c <= 0:
                 raise ParseError("colors are positive integers", offset)
+            if v in out:
+                raise ParseError(f"duplicate line for vertex {v}", offset)
             out[v] = c
         offset += len(line)
     return out
@@ -400,6 +394,10 @@ def parse_lists(text: str) -> dict[int, set[int]]:
                 raise ParseError(f"non-integer in {stripped!r}", offset)
             if not colors:
                 raise ParseError(f"empty list for vertex {v}", offset)
+            if min(colors) <= 0:
+                raise ParseError("colors are positive integers", offset)
+            if v in out:
+                raise ParseError(f"duplicate line for vertex {v}", offset)
             out[v] = colors
         offset += len(line)
     return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
 
-from .coloring import _Searcher, verify_r_dynamic
+from .coloring import Searcher, verify_r_dynamic
 from .embedding import EmbeddedGraph, add_cofacial_edge, induced_embedding
 from .errors import (
     BudgetExceeded,
@@ -31,11 +31,10 @@ from .errors import (
 from .graph import Graph, VertexRemap, add_edges, delete_vertices
 from .paintgame import (
     CertificationReport,
-    PaintSolver,
     RejectionRule,
     dull_rule,
     run_gprime_first,
-    start_position,
+    xp_r_number,
 )
 
 
@@ -814,7 +813,7 @@ def check_extendable(
     if k is None:
         k = reduction.match.kind.target[1]
     inverse = sorted(reduction.gprime_vertices)  # the remap is monotone
-    extender = _Searcher(g, r, math.inf)
+    extender = Searcher(g, r, math.inf)
     checked = 0
 
     def fails_to_extend(base: dict[int, int]) -> bool:
@@ -830,7 +829,7 @@ def check_extendable(
             raise AssertionError("extension search returned a bad witness")
         return False
 
-    bad = _Searcher(reduction.gprime, r, math.inf).solve(k, accept=fails_to_extend)
+    bad = Searcher(reduction.gprime, r, math.inf).solve(k, accept=fails_to_extend)
     if bad is None:
         return ExtendabilityReport(True, checked, None)
     return ExtendabilityReport(False, checked, {inverse[dv]: c for dv, c in bad.items()})
@@ -865,15 +864,12 @@ def structural_budget(reduction: Reduction, t: int) -> int:
 
 
 def suggested_tokens(g: Graph, reduction: Reduction, r: int, k: int) -> dict[int, int]:
-    """Reduced per-vertex tokens: trigger budget + 1 on T, minimal win on G'."""
+    """Reduced per-vertex tokens: trigger budget + 1 on T, and on G' its paint
+    number, the least uniform count with which Painter wins there."""
     tokens = {}
     for t in reduction.s_order:
         tokens[t] = min(k, structural_budget(reduction, t) + 1)
-    inner = reduction.gprime
-    solver = PaintSolver(inner, r)  # the memo key holds the tokens: share it across k
-    need = 1
-    while not solver.painter_wins(start_position(inner, r, (need,) * inner.n)[1]):
-        need += 1
+    need = xp_r_number(reduction.gprime, r, max_n=reduction.gprime.n).value
     for v in reduction.gprime_vertices:
         tokens[v] = need
     return tokens

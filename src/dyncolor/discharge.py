@@ -219,10 +219,6 @@ class DischargeReport:
     four_regular: bool
     all_faces_len5: bool
 
-    @property
-    def all_nonnegative(self) -> bool:
-        return not self.negative_vertices and not self.negative_faces
-
     def render(self) -> str:
         lines = [self.ledger.render(), ""]
         vf = self.ledger.vertex_final_q()

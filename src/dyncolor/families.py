@@ -109,10 +109,6 @@ def subdivision(g: Graph) -> Graph:
     return Graph(nxt, edges)
 
 
-def pendant_added(g: Graph, at: int) -> Graph:
-    return Graph(g.n + 1, list(g.edges()) + [(at, g.n)])
-
-
 # -- generators ----------------------------------------------------------------
 
 def random_tree(n: int, rng: random.Random) -> Graph:

@@ -275,10 +275,6 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(max_v + 1, edges)
 
 
-def emit_edge_list(g: Graph) -> str:
-    return "".join(f"{u} {v}\n" for u, v in g.edges())
-
-
 def parse_graph(text: str, fmt: str = "auto") -> Graph:
     if fmt == "graph6":
         return parse_graph6(text)

@@ -9,14 +9,16 @@ the tokens on uncolored vertices and one residual per watched vertex set,
 which `advance` lowers whenever a response meets the set.  The first n sets
 are N(v) with need min(r, d(v)), so Painter has won once all is colored and
 those residuals are 0; a painter may watch more sets (its `watch` attribute).
-Painters answer `respond(position, marked)` from the tokens and residuals
-alone, so the minimax solver, the exhaustive adversary and strategy trees all
-key positions on them.  The solver and the adversary pack a position into
-ints of bit fields (`Fields`): tokens with one field per vertex, residuals
-with one per watched set, vertex sets as masks; the solver and the composite
-painter also answer packed marks (`respond_packed`).  The adversary may
-track a vertex set whose tokens its painter never reads (the deleted set of
-a reduction): its memo key is then the int `res << (n*w) | tokens` with each
+Positions are packed into ints of bit fields (`Fields`): tokens with one
+field per vertex, residuals with one per watched set, vertex sets as masks.
+Every painter answers packed positions: `fit(largest)` returns a field width
+that holds values up to `largest`, and `respond_packed(tokens, res,
+uncolored, marked)` returns the colored set from the tokens and residuals
+alone, so the minimax solver, the exhaustive adversary and strategy trees
+all key positions on them.  `respond_at` is the one place that packs a
+`Position` for a painter and unpacks its answer.  The adversary may track a
+vertex set whose tokens its painter never reads (the deleted set of a
+reduction): its memo key is then the int `res << (n*w) | tokens` with each
 tracked vertex's token field replaced by its uncolored bit, and it stores
 with each key the most rejections every tracked vertex can still get.
 The solver declares a position lost when some res(v) exceeds the uncolored
@@ -161,6 +163,25 @@ class Fields:
         return tuple(packed >> (i * self.w) & self.field for i in range(self.count))
 
 
+def _pack(lay: Fields, pos: Position) -> tuple[int, int, int]:
+    """Packed (tokens on uncolored vertices, first `lay.count` residuals,
+    uncolored set) of a position in the fields of `lay`."""
+    return (sum(pos.tokens[v] << (v * lay.w) for v in pos.uncolored),
+            lay.pack(pos.res[:lay.count]), lay.mask(pos.uncolored))
+
+
+def respond_at(painter, pos: Position, marked: Iterable[int]) -> frozenset[int]:
+    """The painter's response to `marked` at `pos`: the position is packed at
+    the width `painter.fit` returns and the answer unpacked.  A mark holding
+    a colored vertex raises IllegalMark, as in `advance`."""
+    marked = frozenset(marked)
+    if not marked <= pos.uncolored:
+        raise IllegalMark(f"colored vertices marked: {sorted(marked - pos.uncolored)}")
+    lay = Fields(len(pos.res), painter.fit(max(pos.tokens + pos.res, default=0)))
+    colored = painter.respond_packed(*_pack(lay, pos), lay.mask(marked))
+    return frozenset(lay.items(colored))
+
+
 # -- exact minimax solver -----------------------------------------------------------
 
 
@@ -172,8 +193,7 @@ class PaintSolver:
     tokens.  A third packed int, `free`, holds each vertex's count of
     uncolored neighbors; fields are wide enough for the maximum degree, so
     one subtraction compares every residual need with its count.  As a
-    painter it answers `Position`s (`respond`) and packed positions laid out
-    by `fit` (`respond_packed`).
+    painter it answers packed positions laid out by `fit` (`respond_packed`).
     """
 
     def __init__(self, g: Graph, r: int, *, node_budget: int | None = None,
@@ -237,16 +257,6 @@ class PaintSolver:
                                         for _, c, t, lost in subs]
         return table
 
-    def _pack(self, pos: Position) -> tuple[int, int, int]:
-        """Packed (tokens, residual needs, uncolored set) of a position whose
-        first n residuals are this solver's neighborhoods; one call starts one
-        solve for the node budget."""
-        self._start()
-        self.fit(max((pos.tokens[v] for v in pos.uncolored), default=0))
-        lay = self._lay
-        tokens = sum(pos.tokens[v] << (v * lay.w) for v in pos.uncolored)
-        return tokens, lay.pack(pos.res[:self.g.n]), lay.mask(pos.uncolored)
-
     def _wins(self, tokens: int, res: int, uncolored: int, free: int) -> bool:
         """Verdict of a position in which every uncolored vertex has a token;
         `free` holds each vertex's count of uncolored neighbors (the memo key
@@ -292,28 +302,19 @@ class PaintSolver:
     # -- play interfaces ---------------------------------------------------------
 
     def painter_wins(self, pos: Position) -> bool:
-        """Exact verdict of the game from `pos`; Lister has won if an uncolored
-        vertex has no token."""
-        tokens, res, uncolored = self._pack(pos)
+        """Exact verdict of the game from `pos`, whose first n residuals are
+        this solver's neighborhoods; Lister has won if an uncolored vertex has
+        no token."""
+        self._start()
+        self.fit(max((pos.tokens[v] for v in pos.uncolored), default=0))
+        tokens, res, uncolored = _pack(self._lay, pos)
         return (self._lay.nonzero(tokens) & uncolored == uncolored
                 and self._wins(tokens, res, uncolored, self._free(uncolored)))
 
-    def winning_response(self, pos: Position, marked: Iterable[int]) -> frozenset[int]:
-        """First winning response in the solver's deterministic order."""
-        marked = frozenset(marked)
-        if not marked <= pos.uncolored:
-            raise IllegalMark(f"colored vertices marked: {sorted(marked - pos.uncolored)}")
-        if any(pos.tokens[v] == 0 for v in marked):
-            raise InnerLost("a marked vertex had no tokens")
-        tokens, res, uncolored = self._pack(pos)
-        lay = self._lay
-        return frozenset(lay.items(self.respond_packed(tokens, res, uncolored,
-                                                       lay.mask(marked))))
-
     def respond_packed(self, tokens: int, res: int, uncolored: int, marked: int) -> int:
-        """`winning_response` on a packed position: tokens and the n
-        neighborhood residuals at the width `fit` returned, vertex sets as
-        masks."""
+        """First winning response, in the solver's deterministic order, at a
+        packed position: tokens and the n neighborhood residuals at the width
+        `fit` returned, vertex sets as masks."""
         nonzero = self._lay.nonzero
         if marked & ~nonzero(tokens):
             raise InnerLost("a marked vertex had no tokens")
@@ -325,8 +326,6 @@ class PaintSolver:
                     left, res - (needy & touched), rest, free - lost):
                 return colored
         raise InnerLost("no winning response from this position")
-
-    respond = winning_response  # the solver is itself a Painter
 
 
 @dataclass
@@ -488,17 +487,9 @@ class GPrimeFirstPainter:
             self._inner_responses.clear()
         return w
 
-    def respond(self, pos: Position, marked: frozenset[int]) -> frozenset[int]:
-        self.fit(max(pos.tokens + pos.res, default=0))
-        lay = self._lay
-        uncolored = lay.mask(pos.uncolored)
-        tokens = sum(pos.tokens[v] << (v * lay.w) for v in pos.uncolored)
-        colored = self.respond_packed(tokens, lay.pack(pos.res), uncolored,
-                                      lay.mask(marked) & uncolored)
-        return frozenset(lay.items(colored))
-
     def respond_packed(self, tokens: int, res: int, uncolored: int, marked: int) -> int:
-        """`respond` on a packed position laid out at the width `fit` returned."""
+        """The response at a packed position laid out at the width `fit`
+        returned: the inner solver's on G', then each S-vertex no rule vetoes."""
         colored = 0
         inner_marked = marked & self._gmask
         if inner_marked:
@@ -603,7 +594,7 @@ def run_transcript(
             advance(g, slots, pos, marked, ())  # marking a colored vertex still raises
             rounds.append(RoundRecord(i, tuple(sorted(marked)), (), tokens, ()))
             break
-        response = painter.respond(pos, marked)
+        response = respond_at(painter, pos, marked)
         pos = advance(g, slots, pos, marked, response)
         coloring.update(dict.fromkeys(response, i))
         rejected = tuple(sorted(marked - response))
@@ -668,19 +659,16 @@ def certify_painter(
 
     Marks are the nonempty subsets of the uncolored set in increasing order
     of their masks, which is the order of their indicator words over the
-    sorted uncolored vertices.  A painter with `fit` and `respond_packed`
-    (`PaintSolver`, `GPrimeFirstPainter`) answers packed marks at the width
-    `fit` returns; any other is shown a `Position` and a frozenset mark.
+    sorted uncolored vertices.  The painter answers packed marks at the
+    width its `fit` returns.
     A line whose final residuals call the coloring not r-dynamic is replayed
     with `run_transcript`, and the verdict confirmed with `verify_r_dynamic`.
     """
     f = normalize_tokens(g, f)
     track = tuple(sorted(set(track)))
     slots, start = start_position(g, r, f, getattr(painter, "watch", ()))
-    largest = max(f + start.res)
-    packed = hasattr(painter, "respond_packed")
-    lay = Fields(len(start.res), painter.fit(largest) if packed else field_width(largest))
-    respond = painter.respond_packed if packed else _position_painter(g, lay, painter)
+    lay = Fields(len(start.res), painter.fit(max(f + start.res)))
+    respond = painter.respond_packed
     w, field, nonzero = lay.w, lay.field, lay.nonzero
     span = g.n * w
     neighborhoods = (1 << span) - 1  # the residual fields of the N(v)
@@ -788,16 +776,6 @@ def certify_painter(
                 f"but its replay ends {replay.outcome!r}"
             )
     return CertificationReport(ok, "" if ok else reason, losing, max_rej, states)
-
-
-def _position_painter(g: Graph, lay: Fields, painter):
-    """A painter with only `respond(position, marked)` as one that answers
-    packed positions laid out in `lay`."""
-    def respond(tokens: int, res: int, uncolored: int, marked: int) -> int:
-        pos = Position(lay.unpack(tokens)[:g.n], lay.unpack(res),
-                       frozenset(lay.items(uncolored)))
-        return lay.mask(painter.respond(pos, frozenset(lay.items(marked))))
-    return respond
 
 
 def run_gprime_first(
@@ -941,7 +919,7 @@ def strategy_tree(g: Graph, r: int, f, solver: PaintSolver) -> dict:
         uncolored = sorted(pos.uncolored)
         for mask in range(1, 1 << len(uncolored)):
             marked = frozenset(v for i, v in enumerate(uncolored) if (mask >> i) & 1)
-            resp = solver.winning_response(pos, marked)
+            resp = respond_at(solver, pos, marked)
             child = advance(g, slots, pos, marked, resp)
             entry["moves"][" ".join(map(str, sorted(marked)))] = {
                 "color": sorted(resp),
@@ -955,18 +933,28 @@ def strategy_tree(g: Graph, r: int, f, solver: PaintSolver) -> dict:
 
 
 class TreePainter:
-    """Painter replaying a serialized strategy tree."""
+    """Painter replaying a serialized strategy tree: a packed position is
+    unpacked to the (tokens, residual needs) that name its node."""
 
     def __init__(self, tree: dict):
         self.tree = tree
         self._nodes = {(tuple(node["tokens"]), tuple(node["res"])): node
                        for node in tree["nodes"].values()}
+        self._lay = Fields(tree["graph_n"], field_width(0))
 
-    def respond(self, pos: Position, marked: frozenset[int]) -> frozenset[int]:
-        node = self._nodes.get((pos.tokens, pos.res))
+    def fit(self, largest: int) -> int:
+        """Widen the fields to hold values up to `largest` if they do not;
+        returns the field width."""
+        if largest > self._lay.field >> 1:
+            self._lay = Fields(self._lay.count, field_width(largest))
+        return self._lay.w
+
+    def respond_packed(self, tokens: int, res: int, uncolored: int, marked: int) -> int:
+        lay = self._lay
+        node = self._nodes.get((lay.unpack(tokens), lay.unpack(res)))
         if node is None:
             raise InnerLost("position not in strategy tree")
-        move = node["moves"].get(" ".join(map(str, sorted(marked))))
+        move = node["moves"].get(" ".join(map(str, lay.items(marked))))
         if move is None:
             raise InnerLost("mark not in strategy tree")
-        return frozenset(move["color"])
+        return lay.mask(move["color"])

@@ -36,7 +36,6 @@ from dyncolor.families import (
     complete_bipartite,
     cycle,
     path,
-    pendant_added,
     petersen,
     prism,
     random_connected_graph,
@@ -311,8 +310,13 @@ def test_kp_pipeline_two_two_case():
     assert any(s.case == "2a" for s in cert.steps)
 
 
+def c5_with_pendant() -> Graph:
+    """C5 with a pendant vertex 5 on vertex 0."""
+    return Graph(6, cycle(5).edges() + [(0, 5)])
+
+
 def test_kp_pipeline_pendant_on_c5_caveat():
-    cert = kp_pipeline(pendant_added(cycle(5), 0))
+    cert = kp_pipeline(c5_with_pendant())
     assert not cert.certified
     assert [r.verdict for r in cert.remainders] == ["is-c5"]
 
@@ -405,7 +409,7 @@ def kp_reference_corpus():
         yield g
     yield from (subdivision(complete(4)), subdivision(prism()),
                 subdivision(complete_bipartite(3, 3)), subdivision(petersen()),
-                pendant_added(cycle(5), 0), two_diamonds(2), two_diamonds(3))
+                c5_with_pendant(), two_diamonds(2), two_diamonds(3))
 
 
 @pytest.mark.parametrize("girth7", [False, True])

@@ -300,6 +300,16 @@ ROTATION_COMMANDS = ("genus", "find-config", "reduce", "discharge", "unavoidable
      "--time-limit applies only with --tokens"),
     (["paint", "--r", "1", "--tokens", "3", "--genus", "0", "G"], None,
      "--genus does not apply with --tokens"),
+    (["mad", "F"], "# nothing\n", "mad requires a non-empty graph"),
+    (["kp-check", "F"], "# nothing\n", "the pipeline requires a non-empty graph"),
+    (["kp-check", "--girth7-planar", "F"], "# nothing\n",
+     "the pipeline requires a non-empty graph"),
+    (["list-check", "--r", "1", "--lists", "F", "G"], "0: 1 2\n1: 0 -1\n",
+     "colors are positive integers (byte 7)"),
+    (["list-check", "--r", "1", "--lists", "F", "G"], "0: 1 2\n0: 3\n",
+     "duplicate line for vertex 0 (byte 7)"),
+    (["verify", "--r", "1", "--coloring", "F", "G"], "0 1\n0 2\n",
+     "duplicate line for vertex 0 (byte 4)"),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
     paths = {"G": tmp_path / "c5.g6", "F": tmp_path / "input.txt"}
@@ -312,6 +322,17 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message)
         code = exc.code
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["chi-r", "--r", "2", "F"], "0\n"),
+    (["paint", "--r", "2", "F"], "0  (empty graph)\n"),
+])
+def test_the_empty_graph_has_trivial_numbers(tmp_path, capsys, argv, out):
+    path = tmp_path / "empty.el"
+    path.write_text("# nothing\n")
+    assert main([str(path) if a == "F" else a for a in argv]) == 0
+    assert capsys.readouterr().out == out
 
 
 K4_EDGES = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"

@@ -6,13 +6,12 @@ from itertools import product
 import pytest
 
 from dyncolor.coloring import (
-    _Searcher,
+    Searcher,
     chi_r_exact,
     emit_coloring,
     is_L_colorable_r_dynamic,
     parse_coloring,
     parse_lists,
-    r_dynamic_coloring,
     verify_r_dynamic,
 )
 from dyncolor.errors import BudgetExceeded, PartialInput
@@ -102,7 +101,7 @@ def test_chi_witness_always_verifies():
         res = chi_r_exact(g, r)
         assert verify_r_dynamic(g, res.witness, r).ok
         assert res.value <= g.n  # rainbow upper bound
-        assert r_dynamic_coloring(g, r, res.value - 1) is None or res.value == 1
+        assert Searcher(g, r, math.inf).solve(res.value - 1) is None or res.value == 1
 
 
 def test_chi_monotone_in_r():
@@ -212,7 +211,7 @@ def core_bases(g, r, k):
         out.append(dict(coloring))
         return False
 
-    assert _Searcher(g, r, math.inf).solve(k, accept=keep) is None
+    assert Searcher(g, r, math.inf).solve(k, accept=keep) is None
     return out
 
 
@@ -240,17 +239,17 @@ def test_core_enumerates_each_base_once():
 
 def test_precoloring_is_kept_or_refused():
     g = path(4)  # 0-1-2-3
-    improper = _Searcher(g, 2, math.inf)
+    improper = Searcher(g, 2, math.inf)
     assert improper.solve(3, {0: 1, 1: 1}) is None
     assert improper.nodes == 0
-    dead = _Searcher(g, 2, math.inf)  # vertex 1 sees only color 1
+    dead = Searcher(g, 2, math.inf)  # vertex 1 sees only color 1
     assert dead.solve(3, {0: 1, 2: 1}) is None
     assert dead.nodes == 0
-    live = _Searcher(g, 2, math.inf).solve(3, {0: 1, 2: 2})
+    live = Searcher(g, 2, math.inf).solve(3, {0: 1, 2: 2})
     assert live is not None and live[0] == 1 and live[2] == 2
     assert verify_r_dynamic(g, live, 2).ok
     complete_ok = {0: 1, 1: 2, 2: 3, 3: 1}
-    assert _Searcher(g, 2, math.inf).solve(3, complete_ok) == complete_ok
+    assert Searcher(g, 2, math.inf).solve(3, complete_ok) == complete_ok
 
 
 def test_accept_takes_the_first_acceptable_leaf():
@@ -261,7 +260,7 @@ def test_accept_takes_the_first_acceptable_leaf():
         seen.append(dict(coloring))
         return len(seen) == 3
 
-    got = _Searcher(g, 1, math.inf).solve(3, accept=third)
+    got = Searcher(g, 1, math.inf).solve(3, accept=third)
     assert got == seen[2] and len(seen) == 3
 
 
@@ -330,6 +329,6 @@ def test_grids_with_a_side_of_7(m, r):
 def test_c5xc6_refutation_at_k4_is_small():
     # chi_3(C5 x C6) = 5; refuting k = 4 took 13,393 nodes before
     # forced-rainbow propagation
-    searcher = _Searcher(grid_torus(5, 6), 3, math.inf)
+    searcher = Searcher(grid_torus(5, 6), 3, math.inf)
     assert searcher.solve(4) is None
     assert searcher.nodes <= 2_000

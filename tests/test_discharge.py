@@ -275,7 +275,7 @@ def test_every_driver_miss_is_a_soundness_alarm(emb, case, monkeypatch, tmp_path
 
 def test_final_report_sign_classes():
     report = final_report(run_discharge(c3c3_torus()))
-    assert report.all_nonnegative
+    assert not report.negative_vertices and not report.negative_faces
     assert report.four_regular and not report.all_faces_len5
     assert all(case == "Case 2" for case in report.vertex_cases)
 

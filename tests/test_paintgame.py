@@ -17,6 +17,8 @@ from dyncolor.errors import (
 from dyncolor.families import complete, cycle, path, random_connected_graph, star, wheel
 from dyncolor.graph import Graph
 from dyncolor.paintgame import (
+    Fields,
+    GPrimeFirstPainter,
     PaintSolver,
     Position,
     RejectionRule,
@@ -24,7 +26,9 @@ from dyncolor.paintgame import (
     advance,
     certify_painter,
     dull_rule,
+    field_width,
     normalize_tokens,
+    respond_at,
     run_gprime_first,
     run_transcript,
     solve_xp_r,
@@ -32,6 +36,25 @@ from dyncolor.paintgame import (
     strategy_tree,
     xp_r_number,
 )
+
+
+class OnPositions:
+    """A test painter written on `Position`s (`respond(pos, marked)`),
+    answering the packed protocol: each packed position is unpacked for it.
+    Subclasses set `g`."""
+
+    watch = ()
+    _w = field_width(0)
+
+    def fit(self, largest):
+        self._w = max(self._w, field_width(largest))
+        return self._w
+
+    def respond_packed(self, tokens, res, uncolored, marked):
+        lay = Fields(self.g.n + len(self.watch), self._w)
+        pos = Position(lay.unpack(tokens)[:self.g.n], lay.unpack(res),
+                       frozenset(lay.items(uncolored)))
+        return lay.mask(self.respond(pos, frozenset(lay.items(marked))))
 
 
 def test_play_round_mechanics():
@@ -110,10 +133,12 @@ def test_exhaustive_lister_finds_wins_below_threshold():
     verdict = solve_xp_r(g, 1, 3)
     painter = verdict.strategy()
 
-    class Stubborn:
+    class Stubborn(OnPositions):
+        g = painter.g
+
         def respond(self, state, marked):
             try:
-                return painter.respond(state, marked)
+                return respond_at(painter, state, marked)
             except Exception:
                 return frozenset()
 
@@ -549,7 +574,7 @@ def reference_certify(g, r, f, painter, track=()):
             marked = frozenset(v for i, v in enumerate(verts) if (mask >> i) & 1)
             step = list(line) + [tuple(sorted(marked))]
             try:
-                response = painter.respond(state.position(g, r, watch), marked)
+                response = respond_at(painter, state.position(g, r, watch), marked)
             except (IllegalResponse, InnerLost, BudgetViolated) as exc:
                 out["losing"], out["reason"] = step, f"{type(exc).__name__}: {exc}"
                 ok = False
@@ -584,8 +609,6 @@ def assert_same_certification(g, r, f, painter, track=()):
 
 
 def composite(g, red):
-    from dyncolor.paintgame import GPrimeFirstPainter
-
     return GPrimeFirstPainter(g, 3, red.gprime_vertices, red.gprime_edges,
                               red.s_order, red.triggers)
 
@@ -624,8 +647,6 @@ def test_adversary_matches_partition_reference_on_catalog_budgets():
 def test_adversary_matches_partition_reference_on_random_composites():
     # random G' splits with random triggers, few_colors rules included on
     # vertex sets other than a neighbourhood, and random tokens
-    from dyncolor.paintgame import GPrimeFirstPainter
-
     rng = random.Random(15)
     reasons = set()
     for _ in range(120):
@@ -676,7 +697,7 @@ def test_scripted_mark_of_a_colored_vertex_is_illegal():
         composite_run([{0}, {0, 1}])
 
 
-class Greedy:
+class Greedy(OnPositions):
     """Colors the marked vertices in order, skipping neighbours of those taken;
     it reads no residual."""
 
@@ -769,7 +790,7 @@ def token_free_positions(g, r, painter, f, track):
         verts = sorted(pos.uncolored)
         for mask in range(1, 1 << len(verts)):
             marked = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
-            child = advance(g, slots, pos, marked, painter.respond(pos, marked))
+            child = advance(g, slots, pos, marked, respond_at(painter, pos, marked))
             if child.uncolored and key(child) not in seen:
                 seen.add(key(child))
                 todo.append(child)
@@ -858,21 +879,8 @@ def test_certification_frees_its_painter_without_a_cycle_collection(max_states, 
 # -- the packed adversary ----------------------------------------------------------
 
 
-class PositionOnly:
-    """Shows a painter `Position`s only, so `certify_painter` reaches it
-    through its adapter and not through `respond_packed`."""
-
-    def __init__(self, painter):
-        self.painter = painter
-        self.watch = getattr(painter, "watch", ())
-
-    def respond(self, pos, marked):
-        return self.painter.respond(pos, marked)
-
-
 SMALL_PAINTERS = {
     "solver": lambda g, r, k: solve_xp_r(g, r, k).solver,
-    "solver-positions": lambda g, r, k: PositionOnly(solve_xp_r(g, r, k).solver),
     "tree": lambda g, r, k: TreePainter(strategy_tree(g, r, k, solve_xp_r(g, r, k).solver)),
 }
 
@@ -888,8 +896,6 @@ def test_packed_and_position_painters_match_the_reference(kind, g, r, k):
     short = k - 1
     lost = assert_same_certification(g, r, short, painter)
     assert lost.reason.startswith("InnerLost")
-    if kind == "solver":  # the native and the adapter path agree state for state
-        assert lost == certify_painter(g, r, short, PositionOnly(painter))
 
 
 # states the token-free adversary searches with suggested_tokens on each
@@ -930,13 +936,14 @@ def catalog_case(name):
     return _references[name]
 
 
-@pytest.mark.parametrize("adapted", [False, True], ids=["native", "adapter"])
-@pytest.mark.parametrize("name", PASSING_KINDS + tuple(f"ablation:{k}" for k in ABLATIONS))
-def test_composite_certification_matches_the_reference(name, adapted):
+CATALOG_CASES = PASSING_KINDS + tuple(f"ablation:{k}" for k in ABLATIONS)
+
+
+# "native": the composite painter certified on its own packed answers
+@pytest.mark.parametrize("name", CATALOG_CASES, ids=[f"{c}-native" for c in CATALOG_CASES])
+def test_composite_certification_matches_the_reference(name):
     g, red, f, (ok, reason, losing, max_rej, _) = catalog_case(name)
-    painter = composite(g, red)
-    rep = certify_painter(g, 3, f, PositionOnly(painter) if adapted else painter,
-                          track=red.s_order)
+    rep = certify_painter(g, 3, f, composite(g, red), track=red.s_order)
     assert (rep.ok, rep.reason, rep.losing_line, rep.max_rejections) == (
         ok, reason, losing, max_rej)
     assert rep.ok == (name in PASSING_KINDS)
@@ -1020,3 +1027,46 @@ def test_strategy_tree_response_order_is_pinned():
     assert len(tree["nodes"]) == 202
     digest = hashlib.sha256(json.dumps(tree, sort_keys=True).encode()).hexdigest()
     assert digest == "76ae52d9aaee9bb3487c6fc2e38e1cd6a04858d450953103f1a953d60dd7533a"
+
+
+# -- one painter protocol ------------------------------------------------------------
+
+
+def test_every_painter_answers_packed_positions_only():
+    g = cycle(4)
+    solver = solve_xp_r(g, 1, 2).solver
+    painters = (solver,
+                GPrimeFirstPainter(g, 1, frozenset(g.vertices()), frozenset(g.edges()), (), {}),
+                TreePainter(strategy_tree(g, 1, 2, solver)))
+    for painter in painters:
+        assert callable(painter.fit) and callable(painter.respond_packed)
+        assert not hasattr(painter, "respond"), type(painter).__name__
+
+
+def test_certification_refuses_a_painter_without_the_packed_protocol():
+    # a painter with neither `fit` nor `respond_packed` fails before the
+    # adversary searches a state: no mark is ever shown to it
+    shown = []
+
+    class OnlyRespond:
+        def respond(self, pos, marked):
+            shown.append(marked)
+            return frozenset()
+
+    with pytest.raises(AttributeError, match="fit"):
+        certify_painter(cycle(4), 1, 2, OnlyRespond())
+    assert shown == []
+
+
+def test_respond_at_refuses_a_colored_vertex_as_advance_does():
+    g = path(3)
+    painters = (solve_xp_r(g, 1, 2).solver,
+                GPrimeFirstPainter(g, 1, frozenset({1, 2}), frozenset({(1, 2)}), (0,), {0: ()}))
+    for painter in painters:
+        slots, start = start_position(g, 1, (2, 2, 2), getattr(painter, "watch", ()))
+        pos = advance(g, slots, start, {0}, {0})
+        with pytest.raises(IllegalMark) as want:
+            advance(g, slots, pos, {0, 1}, ())
+        with pytest.raises(IllegalMark) as got:
+            respond_at(painter, pos, {0, 1})
+        assert str(got.value) == str(want.value) == "colored vertices marked: [0]"
