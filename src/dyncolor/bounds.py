@@ -22,7 +22,7 @@ from heapq import heapify, heappop, heappush
 from math import isqrt
 
 from .coloring import verify_r_dynamic
-from .configs import CATALOG_BUDGETS, KP_KINDS, ConfigKind, kp_deleted, kp_matches
+from .configs import CATALOG, KP_KINDS, ConfigKind, kp_deleted, kp_matches
 from .errors import (
     ApplicabilityError,
     BudgetExceeded,
@@ -457,8 +457,15 @@ GIRTH7_HYPOTHESIS = "planar-girth-7 (asserted by caller)"
 # the remainder game's vertex cap and node budget
 KP_GAME_MAX_N = 8
 KP_GAME_NODE_BUDGET = 4_000_000
-_KP_CASES = {ConfigKind.KP_PENDANT: "1", ConfigKind.KP_TWO_TWO: "2a",
-             ConfigKind.KP_THREE_WITH_TWOS: "2b"}
+# the peel's ranks, each a kind (None: an isolated vertex) and its case: a
+# pendant first, then an isolated vertex, then the rest in `KP_KINDS` order
+_KP_RANKS = ((ConfigKind.KP_PENDANT, "1"), (None, "1"),
+             (ConfigKind.KP_TWO_TWO, "2a"), (ConfigKind.KP_THREE_WITH_TWOS, "2b"))
+
+
+def _is_c5(g: Graph) -> bool:
+    """Whether a connected graph is the five-cycle."""
+    return g.n == 5 and all(g.degree(v) == 2 for v in g.vertices())
 
 
 @dataclass
@@ -505,15 +512,16 @@ def kp_pipeline(g: Graph, *, girth7_planar: bool = False) -> KpCertificate:
     Checks the density hypothesis mad < 8/3 exactly, at any size (or accepts
     the caller's planar-girth-7 assertion instead), peels the catalog's KP
     configurations, each step the first kind in `KP_KINDS` order that matches
-    at its least root, and closes the low-degree remainder with the game
-    solver.  The roots come from lazy heaps refreshed around each removed
-    set, so the peel is near-linear.
+    at its least root (an isolated vertex ranks after the pendants), and
+    closes the low-degree remainder with the game solver.  The steps come
+    from one lazy heap of (rank, root), refreshed around each removed set,
+    so the peel is near-linear.
     """
     if not g.is_connected():
         raise DisconnectedGraph("the pipeline requires a connected graph")
     if g.n == 0:
         raise DisconnectedGraph("the pipeline requires a non-empty graph")
-    if g.n == 5 and all(g.degree(v) == 2 for v in g.vertices()):
+    if _is_c5(g):
         raise IsC5("the five-cycle is the excluded graph")
     if girth7_planar:
         hypothesis = GIRTH7_HYPOTHESIS
@@ -524,60 +532,50 @@ def kp_pipeline(g: Graph, *, girth7_planar: bool = False) -> KpCertificate:
         hypothesis = f"mad {density} < 8/3"
 
     adj = _adjacency(g)
-    # One lazy heap of candidate roots per kind, and one of isolated
-    # vertices.  Removing vertices lowers the degrees of their neighbours.  A
-    # root's match reads its own degree and, for each neighbour, only whether
-    # that degree is 2 or at least 3 (and a 2-neighbour's other neighbour);
-    # so a lowered degree can change the matches only at that vertex and,
-    # when the new degree is at most 2, at its neighbours.  Those are pushed
-    # again after every step; stale entries are dropped when they surface.
-    heaps: dict[ConfigKind, list[int]] = {kind: [] for kind in KP_KINDS}
-    isolated: list[int] = []
+    budgets = {kind: max(CATALOG[kind].budgets.values()) for kind in KP_KINDS}
+
+    def step_at(rank: int, u: int) -> KpStep | None:
+        """The step of rank `rank` rooted at u, or None."""
+        if u not in adj:
+            return None
+        kind, case = _KP_RANKS[rank]
+        if kind is None:  # an isolated vertex, while another vertex remains
+            return KpStep(case, (u,), {"v": u}, 0) if not adj[u] and len(adj) > 1 else None
+        match = next(kp_matches(adj, kind, (u,)), None)
+        if match is None:
+            return None
+        return KpStep(case, kp_deleted(match), match.roles, budgets[kind])
+
+    # One lazy heap of (rank, root).  Removing vertices lowers the degrees of
+    # their neighbours.  A root's match reads its own degree and, for each
+    # neighbour, only whether that degree is 2 or at least 3 (and a
+    # 2-neighbour's other neighbour); so a lowered degree can change the
+    # steps only at that vertex and, when the new degree is at most 2, at its
+    # neighbours.  Those are pushed again after every step; stale entries are
+    # dropped when they surface.
+    heap: list[tuple[int, int]] = []
 
     def push(around) -> None:
         for u in around:
-            if not adj[u]:
-                heappush(isolated, u)
-            for kind, heap in heaps.items():
-                if next(kp_matches(adj, kind, (u,)), None) is not None:
-                    heappush(heap, u)
-
-    def least(kind: ConfigKind):
-        """The match of `kind` at its least root, or None."""
-        heap = heaps[kind]
-        while heap:
-            if heap[0] in adj:
-                match = next(kp_matches(adj, kind, (heap[0],)), None)
-                if match is not None:
-                    return match
-            heappop(heap)
-        return None
+            # the ranks are rooted at distinct degrees: at most one applies
+            for rank in range(len(_KP_RANKS)):
+                if step_at(rank, u) is not None:
+                    heappush(heap, (rank, u))
+                    break
 
     push(adj)
     steps: list[KpStep] = []
-    while True:
-        match = next((m for kind in KP_KINDS if (m := least(kind)) is not None), None)
-        if match is None or match.kind is not ConfigKind.KP_PENDANT:
-            # an isolated vertex goes after the pendants, before the pairs;
-            # the adjacency only shrinks, so an isolated vertex stays isolated
-            while isolated and isolated[0] not in adj:
-                heappop(isolated)
-            if isolated and len(adj) > 1:
-                v = heappop(isolated)
-                steps.append(KpStep("1", (v,), {"v": v}, 0))
-                del adj[v]
-                continue
-        if match is None:
-            break
-        removed = kp_deleted(match)
-        steps.append(KpStep(_KP_CASES[match.kind], removed, match.roles,
-                            max(CATALOG_BUDGETS[match.kind].values())))
+    while heap:
+        step = step_at(*heappop(heap))
+        if step is None:
+            continue
+        steps.append(step)
         lowered: set[int] = set()
-        for x in removed:
+        for x in step.removed:
             for w in adj.pop(x):
                 adj[w].discard(x)
                 lowered.add(w)
-        lowered.difference_update(removed)
+        lowered.difference_update(step.removed)
         push(lowered.union(*(adj[w] for w in lowered if len(adj[w]) <= 2)))
     if any(len(ns) >= 3 for ns in adj.values()):
         if girth7_planar:
@@ -595,7 +593,7 @@ def kp_pipeline(g: Graph, *, girth7_planar: bool = False) -> KpCertificate:
     for part in rest.components():
         comp = tuple(label[i] for i in part)
         sub, _ = subgraph(rest, part)
-        if sub.n == 5 and all(sub.degree(v) == 2 for v in sub.vertices()):
+        if _is_c5(sub):
             remainders.append(KpRemainder(comp, "is-c5"))
             continue
         try:

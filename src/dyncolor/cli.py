@@ -11,7 +11,8 @@ import sys
 
 from . import bounds, configs, coloring, discharge, embedding, paintgame
 from .errors import (BudgetExceeded, CertificateRefuted, DisconnectedGraph,
-                     DynColorError, MalformedRotation, ParseError, PartialInput)
+                     DynColorError, GenusTooLarge, MalformedRotation, ParseError,
+                     PartialInput)
 from .graph import Graph, parse_graph
 
 EXIT_OK = 0
@@ -126,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="build the reduction for the first match")
     p.add_argument("rotation")
     p.add_argument("--kind", type=_resolve_kinds, default=None,
-                   help="restrict to one kind name")
+                   help="'torus', 'kp', 'all', or comma-separated kind names "
+                        "(default: all)")
 
     p = sub.add_parser("discharge", help="run the charging rules on an embedding")
     p.add_argument("rotation")
@@ -362,10 +364,11 @@ def main(argv=None) -> int:
         # MalformedRotation comes only from an input rotation file
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DisconnectedGraph, PartialInput) as exc:
+    except (DisconnectedGraph, PartialInput, GenusTooLarge) as exc:
         # input the command does not take: a disconnected or empty graph, a
         # disconnected rotation file, a coloring or list file that misses a
-        # vertex or names one the graph does not have
+        # vertex or names one the graph does not have, an embedding of genus
+        # above what `unavoidable` handles
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DynColorError as exc:

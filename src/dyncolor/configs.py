@@ -3,7 +3,9 @@ certification of extendability (on the exact coloring search) and of
 rejection budgets (against the exhaustive adversary).
 
 The first ten kinds target 3-dynamic 10-paintability on the torus; the three
-KP kinds target 2-dynamic 4-paintability of sparse graphs.  Detectors match
+KP kinds target 2-dynamic 4-paintability of sparse graphs.  Each kind is
+stated once, by its `CATALOG` entry: detector, builder, role budgets, and
+whether it reads faces.  Detectors match
 the catalog statements; they read degrees from one list per call, face
 lengths at a vertex's corners from the embedding's `corner_lengths` table,
 and faces through its dart -> face index (`face_of_dart`, `faces_at`) only
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
+from typing import Callable
 
 from .coloring import Searcher, verify_r_dynamic
 from .embedding import EmbeddedGraph, add_cofacial_edge, induced_embedding
@@ -60,46 +63,11 @@ class ConfigKind(Enum):
             return (2, 4)
         return (3, 10)
 
-    @property
-    def needs_embedding(self) -> bool:
-        return self in _FACE_DETECTORS
 
-
-TORUS_KINDS = (
-    ConfigKind.DEG_LE_2,
-    ConfigKind.ADJACENT_3S,
-    ConfigKind.MANY_3_NBRS,
-    ConfigKind.FOUR_WITH_3_NBR,
-    ConfigKind.LIGHT_TRIANGLE,
-    ConfigKind.TWIN_TRIANGLES,
-    ConfigKind.TRIANGLE_AND_4VTX,
-    ConfigKind.THREE_TRIANGLE_FAN,
-    ConfigKind.EXP4_MEETS_3FACE,
-    ConfigKind.ALL4S_QUAD_FACE,
-)
-
-KP_KINDS = (
-    ConfigKind.KP_PENDANT,
-    ConfigKind.KP_TWO_TWO,
-    ConfigKind.KP_THREE_WITH_TWOS,
-)
-
-# certified per-kind rejection bounds (key: role or kind-level default)
-CATALOG_BUDGETS: dict[ConfigKind, dict[str, int]] = {
-    ConfigKind.DEG_LE_2: {"deg1": 3, "deg2": 6},
-    ConfigKind.ADJACENT_3S: {"v1": 8, "v2": 9},
-    ConfigKind.MANY_3_NBRS: {"x": 9, "v": 9},
-    ConfigKind.FOUR_WITH_3_NBR: {"v1": 9, "v2": 9},
-    ConfigKind.LIGHT_TRIANGLE: {"v1": 8, "v2": 8},
-    ConfigKind.TWIN_TRIANGLES: {"v": 9},
-    ConfigKind.TRIANGLE_AND_4VTX: {"v": 9, "x": 9},
-    ConfigKind.THREE_TRIANGLE_FAN: {"v": 9},
-    ConfigKind.EXP4_MEETS_3FACE: {"v": 7},
-    ConfigKind.ALL4S_QUAD_FACE: {"v": 9},
-    ConfigKind.KP_PENDANT: {"v": 2},
-    ConfigKind.KP_TWO_TWO: {"u": 3, "v": 3},
-    ConfigKind.KP_THREE_WITH_TWOS: {"u": 3, "w": 3},
-}
+# The enum's order is behaviour: the driver reports the first torus kind with
+# a match, and the KP peel ranks its steps by kind.
+KP_KINDS = tuple(kind for kind in ConfigKind if kind.name.startswith("KP_"))
+TORUS_KINDS = tuple(kind for kind in ConfigKind if kind not in KP_KINDS)
 
 
 @dataclass(frozen=True)
@@ -370,39 +338,21 @@ def kp_deleted(match: ConfigMatch) -> tuple[int, ...]:
     return (match.role("u"),) + match.role("T")
 
 
-_GRAPH_DETECTORS = {
-    ConfigKind.DEG_LE_2: _detect_deg_le_2,
-    ConfigKind.ADJACENT_3S: _detect_adjacent_3s,
-    ConfigKind.FOUR_WITH_3_NBR: _detect_four_with_3_nbr,
-    ConfigKind.LIGHT_TRIANGLE: _detect_light_triangle,
-}
-
-_FACE_DETECTORS = {
-    ConfigKind.MANY_3_NBRS: _detect_many_3_nbrs,
-    ConfigKind.TWIN_TRIANGLES: _detect_twin_triangles,
-    ConfigKind.TRIANGLE_AND_4VTX: _detect_triangle_and_4vtx,
-    ConfigKind.THREE_TRIANGLE_FAN: _detect_three_triangle_fan,
-    ConfigKind.EXP4_MEETS_3FACE: _detect_exp4_meets_3face,
-    ConfigKind.ALL4S_QUAD_FACE: _detect_all4s_quad_face,
-}
+def _graph_and_embedding(target):
+    if isinstance(target, EmbeddedGraph):
+        return target.graph, target
+    return target, None
 
 
 def find_configs(target, kinds=TORUS_KINDS) -> list[ConfigMatch]:
     """Exhaustive matches of the requested kinds in a Graph or EmbeddedGraph."""
-    if isinstance(target, EmbeddedGraph):
-        g, emb = target.graph, target
-    else:
-        g, emb = target, None
+    g, emb = _graph_and_embedding(target)
     out: list[ConfigMatch] = []
     for kind in kinds:
-        if kind in KP_KINDS:
-            out.extend(kp_matches(g.adj, kind, g.vertices()))
-        elif kind in _GRAPH_DETECTORS:
-            out.extend(_GRAPH_DETECTORS[kind](g))
-        else:
-            if emb is None:
-                raise EmbeddingRequired(f"{kind.value} needs face information")
-            out.extend(_FACE_DETECTORS[kind](emb))
+        entry = CATALOG[kind]
+        if entry.reads_faces and emb is None:
+            raise EmbeddingRequired(f"{kind.value} needs face information")
+        out.extend(entry.detect(emb if entry.reads_faces else g))
     return out
 
 
@@ -442,6 +392,12 @@ def _colored_all(watch, note=""):
     return RejectionRule("colored_all", frozenset(watch), note=note)
 
 
+def _budgets(match: ConfigMatch, roles: dict[int, str]) -> dict[int, int]:
+    """Each deleted vertex's budget, read from the catalog by its role."""
+    declared = CATALOG[match.kind].budgets
+    return {t: declared[role] for t, role in roles.items()}
+
+
 def _assemble(g: Graph, match, s_order, wanted_edges, triggers, budgets,
               emb: EmbeddedGraph | None) -> Reduction:
     """G' = G - S + E', built once: by the surgery on emb, if it has one."""
@@ -477,15 +433,11 @@ def _assemble(g: Graph, match, s_order, wanted_edges, triggers, budgets,
 
 def build_reduction(emb_or_graph, match: ConfigMatch) -> Reduction:
     """Transcribe the proof construction for a detected configuration."""
-    if isinstance(emb_or_graph, EmbeddedGraph):
-        g, emb = emb_or_graph.graph, emb_or_graph
-    else:
-        g, emb = emb_or_graph, None
-    kind = match.kind
-    if kind.needs_embedding and emb is None:
-        raise EmbeddingRequired(f"{kind.value} reduction needs an embedding")
-    builder = _BUILDERS[kind]
-    return builder(g, emb, match)
+    g, emb = _graph_and_embedding(emb_or_graph)
+    entry = CATALOG[match.kind]
+    if entry.reads_faces and emb is None:
+        raise EmbeddingRequired(f"{match.kind.value} reduction needs an embedding")
+    return entry.build(g, emb, match)
 
 
 def _build_deg_le_2(g, emb, match):
@@ -496,8 +448,7 @@ def _build_deg_le_2(g, emb, match):
             [_colored_any({u}, f"{u} colored") for u in nbrs]
             + [dull_rule(g, u) for u in nbrs]
         )}
-        budget = CATALOG_BUDGETS[ConfigKind.DEG_LE_2]["deg1"]
-        return _assemble(g, match, (v,), (), triggers, {v: budget}, emb)
+        return _assemble(g, match, (v,), (), triggers, _budgets(match, {v: "deg1"}), emb)
     y, z = nbrs
     triggers = {v: (
         _colored_any({y}, f"{y} colored"),
@@ -505,8 +456,7 @@ def _build_deg_le_2(g, emb, match):
         dull_rule(g, y),
         dull_rule(g, z),
     )}
-    budget = CATALOG_BUDGETS[ConfigKind.DEG_LE_2]["deg2"]
-    return _assemble(g, match, (v,), ((y, z),), triggers, {v: budget}, emb)
+    return _assemble(g, match, (v,), ((y, z),), triggers, _budgets(match, {v: "deg2"}), emb)
 
 
 def _build_adjacent_3s(g, emb, match):
@@ -523,7 +473,7 @@ def _build_adjacent_3s(g, emb, match):
                    dull_rule(g, y2), dull_rule(g, z2),
                    _colored_any({v1}, "partner colored")]),
     }
-    budgets = {v1: CATALOG_BUDGETS[match.kind]["v1"], v2: CATALOG_BUDGETS[match.kind]["v2"]}
+    budgets = _budgets(match, {v1: "v1", v2: "v2"})
     return _assemble(g, match, (v1, v2), ((y1, z1), (y2, z2)), triggers, budgets, emb)
 
 
@@ -546,8 +496,7 @@ def _build_many_3_nbrs(g, emb, match):
         elif i == 2:
             rules.append(_colored_any({xs[0], xs[1]}, "earlier xs colored"))
         triggers[x] = tuple(rules)
-    budgets = {v: len(reject_v)}
-    budgets.update({x: CATALOG_BUDGETS[match.kind]["x"] for x in xs})
+    budgets = {v: len(reject_v), **_budgets(match, {x: "x" for x in xs})}
     wanted = tuple((ys[i], zs[i]) for i in range(len(xs)))
     for y, z in wanted:
         if {y, z} & ({v} | set(xs)) and not g.has_edge(y, z):
@@ -579,7 +528,7 @@ def _build_four_with_3_nbr(g, emb, match):
                    dull_rule(g, y2), dull_rule(g, z2),
                    _colored_any({v1}, "partner colored")]),
     }
-    budgets = {v1: CATALOG_BUDGETS[match.kind]["v1"], v2: CATALOG_BUDGETS[match.kind]["v2"]}
+    budgets = _budgets(match, {v1: "v1", v2: "v2"})
     red = _assemble(g, match, (v1, v2), ((y1, z1), (y2, z2)), triggers, budgets, emb)
     red.match = replace(match, roles={**match.roles, "y1": y1, "z1": z1,
                                       "y2": y2, "z2": z2, "w": w})
@@ -619,7 +568,7 @@ def _build_light_triangle(g, emb, match):
         v2: tuple([_colored_any({y1, y2, z}, "y/z colored"), dull_rule(g, y2),
                    _colored_any({v1}, "partner colored")]),
     }
-    budgets = {v1: CATALOG_BUDGETS[match.kind]["v1"], v2: CATALOG_BUDGETS[match.kind]["v2"]}
+    budgets = _budgets(match, {v1: "v1", v2: "v2"})
     red = _assemble(g, match, (v1, v2), ((y1, z), (y2, z)), triggers, budgets, emb)
     red.match = replace(match, roles={**match.roles, "v1": v1, "v2": v2,
                                       "z": z, "y1": y1, "y2": y2})
@@ -630,7 +579,7 @@ def _build_twin_triangles(g, emb, match):
     v, y, z = match.role("v"), match.role("y"), match.role("z")
     triggers = {v: tuple([_colored_any(set(g.neighbors(v)), "neighborhood colored"),
                           dull_rule(g, y), dull_rule(g, z)])}
-    budgets = {v: CATALOG_BUDGETS[match.kind]["v"]}
+    budgets = _budgets(match, {v: "v"})
     return _assemble(g, match, (v,), ((y, z),), triggers, budgets, emb)
 
 
@@ -641,7 +590,7 @@ def _build_triangle_and_4vtx(g, emb, match):
         x: tuple([_colored_any(set(g.neighbors(x)), "N(x) colored"),
                   dull_rule(g, v), dull_rule(g, y), dull_rule(g, z)]),
     }
-    budgets = {v: CATALOG_BUDGETS[match.kind]["v"], x: CATALOG_BUDGETS[match.kind]["x"]}
+    budgets = _budgets(match, {v: "v", x: "x"})
     return _assemble(g, match, (v, x), ((y, z),), triggers, budgets, emb)
 
 
@@ -657,7 +606,7 @@ def _build_three_triangle_fan(g, emb, match):
         rules.append(RejectionRule("few_colors", watch=nz, observe=nz,
                                    threshold=1, note="N(z)-{v,x} still colorless"))
     triggers = {v: tuple(rules)}
-    budgets = {v: CATALOG_BUDGETS[match.kind]["v"]}
+    budgets = _budgets(match, {v: "v"})
     return _assemble(g, match, (v,), ((y, z),), triggers, budgets, emb)
 
 
@@ -665,7 +614,7 @@ def _build_exp4_meets_3face(g, emb, match):
     v, y, z = match.role("v"), match.role("y"), match.role("z")
     triggers = {v: tuple([_colored_any(set(g.neighbors(v)), "N(v) colored"),
                           dull_rule(g, y), dull_rule(g, z)])}
-    budgets = {v: CATALOG_BUDGETS[match.kind]["v"]}
+    budgets = _budgets(match, {v: "v"})
     return _assemble(g, match, (v,), ((y, z),), triggers, budgets, emb)
 
 
@@ -709,7 +658,7 @@ def _build_all4s_quad_face(g, emb, match):
         v4: (_colored_any({v1, v2, v3, y[1], z[1], y[3], z[3], y[4], z[4]},
                           "listed set colored"),),
     }
-    budgets = {v: CATALOG_BUDGETS[match.kind]["v"] for v in face}
+    budgets = _budgets(match, {v: "v" for v in face})
     return _assemble(g, match, tuple(face), (), triggers, budgets, emb)
 
 
@@ -720,7 +669,7 @@ def _build_kp_pendant(g, emb, match):
     if others:
         rules.append(_colored_all(others, "all other neighbors of u colored"))
     triggers = {v: tuple(rules)}
-    budgets = {v: CATALOG_BUDGETS[match.kind]["v"]}
+    budgets = _budgets(match, {v: "v"})
     return _assemble(g, match, kp_deleted(match), (), triggers, budgets, emb)
 
 
@@ -741,7 +690,7 @@ def _build_kp_two_two(g, emb, match):
                   _deficient_rule(g, vp, set(g.neighbors(vp)) - {v}, 2,
                                   "v' not yet 2-dynamic")]),
     }
-    budgets = {u: CATALOG_BUDGETS[match.kind]["u"], v: CATALOG_BUDGETS[match.kind]["v"]}
+    budgets = _budgets(match, {u: "u", v: "v"})
     return _assemble(g, match, kp_deleted(match), (), triggers, budgets, emb)
 
 
@@ -751,25 +700,52 @@ def _build_kp_three_with_twos(g, emb, match):
     triggers = {u: (_colored_any(set(other.values()), "a T-partner colored"),)}
     for w in t:
         triggers[w] = (_colored_any({u, other[w], vp}, "u/w'/v' colored"),)
-    budgets = {u: CATALOG_BUDGETS[match.kind]["u"]}
-    budgets.update({w: CATALOG_BUDGETS[match.kind]["w"] for w in t})
+    budgets = _budgets(match, {u: "u", **{w: "w" for w in t}})
     return _assemble(g, match, kp_deleted(match), (), triggers, budgets, emb)
 
 
-_BUILDERS = {
-    ConfigKind.DEG_LE_2: _build_deg_le_2,
-    ConfigKind.ADJACENT_3S: _build_adjacent_3s,
-    ConfigKind.MANY_3_NBRS: _build_many_3_nbrs,
-    ConfigKind.FOUR_WITH_3_NBR: _build_four_with_3_nbr,
-    ConfigKind.LIGHT_TRIANGLE: _build_light_triangle,
-    ConfigKind.TWIN_TRIANGLES: _build_twin_triangles,
-    ConfigKind.TRIANGLE_AND_4VTX: _build_triangle_and_4vtx,
-    ConfigKind.THREE_TRIANGLE_FAN: _build_three_triangle_fan,
-    ConfigKind.EXP4_MEETS_3FACE: _build_exp4_meets_3face,
-    ConfigKind.ALL4S_QUAD_FACE: _build_all4s_quad_face,
-    ConfigKind.KP_PENDANT: _build_kp_pendant,
-    ConfigKind.KP_TWO_TWO: _build_kp_two_two,
-    ConfigKind.KP_THREE_WITH_TWOS: _build_kp_three_with_twos,
+@dataclass(frozen=True)
+class Entry:
+    """One kind's statement: its detector (run on the embedding when the kind
+    reads faces, else on the graph), its reduction builder, and its certified
+    rejection bounds (key: role or kind-level default)."""
+    detect: Callable
+    build: Callable
+    budgets: dict[str, int]
+    reads_faces: bool = False
+
+
+def _kp_detector(kind: ConfigKind):
+    return lambda g: kp_matches(g.adj, kind, g.vertices())
+
+
+CATALOG: dict[ConfigKind, Entry] = {
+    ConfigKind.DEG_LE_2: Entry(_detect_deg_le_2, _build_deg_le_2, {"deg1": 3, "deg2": 6}),
+    ConfigKind.ADJACENT_3S: Entry(_detect_adjacent_3s, _build_adjacent_3s,
+                                  {"v1": 8, "v2": 9}),
+    ConfigKind.MANY_3_NBRS: Entry(_detect_many_3_nbrs, _build_many_3_nbrs,
+                                  {"x": 9, "v": 9}, reads_faces=True),
+    ConfigKind.FOUR_WITH_3_NBR: Entry(_detect_four_with_3_nbr, _build_four_with_3_nbr,
+                                      {"v1": 9, "v2": 9}),
+    ConfigKind.LIGHT_TRIANGLE: Entry(_detect_light_triangle, _build_light_triangle,
+                                     {"v1": 8, "v2": 8}),
+    ConfigKind.TWIN_TRIANGLES: Entry(_detect_twin_triangles, _build_twin_triangles,
+                                     {"v": 9}, reads_faces=True),
+    ConfigKind.TRIANGLE_AND_4VTX: Entry(_detect_triangle_and_4vtx, _build_triangle_and_4vtx,
+                                        {"v": 9, "x": 9}, reads_faces=True),
+    ConfigKind.THREE_TRIANGLE_FAN: Entry(_detect_three_triangle_fan,
+                                         _build_three_triangle_fan,
+                                         {"v": 9}, reads_faces=True),
+    ConfigKind.EXP4_MEETS_3FACE: Entry(_detect_exp4_meets_3face, _build_exp4_meets_3face,
+                                       {"v": 7}, reads_faces=True),
+    ConfigKind.ALL4S_QUAD_FACE: Entry(_detect_all4s_quad_face, _build_all4s_quad_face,
+                                      {"v": 9}, reads_faces=True),
+    ConfigKind.KP_PENDANT: Entry(_kp_detector(ConfigKind.KP_PENDANT), _build_kp_pendant,
+                                 {"v": 2}),
+    ConfigKind.KP_TWO_TWO: Entry(_kp_detector(ConfigKind.KP_TWO_TWO), _build_kp_two_two,
+                                 {"u": 3, "v": 3}),
+    ConfigKind.KP_THREE_WITH_TWOS: Entry(_kp_detector(ConfigKind.KP_THREE_WITH_TWOS),
+                                         _build_kp_three_with_twos, {"u": 3, "w": 3}),
 }
 
 
@@ -901,7 +877,7 @@ def check_budget(
     every deleted vertex t stays within min(reduction.budgets[t], k - 1)
     rejections.
     """
-    g = g_or_emb.graph if isinstance(g_or_emb, EmbeddedGraph) else g_or_emb
+    g, _ = _graph_and_embedding(g_or_emb)
     if tokens is None:
         tokens = suggested_tokens(g, reduction, r, k)
     f = [tokens[v] for v in g.vertices()]

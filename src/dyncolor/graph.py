@@ -62,9 +62,6 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
-
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
@@ -284,9 +281,10 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
         body = text.strip()
         if body.startswith(_G6_HEADER):
             return parse_graph6(text)
-        # edge lists contain spaces or comments on the first payload line
+        # an edge list's first payload line holds two whitespace-separated
+        # fields or a comment; graph6 has neither whitespace nor '#'
         first = next((ln for ln in body.splitlines() if ln.strip()), "")
-        if " " in first.strip() or first.lstrip().startswith("#"):
+        if len(first.split()) > 1 or "#" in first:
             return parse_edge_list(text)
         return parse_graph6(text)
     raise ValueError(f"unknown format {fmt!r}")

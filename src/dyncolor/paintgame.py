@@ -332,7 +332,6 @@ class PaintSolver:
 class GameVerdict:
     painter_wins: bool
     solver: PaintSolver
-    tokens: tuple[int, ...]
 
     def strategy(self) -> PaintSolver:
         if not self.painter_wins:
@@ -356,7 +355,7 @@ def solve_xp_r(
     deadline = None if time_limit is None else time.monotonic() + time_limit
     solver = PaintSolver(g, r, node_budget=node_budget, deadline=deadline)
     _, start = start_position(g, r, tokens)
-    return GameVerdict(solver.painter_wins(start), solver, tokens)
+    return GameVerdict(solver.painter_wins(start), solver)
 
 
 # -- painter strategies --------------------------------------------------------------
@@ -728,7 +727,7 @@ def certify_painter(
                 break
             try:
                 colored = respond(tokens, res, uncolored, marked)
-            except (IllegalResponse, InnerLost, BudgetViolated) as exc:
+            except (IllegalResponse, InnerLost) as exc:
                 losing, reason = spell(line + [marked]), f"{type(exc).__name__}: {exc}"
                 return None
             if colored & ~marked:

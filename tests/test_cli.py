@@ -75,6 +75,14 @@ def test_find_config_and_reduce(grid_rot, capsys):
     assert "S = " in out and "triggers" in out
 
 
+def test_auto_detection_reads_a_tab_separated_edge_list(tmp_path, capsys):
+    path = tmp_path / "p3.txt"
+    path.write_text("0\t1\n1\t2\n")
+    for fmt in ("auto", "edge-list"):
+        assert main(["chi-r", "--r", "1", "--format", fmt, str(path)]) == 0
+        assert capsys.readouterr().out == "2\n"
+
+
 def test_discharge_and_unavoidable(grid_rot, capsys):
     assert main(["discharge", grid_rot]) == 0
     capsys.readouterr()
@@ -253,6 +261,7 @@ def test_nonpositive_r_and_tokens_are_usage_errors(tmp_path, capsys, argv):
 TRACE_HEAD = "contraction-trace\nr 11\ngenus 0\n"
 ASYMMETRIC_ROT = "rot 3\n0: 1\n1: 0\n2: 1\n"
 DISCONNECTED_ROT = "rot 4\n0: 1\n1: 0\n2: 3\n3: 2\n"
+GENUS2_K5_ROT = "rot 5\n0: 1 2 3 4\n1: 0 2 3 4\n2: 0 1 3 4\n3: 0 1 2 4\n4: 0 1 2 3\n"
 ROTATION_COMMANDS = ("genus", "find-config", "reduce", "discharge", "unavoidable")
 
 
@@ -310,6 +319,7 @@ ROTATION_COMMANDS = ("genus", "find-config", "reduce", "discharge", "unavoidable
      "duplicate line for vertex 0 (byte 7)"),
     (["verify", "--r", "1", "--coloring", "F", "G"], "0 1\n0 2\n",
      "duplicate line for vertex 0 (byte 4)"),
+    (["unavoidable", "F"], GENUS2_K5_ROT, "input error: driver handles genus <= 1, got 2"),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
     paths = {"G": tmp_path / "c5.g6", "F": tmp_path / "input.txt"}

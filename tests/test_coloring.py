@@ -116,7 +116,7 @@ def test_square_equivalence_cross_oracle():
     rng = random.Random(2)
     for _ in range(50):
         g = random_connected_graph(rng.randrange(2, 10), 0.35, rng)
-        delta = g.max_degree()
+        delta = max(map(len, g.adj))
         direct = chi_r_exact(g, max(delta, 1)).value
         squared = chi_r_exact(graph_power(g, 2), 1).value
         assert direct == squared

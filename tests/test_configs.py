@@ -8,9 +8,11 @@ import pytest
 from dyncolor import configs
 from dyncolor.coloring import verify_r_dynamic
 from dyncolor.configs import (
+    CATALOG,
     KP_KINDS,
     TORUS_KINDS,
     ConfigKind,
+    ConfigMatch,
     build_reduction,
     check_budget,
     check_extendable,
@@ -46,8 +48,36 @@ from tori import SIX_STEPS, SQUARE_STEPS, embed_rotation, lattice_torus, split_t
 
 
 def test_embedding_required():
-    with pytest.raises(EmbeddingRequired):
-        find_configs(petersen(), [ConfigKind.TWIN_TRIANGLES])
+    # a triangle with a tail: every kind that reads no faces matches in it
+    g = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5)])
+    for kind in ConfigKind:
+        if CATALOG[kind].reads_faces:
+            with pytest.raises(EmbeddingRequired, match=f"{kind.value} needs face information"):
+                find_configs(g, [kind])
+            with pytest.raises(EmbeddingRequired,
+                               match=f"{kind.value} reduction needs an embedding"):
+                build_reduction(g, ConfigMatch(kind, {}))
+            continue
+        matches = find_configs(g, [kind])
+        assert matches and matches == find_configs(find_embedding(g), [kind])
+        try:
+            build_reduction(g, matches[0])
+        except (ValueError, DynColorError) as exc:
+            # a builder may refuse the match, but the face check does not apply
+            assert "reduction needs an embedding" not in str(exc)
+
+
+def test_the_catalog_has_one_entry_per_kind_in_enum_order():
+    assert list(CATALOG) == list(ConfigKind)
+    assert TORUS_KINDS + KP_KINDS == tuple(ConfigKind)
+    # the order is behaviour: the driver reports the first kind with a
+    # match, and the KP peel ranks its steps by kind
+    assert [kind.value for kind in TORUS_KINDS] == [
+        "deg<=2", "adjacent-3s", "many-3-neighbors", "4-with-3-neighbor",
+        "light-triangle", "twin-triangles", "triangle-and-4-vertex",
+        "three-triangle-fan", "expensive-4-meets-3-face", "all-4s-quad-face"]
+    assert [kind.value for kind in KP_KINDS] == [
+        "kp-pendant", "kp-two-two", "kp-three-with-twos"]
 
 
 def test_named_graph_matches():
