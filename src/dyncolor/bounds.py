@@ -33,7 +33,7 @@ from .errors import (
     NoLightEdge,
     ParseError,
 )
-from .graph import Graph, subgraph
+from .graph import Graph, payload_lines, subgraph
 from .paintgame import solve_xp_r
 
 
@@ -113,12 +113,7 @@ class ContractionTrace:
 
     @staticmethod
     def parse(text: str) -> "ContractionTrace":
-        lines = []
-        offset = 0
-        for line in text.splitlines(keepends=True):
-            if line.strip():
-                lines.append((line.split(), offset))
-            offset += len(line)
+        lines = [(line.split(), off) for line, off in payload_lines(text)]
         if not lines or lines[0][0] != ["contraction-trace"]:
             raise ParseError("not a contraction trace", 0)
         header: dict[str, list[int]] = {}  # the r, genus and base lines
@@ -144,7 +139,7 @@ class ContractionTrace:
             else:
                 header[word] = values
         if "r" not in header or "genus" not in header:
-            raise ParseError("trace missing r/genus header", offset)
+            raise ParseError("trace missing r/genus header", len(text))
         return ContractionTrace(header["r"][0], header["genus"][0], steps,
                                 header.get("base", []))
 

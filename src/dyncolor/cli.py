@@ -13,7 +13,7 @@ from . import bounds, configs, coloring, discharge, embedding, paintgame
 from .errors import (BudgetExceeded, CertificateRefuted, DisconnectedGraph,
                      DynColorError, GenusTooLarge, MalformedRotation, ParseError,
                      PartialInput)
-from .graph import Graph, parse_graph
+from .graph import Graph, parse_graph, payload_lines
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -300,8 +300,8 @@ def _cmd_contract_color(args) -> int:
 def _cmd_replay(args) -> int:
     g = _load_graph(args.graph, args.format)
     text = _read(args.certificate)
-    head = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
-    if head == "contraction-trace":
+    recorded = [line for line, _ in payload_lines(text)]
+    if recorded[:1] == ["contraction-trace"]:
         trace = bounds.ContractionTrace.parse(text)
         try:
             res = bounds.replay_contraction(g, trace)
@@ -310,11 +310,10 @@ def _cmd_replay(args) -> int:
             return EXIT_FALSE
         print(f"replayed: {res.render()}")
         return EXIT_OK
-    if head == "kp-chain":
-        recorded = [ln for ln in text.splitlines() if ln.strip()]
+    if recorded[:1] == ["kp-chain"]:
         girth7 = f"hypothesis {bounds.GIRTH7_HYPOTHESIS}" in recorded
         fresh = bounds.kp_pipeline(g, girth7_planar=girth7)
-        if recorded != fresh.render().splitlines():
+        if recorded != [line for line, _ in payload_lines(fresh.render())]:
             print("certificate does not match a fresh pipeline run")
             return EXIT_FALSE
         print(f"replayed: chain of {len(fresh.steps)} steps matches; "

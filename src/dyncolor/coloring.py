@@ -20,7 +20,7 @@ from operator import add, lt
 from typing import Mapping
 
 from .errors import BudgetExceeded, ParseError, PartialInput
-from .graph import Graph
+from .graph import Graph, payload_lines
 
 
 @dataclass(frozen=True)
@@ -353,23 +353,19 @@ def is_L_colorable_r_dynamic(
 
 def parse_coloring(text: str) -> dict[int, int]:
     out: dict[int, int] = {}
-    offset = 0
-    for line in text.splitlines(keepends=True):
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected '<vertex> <color>', got {stripped!r}", offset)
-            try:
-                v, c = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"non-integer in {stripped!r}", offset)
-            if c <= 0:
-                raise ParseError("colors are positive integers", offset)
-            if v in out:
-                raise ParseError(f"duplicate line for vertex {v}", offset)
-            out[v] = c
-        offset += len(line)
+    for line, offset in payload_lines(text):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected '<vertex> <color>', got {line!r}", offset)
+        try:
+            v, c = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"non-integer in {line!r}", offset)
+        if c <= 0:
+            raise ParseError("colors are positive integers", offset)
+        if v in out:
+            raise ParseError(f"duplicate line for vertex {v}", offset)
+        out[v] = c
     return out
 
 
@@ -380,24 +376,20 @@ def emit_coloring(coloring: Mapping[int, int]) -> str:
 def parse_lists(text: str) -> dict[int, set[int]]:
     """Lines '<v>: c1 c2 ...' defining a list assignment."""
     out: dict[int, set[int]] = {}
-    offset = 0
-    for line in text.splitlines(keepends=True):
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            if ":" not in stripped:
-                raise ParseError("expected '<v>: c1 c2 ...'", offset)
-            head, _, tail = stripped.partition(":")
-            try:
-                v = int(head.strip())
-                colors = {int(t) for t in tail.split()}
-            except ValueError:
-                raise ParseError(f"non-integer in {stripped!r}", offset)
-            if not colors:
-                raise ParseError(f"empty list for vertex {v}", offset)
-            if min(colors) <= 0:
-                raise ParseError("colors are positive integers", offset)
-            if v in out:
-                raise ParseError(f"duplicate line for vertex {v}", offset)
-            out[v] = colors
-        offset += len(line)
+    for line, offset in payload_lines(text):
+        if ":" not in line:
+            raise ParseError("expected '<v>: c1 c2 ...'", offset)
+        head, _, tail = line.partition(":")
+        try:
+            v = int(head.strip())
+            colors = {int(t) for t in tail.split()}
+        except ValueError:
+            raise ParseError(f"non-integer in {line!r}", offset)
+        if not colors:
+            raise ParseError(f"empty list for vertex {v}", offset)
+        if min(colors) <= 0:
+            raise ParseError("colors are positive integers", offset)
+        if v in out:
+            raise ParseError(f"duplicate line for vertex {v}", offset)
+        out[v] = colors
     return out

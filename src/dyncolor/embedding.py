@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     WouldDisconnect,
 )
-from .graph import Graph, VertexRemap, add_edges, delete_vertices
+from .graph import Graph, VertexRemap, add_edges, delete_vertices, payload_lines
 
 Dart = tuple[int, int]
 
@@ -353,35 +353,26 @@ def find_embedding(g: Graph, *, max_genus: int | None = None,
 # -- rotation-system text format --------------------------------------------------
 
 def parse_rotation(text: str) -> EmbeddedGraph:
-    offset = 0
-    header = None
-    body: list[tuple[str, int]] = []
-    for line in text.splitlines(keepends=True):
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            if header is None:
-                header = (stripped, offset)
-            else:
-                body.append((stripped, offset))
-        offset += len(line)
+    lines = payload_lines(text)
+    header, off = next(lines, (None, 0))
     if header is None:
         raise ParseError("empty rotation file", 0)
-    parts = header[0].split()
+    parts = header.split()
     if len(parts) != 2 or parts[0] != "rot":
-        raise ParseError("expected header 'rot <n>'", header[1])
+        raise ParseError("expected header 'rot <n>'", off)
     try:
         n = int(parts[1])
     except ValueError:
-        raise ParseError("bad vertex count in header", header[1])
+        raise ParseError("bad vertex count in header", off)
     if n <= 0:
-        raise ParseError("vertex count must be positive", header[1])
+        raise ParseError("vertex count must be positive", off)
     orders: dict[int, list[int]] = {}
     # the neighbours each vertex lists, as a set, for the symmetry check
-    listed: list[frozenset[int] | set[int]] = [frozenset()] * n
-    for stripped, off in body:
-        if ":" not in stripped:
+    listed: dict[int, set[int]] = {}
+    for line, off in lines:
+        if ":" not in line:
             raise ParseError("expected '<v>: w1 w2 ...'", off)
-        head, _, tail = stripped.partition(":")
+        head, _, tail = line.partition(":")
         try:
             v = int(head.strip())
             nbrs = list(map(int, tail.split()))
@@ -399,12 +390,17 @@ def parse_rotation(text: str) -> EmbeddedGraph:
         if nbrs and (min(nbrs) < 0 or max(nbrs) >= n):
             raise ParseError(f"neighbor out of range at vertex {v}", off)
         orders[v] = nbrs
-    rotation = tuple(tuple(orders.get(v, ())) for v in range(n))
-    for v, order in enumerate(rotation):
-        for w in order:
-            if v not in listed[w]:
+    for v in sorted(orders):
+        for w in orders[v]:
+            if v not in listed.get(w, ()):
                 raise MalformedRotation(
                     f"vertex {v} lists {w} but {w} does not list {v}")
+    # the orders are symmetric, so a vertex without a line is isolated: with
+    # more than one vertex the graph is disconnected, refused here before the
+    # header's n sizes anything
+    if n > max(1, len(orders)):
+        raise DisconnectedGraph("face tracing requires a connected, non-empty graph")
+    rotation = tuple(tuple(orders.get(v, ())) for v in range(n))
     # the orders are checked loop-free, repeat-free, in range and symmetric
     g = Graph._from_adj(tuple(tuple(sorted(order)) for order in rotation))
     return trace_faces(RotationSystem(g, rotation))

@@ -246,29 +246,40 @@ def emit_graph6(g: Graph) -> str:
     return (head + bytes(x + 63 for x in body)).decode("ascii")
 
 
+# -- line-oriented text -----------------------------------------------------------
+
+def payload_lines(text: str):
+    """Yield (payload, offset) for each line of `text` with something before
+    its '#': that part stripped, and the byte offset where the line starts.
+    Every line-oriented format reads its lines here, so blank lines and
+    comments mean the same in all of them."""
+    offset = 0
+    for line in text.splitlines(keepends=True):
+        payload = line.partition("#")[0].strip()
+        if payload:
+            yield payload, offset
+        offset += len(line)
+
+
 # -- edge list ----------------------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
     edges = []
     max_v = -1
-    offset = 0
-    for line in text.splitlines(keepends=True):
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected 'u v', got {stripped!r}", offset)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"non-integer vertex in {stripped!r}", offset)
-            if u < 0 or v < 0:
-                raise ParseError("negative vertex id", offset)
-            if u == v:
-                raise ParseError(f"loop at vertex {u}", offset)
-            edges.append((u, v))
-            max_v = max(max_v, u, v)
-        offset += len(line)
+    for line, offset in payload_lines(text):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected 'u v', got {line!r}", offset)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"non-integer vertex in {line!r}", offset)
+        if u < 0 or v < 0:
+            raise ParseError("negative vertex id", offset)
+        if u == v:
+            raise ParseError(f"loop at vertex {u}", offset)
+        edges.append((u, v))
+        max_v = max(max_v, u, v)
     return Graph(max_v + 1, edges)
 
 
@@ -281,8 +292,9 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
         body = text.strip()
         if body.startswith(_G6_HEADER):
             return parse_graph6(text)
-        # an edge list's first payload line holds two whitespace-separated
-        # fields or a comment; graph6 has neither whitespace nor '#'
+        # an edge list's first non-blank line holds two whitespace-separated
+        # fields or a comment; graph6 has neither whitespace nor '#'.  The raw
+        # line is read, not payload_lines, which would drop the '#'
         first = next((ln for ln in body.splitlines() if ln.strip()), "")
         if len(first.split()) > 1 or "#" in first:
             return parse_edge_list(text)

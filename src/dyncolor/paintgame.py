@@ -51,13 +51,8 @@ from .graph import Graph
 
 
 def normalize_tokens(g: Graph, f) -> tuple[int, ...]:
-    """Accept an int (uniform), sequence, or mapping; initial tokens must be positive."""
-    if isinstance(f, int):
-        tokens = tuple([f] * g.n)
-    elif isinstance(f, dict):
-        tokens = tuple(f[v] for v in g.vertices())
-    else:
-        tokens = tuple(f)
+    """Accept an int (uniform) or a sequence; initial tokens must be positive."""
+    tokens = tuple([f] * g.n) if isinstance(f, int) else tuple(f)
     if len(tokens) != g.n:
         raise ValueError("token assignment has wrong length")
     if any(t < 1 for t in tokens):
@@ -369,8 +364,8 @@ class RejectionRule:
     kind 'colored_all': fires when all of `watch` is being colored this round.
     kind 'few_colors' : fires when fewer than `threshold` distinct colors sit on
                         `observe` (colors from earlier rounds) and the
-                        response-so-far touches `watch`; `fires` reads the
-                        residual of `observe` watched with need `threshold`.
+                        response-so-far touches `watch`; the painter reads
+                        the residual of `observe` watched with need `threshold`.
     """
 
     kind: str
@@ -378,9 +373,6 @@ class RejectionRule:
     observe: frozenset[int] = frozenset()
     threshold: int = 0
     note: str = ""
-
-    def fires(self, residual: int, being_colored: frozenset[int]) -> bool:
-        return _fires(self.kind, residual, being_colored & self.watch, self.watch)
 
     def render(self) -> str:
         if self.kind == "colored_any":
@@ -395,8 +387,8 @@ class RejectionRule:
 
 
 def _fires(kind: str, residual: int, hit, watch) -> bool:
-    """Whether a rule of `kind` fires, given the part `hit` of its watched set
-    being colored; sets are frozensets or packed masks alike."""
+    """Whether a rule of `kind` fires, given the part `hit` of its packed
+    watched set `watch` being colored."""
     if kind == "colored_any":
         return bool(hit)
     if kind == "colored_all":

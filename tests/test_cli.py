@@ -2,13 +2,14 @@ import json
 
 import pytest
 
-from dyncolor.bounds import ContractionTrace, bound_profile, replay_contraction
+from dyncolor.bounds import (ContractionTrace, bound_profile, color_by_contraction,
+                             kp_pipeline, replay_contraction)
 from dyncolor.cli import main
-from dyncolor.coloring import emit_coloring, parse_coloring
-from dyncolor.embedding import c3c3_torus, emit_rotation
+from dyncolor.coloring import emit_coloring, parse_coloring, parse_lists
+from dyncolor.embedding import c3c3_torus, emit_rotation, parse_rotation
 from dyncolor.families import (complete, cycle, path, petersen, random_tree,
                                stacked_triangulation, subdivision)
-from dyncolor.graph import emit_graph6
+from dyncolor.graph import emit_graph6, parse_graph
 
 import random
 
@@ -332,6 +333,51 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message)
         code = exc.code
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_an_oversized_rotation_header_is_an_input_error(tmp_path, capsys):
+    rot = tmp_path / "big.rot"
+    rot.write_text("rot 1000000000\n0: 1\n1: 0\n")
+    assert main(["genus", str(rot)]) == 2
+    assert capsys.readouterr().err == ("input error: face tracing requires a "
+                                       "connected, non-empty graph\n")
+
+
+def _annotated(text):
+    """`text` with a leading comment line, a blank line and a note after
+    every line."""
+    return "# comment\n\n" + "".join(f"{line}  # note\n" for line in text.splitlines())
+
+
+P6_EDGES = "".join(f"{u} {v}\n" for u, v in path(6).edges())
+
+
+@pytest.mark.parametrize("argv, text, parse", [
+    (["chi-r", "--r", "2", "F"], P6_EDGES, parse_graph),
+    (["mad", "--format", "edge-list", "F"], P6_EDGES,
+     lambda text: parse_graph(text, "edge-list")),
+    (["verify", "--r", "2", "--coloring", "F", "G"],
+     emit_coloring({v: v % 3 + 1 for v in range(6)}), parse_coloring),
+    (["list-check", "--r", "2", "--lists", "F", "G"],
+     "".join(f"{v}: 1 2 3\n" for v in range(6)), parse_lists),
+    (["genus", "F"], emit_rotation(c3c3_torus()), lambda text: parse_rotation(text).rotation),
+    (["replay", "--certificate", "F", "G"],
+     color_by_contraction(path(6), 11, 0).trace.render(), ContractionTrace.parse),
+    (["replay", "--certificate", "F", "G"], kp_pipeline(path(6)).render(), None),
+], ids=["edge-list", "edge-list-format", "coloring", "lists", "rotation",
+        "contraction-trace", "kp-chain"])
+def test_every_line_format_ignores_comments_and_blank_lines(tmp_path, capsys, argv,
+                                                            text, parse):
+    paths = {"G": tmp_path / "p6.g6", "F": tmp_path / "input.txt"}
+    paths["G"].write_text(emit_graph6(path(6)))
+    runs = []
+    for body in (text, _annotated(text)):
+        paths["F"].write_text(body)
+        code = main([str(paths[a]) if a in paths else a for a in argv])
+        runs.append((code, capsys.readouterr()))
+    assert runs[0][0] == 0 and runs[0] == runs[1]
+    if parse is not None:
+        assert parse(_annotated(text)) == parse(text)
 
 
 @pytest.mark.parametrize("argv, out", [

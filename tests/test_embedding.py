@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import factorial, prod
 
 import pytest
@@ -220,6 +221,21 @@ def test_rotation_format_rejects_bad_input():
         parse_rotation("rot 3\n0: 1\n1: 0 2\n2:\n")
     with pytest.raises(MalformedRotation, match="vertex 1 lists 2 but 2 does not list 1"):
         parse_rotation("rot 3\n0: 1 2\n1: 2 0\n2: 0\n")
+
+
+def test_an_oversized_rotation_header_is_refused_before_it_sizes_anything():
+    # 22 bytes declaring two million vertices, two of them with a line: the
+    # rest are isolated, so the file is refused as disconnected, in little
+    # memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedGraph, match="requires a connected"):
+            parse_rotation("rot 2000000\n0: 1\n1: 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert parse_rotation("rot 1\n").graph.n == 1  # one vertex needs no line
 
 
 def test_parsed_graph_equals_a_rebuild_from_the_edge_list(toroidal_corpus):

@@ -21,6 +21,7 @@ from dyncolor.graph import (
     parse_edge_list,
     parse_graph,
     parse_graph6,
+    payload_lines,
 )
 
 
@@ -171,6 +172,12 @@ def test_edge_list_comments_and_errors():
         parse_edge_list("0 0\n")
     with pytest.raises(ParseError):
         parse_edge_list("0 x\n")
+
+
+def test_payload_lines_yields_each_payload_at_its_line_offset():
+    text = "# head\n\n0 1  # note\n   \r\n2 3\r\n  #\n4 5"
+    assert list(payload_lines(text)) == [("0 1", 8), ("2 3", 25), ("4 5", 34)]
+    assert list(payload_lines("")) == list(payload_lines("# only\n \n")) == []
 
 
 def test_parse_graph_auto():
