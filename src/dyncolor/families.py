@@ -1,9 +1,14 @@
-"""Named graphs, generators, and small-graph enumeration used across the suite."""
+"""Named graphs, generators, and small-graph enumeration used across the suite.
+
+The enumeration lists every connected graph on n <= 8 vertices, one per
+isomorphism class, told apart by a colour-refined, twin-reduced certificate.
+"""
 
 from __future__ import annotations
 
 import random
-from itertools import chain, combinations, groupby, permutations, product
+from collections.abc import Sequence
+from itertools import chain, combinations, permutations, product
 
 from .graph import Graph
 
@@ -147,52 +152,121 @@ def stacked_triangulation(n: int, rng: random.Random) -> Graph:
 
 # -- exhaustive small-graph enumeration ----------------------------------------
 
-def _certificate(g: Graph) -> int:
-    """Least edge bitmask over the relabelings that sort vertices by degree.
+def _refined_colours(adj) -> list[int]:
+    """Colour refinement started from degrees, repeated until no class splits.
 
-    Constraining the images to a degree-sorted order keeps the certificate
-    isomorphism-invariant while shrinking the permutation set to the product
-    of the degree-class symmetric groups.
+    A vertex's next colour is the rank of its signature, (colour, multiset of
+    neighbour colours), among all signatures.  Ranks never look at vertex
+    ids, so the ordered partition is isomorphism-invariant; the stable one is
+    equitable.
     """
-    n = g.n
-    order = sorted(range(n), key=lambda v: -g.degree(v))
-    classes = [tuple(c) for _, c in groupby(order, key=g.degree)]
-    edges = g.edges()
+    n = len(adj)
+    # a multiset of colours below n, as counts below n in fields this wide
+    width = n.bit_length()
+    colour = [len(a) for a in adj]
+    classes = len(set(colour))
+    while True:
+        weight = [1 << width * c for c in colour]
+        sig = [c << width * n | sum(map(weight.__getitem__, a)) for c, a in zip(colour, adj)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        if len(rank) == classes:
+            return colour
+        colour, classes = [rank[s] for s in sig], len(rank)
+
+
+def _cell_orders(adj, cell: list[int]) -> list[Sequence[int]]:
+    """Every ordering of a refined cell that lists each class of twins in id
+    order.  Twins, u ~ v iff N(u) - v == N(v) - u, always share a cell, and
+    twinship is an equivalence, so a vertex is tested against each class's
+    first member only."""
+    rows = {v: sum(1 << w for w in adj[v]) for v in cell}
+    twins: list[list[int]] = []
+    for v in cell:
+        for t in twins:
+            if rows[t[0]] & ~(1 << v) == rows[v] & ~(1 << t[0]):
+                t.append(v)
+                break
+        else:
+            twins.append([v])
+    if len(twins) == 1:
+        return twins
+    if len(twins) == len(cell):
+        return list(permutations(cell))
+    orders = [[-1] * len(cell)]
+    for t in twins:
+        nxt = []
+        for o in orders:
+            free = [i for i, v in enumerate(o) if v < 0]
+            for spots in combinations(free, len(t)):
+                p = o.copy()
+                for i, v in zip(spots, t):
+                    p[i] = v
+                nxt.append(p)
+        orders = nxt
+    return orders
+
+
+def _least_mask(adj) -> int:
+    """Least upper-triangle edge bitmask over the relabelings that keep the
+    refined cells in rank order and each twin class in id order.
+
+    Swapping two twins is an automorphism, so the twin restriction drops
+    only relabelings that repeat a mask; both restrictions are
+    isomorphism-invariant, so the least mask is a complete invariant.
+    """
+    n = len(adj)
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(_refined_colours(adj)):
+        cells.setdefault(c, []).append(v)
+    choices = [_cell_orders(adj, cell) if len(cell) > 1 else [cell]
+               for _, cell in sorted(cells.items())]
+    edges = [(u, v) for u, a in enumerate(adj) for v in a if u < v]
+    pos = [0] * n
     best = None
-    for perms in product(*(permutations(c) for c in classes)):
-        image = {v: i for i, v in enumerate(chain.from_iterable(perms))}
+    for parts in product(*choices):
+        for i, v in enumerate(chain.from_iterable(parts)):
+            pos[v] = i
         mask = 0
         for u, v in edges:
-            a, b = sorted((image[u], image[v]))
-            mask |= 1 << (a * n + b)
+            a, b = pos[u], pos[v]
+            mask |= 1 << (a * n + b if a < b else b * n + a)
         if best is None or mask < best:
             best = mask
     return best
 
 
+def _certificate(g: Graph) -> int:
+    """A complete isomorphism invariant of g: equal exactly for isomorphic graphs."""
+    return _least_mask(g.adj)
+
+
 def all_connected_graphs(n: int) -> list[Graph]:
-    """All connected graphs on n <= 6 vertices, one per isomorphism class.
+    """All connected graphs on n <= 8 vertices, one per isomorphism class.
 
     Built level by level: deleting a leaf of a spanning tree leaves a
     connected graph, so every connected graph on m + 1 vertices is one on m
-    vertices plus a new vertex joined to a nonempty set.
+    vertices plus a new vertex joined to a nonempty set.  Candidates come
+    parent by parent in the level's order, each parent's neighbour masks
+    ascending, and the first of each class is kept, so any complete
+    invariant gives the same graphs, labels and order.
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if n == 0:
         return []
-    if n > 6:
-        raise ValueError("exhaustive enumeration supported only for n <= 6")
-    level = [Graph(1)]
+    if n > 8:
+        raise ValueError("exhaustive enumeration supported only for n <= 8")
+    level: list[tuple[tuple[int, ...], ...]] = [((),)]
     for m in range(1, n):
         seen: set[int] = set()
         nxt = []
-        for g in level:
+        for adj in level:
             for mask in range(1, 1 << m):
-                h = Graph(m + 1, g.edges() + [(v, m) for v in range(m) if mask >> v & 1])
-                cert = _certificate(h)
+                h = tuple(a + (m,) if mask >> v & 1 else a for v, a in enumerate(adj))
+                h += (tuple(v for v in range(m) if mask >> v & 1),)
+                cert = _least_mask(h)
                 if cert not in seen:
                     seen.add(cert)
                     nxt.append(h)
         level = nxt
-    return level
+    return [Graph._from_adj(adj) for adj in level]

@@ -36,6 +36,7 @@ from dyncolor.configs import (
 from dyncolor.discharge import run_discharge, vertex_case
 from dyncolor.embedding import find_embedding
 from dyncolor.families import (
+    all_connected_graphs,
     complete,
     complete_bipartite,
     cycle,
@@ -158,6 +159,29 @@ def test_criterion_06_discharging_exactness(toroidal_corpus, capsys):
         report(6, ok,
                f"charge conservation and the Euler total -6(2-2g) hold exactly "
                f"on all {len(toroidal_corpus)} embeddings", elapsed)
+
+
+def test_criteria_05_06_on_every_7_vertex_graph(capsys):
+    nx = pytest.importorskip("networkx")
+    clock = Clock(60, "criteria 5 and 6 on every 7-vertex graph")
+    genera = Counter()
+    ok = True
+    for g in all_connected_graphs(7):
+        emb = find_embedding(g, max_genus=None)
+        # K7 is toroidal and deleting an edge never raises the genus
+        planar, _ = nx.check_planarity(nx.Graph(g.edges()))
+        ok &= emb.genus == (0 if planar else 1)
+        ok &= bool(find_configs(emb, TORUS_KINDS))
+        led = run_discharge(emb)
+        ok &= led.total_initial() == led.total_final() == -6 * (2 - 2 * emb.genus)
+        genera[emb.genus] += 1
+    elapsed = clock.done()
+    with capsys.disabled():
+        # 646 planar connected graphs on 7 vertices: OEIS A003094
+        report(5, ok and genera == {0: 646, 1: 207},
+               f"all {genera.total()} connected 7-vertex graphs at exact genus "
+               f"({genera[0]} planar, {genera[1]} toroidal): each contains a catalog "
+               "configuration and keeps the Euler total -6(2-2g) exactly", elapsed)
 
 
 def test_criteria_05_06_at_toroidal_scale(capsys):
