@@ -14,8 +14,8 @@ field per vertex, residuals with one per watched set, vertex sets as masks.
 Every painter answers packed positions: `fit(largest)` returns a field width
 that holds values up to `largest`, and `respond_packed(tokens, res,
 uncolored, marked)` returns the colored set from the tokens and residuals
-alone, so the minimax solver, the exhaustive adversary and strategy trees
-all key positions on them.  `respond_at` is the one place that packs a
+alone, so the minimax solver and the exhaustive adversary both key
+positions on them.  `respond_at` is the one place that packs a
 `Position` for a painter and unpacks its answer.  The adversary may track a
 vertex set whose tokens its painter never reads (the deleted set of a
 reduction): its memo key is then the int `res << (n*w) | tokens` with each
@@ -31,7 +31,6 @@ vertex was colored, for `verify_r_dynamic`.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -328,11 +327,6 @@ class GameVerdict:
     painter_wins: bool
     solver: PaintSolver
 
-    def strategy(self) -> PaintSolver:
-        if not self.painter_wins:
-            raise ValueError("Painter does not win; no strategy to extract")
-        return self.solver
-
 
 def solve_xp_r(
     g: Graph,
@@ -522,10 +516,8 @@ def _adjacent_pair(lay: Fields, nbr: Sequence[int], colored: int):
 
 @dataclass
 class RoundRecord:
-    index: int
     marked: tuple[int, ...]
     colored: tuple[int, ...]
-    tokens: tuple[int, ...]
     rejected: tuple[int, ...]
 
 
@@ -535,29 +527,6 @@ class Transcript:
     final: dict[int, int]  # vertex -> round in which it was colored
     outcome: str   # 'painter', 'lister', or a failure note
     rejections: dict[int, int]
-
-    def render(self) -> str:
-        lines = []
-        for rec in self.rounds:
-            lines.append(
-                f"round {rec.index} | marked: {' '.join(map(str, rec.marked)) or '-'}"
-                f" | colored: {' '.join(map(str, rec.colored)) or '-'}"
-                f" | tokens: {' '.join(map(str, rec.tokens))}"
-            )
-        lines.append(f"outcome: {self.outcome}")
-        return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "rounds": [
-                {"index": r.index, "marked": list(r.marked),
-                 "colored": list(r.colored), "tokens": list(r.tokens),
-                 "rejected": list(r.rejected)}
-                for r in self.rounds
-            ],
-            "outcome": self.outcome,
-            "rejections": {str(k): v for k, v in sorted(self.rejections.items())},
-        }, indent=2)
 
 
 def run_transcript(
@@ -569,29 +538,27 @@ def run_transcript(
 ) -> Transcript:
     """Play a scripted sequence of Lister marks against a painter.
 
-    Each round records every vertex's tokens left, a colored vertex keeping
-    those it had when colored."""
-    tokens = normalize_tokens(g, f)
-    slots, pos = start_position(g, r, tokens, getattr(painter, "watch", ()))
+    Each round records its marked, colored and rejected sets; a round that
+    marks a token-less vertex ends the game for Lister and colors nothing."""
+    slots, pos = start_position(g, r, normalize_tokens(g, f),
+                                getattr(painter, "watch", ()))
     coloring: dict[int, int] = {}
     rejections: Counter[int] = Counter()
     rounds: list[RoundRecord] = []
     outcome = "painter"
     for i, marked in enumerate(marks, start=1):
         marked = frozenset(marked)
-        tokens = tuple(t - 1 if v in marked else t for v, t in enumerate(tokens))
         if any(pos.tokens[v] == 0 for v in marked & pos.uncolored):
             outcome = "lister"
             advance(g, slots, pos, marked, ())  # marking a colored vertex still raises
-            rounds.append(RoundRecord(i, tuple(sorted(marked)), (), tokens, ()))
+            rounds.append(RoundRecord(tuple(sorted(marked)), (), ()))
             break
         response = respond_at(painter, pos, marked)
         pos = advance(g, slots, pos, marked, response)
         coloring.update(dict.fromkeys(response, i))
         rejected = tuple(sorted(marked - response))
         rejections.update(rejected)
-        rounds.append(RoundRecord(i, tuple(sorted(marked)),
-                                  tuple(sorted(response)), tokens, rejected))
+        rounds.append(RoundRecord(tuple(sorted(marked)), tuple(sorted(response)), rejected))
         if not pos.uncolored:
             break
     if outcome == "painter":
@@ -778,26 +745,24 @@ def run_gprime_first(
     f,
     lister="exhaustive",
     *,
-    s_order: Sequence[int] | None = None,
+    s_order: Sequence[int],
 ):
     """Drive the composite strategy; exhaustive lister or a scripted mark list.
 
-    With the exhaustive adversary the result is a CertificationReport whose
-    max_rejections must stay at or below f(v)-1 for every T-vertex; a scripted
-    adversary yields a single Transcript.
+    `s_order` is the deleted set S in the order in which the painter decides
+    its vertices each round.  With the exhaustive adversary the result is a CertificationReport
+    whose max_rejections must stay at or below f(v)-1 for every T-vertex; a
+    scripted adversary yields a single Transcript.
     """
-    gv = frozenset(gprime_vertices)
-    order = tuple(s_order) if s_order is not None else tuple(
-        sorted(set(g.vertices()) - gv)
-    )
     painter = GPrimeFirstPainter(
-        g, r, gv, frozenset(tuple(e) for e in gprime_edges), order, triggers
+        g, r, frozenset(gprime_vertices), frozenset(tuple(e) for e in gprime_edges),
+        s_order, triggers
     )
     if lister == "exhaustive":
-        return certify_painter(g, r, f, painter, track=order)
+        return certify_painter(g, r, f, painter, track=s_order)
     transcript = run_transcript(g, r, painter, lister, f)
     tokens = normalize_tokens(g, f)
-    for t in order:
+    for t in s_order:
         if transcript.rejections.get(t, 0) > tokens[t] - 1:
             raise BudgetViolated(
                 f"vertex {t} rejected {transcript.rejections[t]} times with "
@@ -883,69 +848,3 @@ def xp_r_number(
         )
     return XpResult(lower, upper, lower == upper, (lower_note, upper_note))
 
-
-# -- strategy trees -------------------------------------------------------------------
-
-
-def strategy_tree(g: Graph, r: int, f, solver: PaintSolver) -> dict:
-    """Materialized winning strategy: every Lister mark mapped to the response.
-
-    Nodes are positions shared by (tokens, residual needs), so the tree is a
-    DAG in memory and in the serialized form (nodes table plus root).
-    """
-    f = normalize_tokens(g, f)
-    slots, start = start_position(g, r, f)
-    names: dict = {}
-    nodes: dict = {}
-
-    def build(pos: Position) -> str:
-        key = pos.tokens, pos.res
-        if key in names:
-            return names[key]
-        if len(nodes) > 200_000:
-            raise BudgetExceeded("strategy tree too large to materialize")
-        name = names[key] = str(len(nodes))
-        entry = {"tokens": list(pos.tokens), "res": list(pos.res), "moves": {}}
-        nodes[name] = entry
-        uncolored = sorted(pos.uncolored)
-        for mask in range(1, 1 << len(uncolored)):
-            marked = frozenset(v for i, v in enumerate(uncolored) if (mask >> i) & 1)
-            resp = respond_at(solver, pos, marked)
-            child = advance(g, slots, pos, marked, resp)
-            entry["moves"][" ".join(map(str, sorted(marked)))] = {
-                "color": sorted(resp),
-                "next": build(child) if child.uncolored else None,
-            }
-        return name
-
-    root = build(start)
-    return {"graph_n": g.n, "edges": g.edges(), "r": r,
-            "tokens": list(f), "root": root, "nodes": nodes}
-
-
-class TreePainter:
-    """Painter replaying a serialized strategy tree: a packed position is
-    unpacked to the (tokens, residual needs) that name its node."""
-
-    def __init__(self, tree: dict):
-        self.tree = tree
-        self._nodes = {(tuple(node["tokens"]), tuple(node["res"])): node
-                       for node in tree["nodes"].values()}
-        self._lay = Fields(tree["graph_n"], field_width(0))
-
-    def fit(self, largest: int) -> int:
-        """Widen the fields to hold values up to `largest` if they do not;
-        returns the field width."""
-        if largest > self._lay.field >> 1:
-            self._lay = Fields(self._lay.count, field_width(largest))
-        return self._lay.w
-
-    def respond_packed(self, tokens: int, res: int, uncolored: int, marked: int) -> int:
-        lay = self._lay
-        node = self._nodes.get((lay.unpack(tokens), lay.unpack(res)))
-        if node is None:
-            raise InnerLost("position not in strategy tree")
-        move = node["moves"].get(" ".join(map(str, lay.items(marked))))
-        if move is None:
-            raise InnerLost("mark not in strategy tree")
-        return lay.mask(move["color"])

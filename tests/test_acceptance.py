@@ -113,7 +113,7 @@ def test_criterion_04_game_solver(capsys):
         clock = Clock(60, "criterion 4 instance")
         res = xp_r_number(g, r)
         verdict = solve_xp_r(g, r, res.value)
-        cert = certify_painter(g, r, res.value, verdict.strategy())
+        cert = certify_painter(g, r, res.value, verdict.solver)
         elapsed = clock.done()
         total += elapsed
         results.append(res.value == expect and cert.ok)

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import random
 from typing import NamedTuple
 
@@ -22,7 +21,6 @@ from dyncolor.paintgame import (
     PaintSolver,
     Position,
     RejectionRule,
-    TreePainter,
     advance,
     certify_painter,
     dull_rule,
@@ -33,7 +31,6 @@ from dyncolor.paintgame import (
     run_transcript,
     solve_xp_r,
     start_position,
-    strategy_tree,
     xp_r_number,
 )
 
@@ -123,7 +120,7 @@ def test_strategies_survive_exhaustive_lister():
     for g, r, k in ((cycle(4), 1, 2), (cycle(5), 1, 3), (complete(3), 2, 3)):
         verdict = solve_xp_r(g, r, k)
         assert verdict.painter_wins
-        report = certify_painter(g, r, k, verdict.strategy())
+        report = certify_painter(g, r, k, verdict.solver)
         assert report.ok, report.reason
 
 
@@ -131,7 +128,7 @@ def test_exhaustive_lister_finds_wins_below_threshold():
     # against one fewer token everywhere the adversary beats even the solver
     g = cycle(5)
     verdict = solve_xp_r(g, 1, 3)
-    painter = verdict.strategy()
+    painter = verdict.solver
 
     class Stubborn(OnPositions):
         g = painter.g
@@ -151,70 +148,38 @@ def test_transcript_format_and_rejections():
     g = path(3)  # 0 - 1 - 2
     verdict = solve_xp_r(g, 1, 2)
     assert verdict.painter_wins
-    tr = run_transcript(g, 1, verdict.strategy(), [{0, 1, 2}, {1}, {2}], 2)
-    text = tr.render()
-    assert text.splitlines()[0].startswith("round 1 | marked: 0 1 2 | colored:")
-    data = json.loads(tr.to_json())
-    assert data["outcome"] in ("painter", "unfinished")
+    tr = run_transcript(g, 1, verdict.solver, [{0, 1, 2}, {1}, {2}], 2)
+    assert tr.rounds[0].marked == (0, 1, 2)
+    assert tr.outcome in ("painter", "unfinished")
     assert tr.rejections  # somebody was rejected in round one
-
-
-def _rounds(*rows):
-    return [{"index": i, "marked": m, "colored": c, "tokens": t, "rejected": x}
-            for i, (m, c, t, x) in enumerate(rows, start=1)]
 
 
 PINNED_TRANSCRIPTS = [
     # the solver colors all of P3; a third mark is never played
     (path(3), 1, "solver", [{0, 1, 2}, {1}, {2}], 2,
-     "round 1 | marked: 0 1 2 | colored: 0 2 | tokens: 1 1 1\n"
-     "round 2 | marked: 1 | colored: 1 | tokens: 1 0 1\n"
-     "outcome: painter",
-     _rounds(([0, 1, 2], [0, 2], [1, 1, 1], [1]), ([1], [1], [1, 0, 1], [])),
-     "painter", {"1": 1}),
-    # vertex 1 is marked with no token left; a colored vertex keeps its tokens
+     [((0, 1, 2), (0, 2), (1,)), ((1,), (1,), ())], "painter", {1: 1}),
+    # vertex 1 is marked with no token left
     (complete(2), 1, "greedy", [{0, 1}, {1}], 1,
-     "round 1 | marked: 0 1 | colored: 0 | tokens: 0 0\n"
-     "round 2 | marked: 1 | colored: - | tokens: 0 -1\n"
-     "outcome: lister",
-     _rounds(([0, 1], [0], [0, 0], [1]), ([1], [], [0, -1], [])),
-     "lister", {"1": 1}),
+     [((0, 1), (0,), (1,)), ((1,), (), ())], "lister", {1: 1}),
     (cycle(4), 1, "solver", [{0, 1, 2, 3}], 2,
-     "round 1 | marked: 0 1 2 3 | colored: 0 2 | tokens: 1 1 1 1\n"
-     "outcome: unfinished",
-     _rounds(([0, 1, 2, 3], [0, 2], [1, 1, 1, 1], [1, 3])),
-     "unfinished", {"1": 1, "3": 1}),
+     [((0, 1, 2, 3), (0, 2), (1, 3))], "unfinished", {1: 1, 3: 1}),
     # round 1 puts one color on both neighbours of 1, which needs two
     (cycle(5), 2, "greedy", [{0, 2}, {1, 3}, {4}], 5,
-     "round 1 | marked: 0 2 | colored: 0 2 | tokens: 4 5 4 5 5\n"
-     "round 2 | marked: 1 3 | colored: 1 3 | tokens: 4 4 4 4 5\n"
-     "round 3 | marked: 4 | colored: 4 | tokens: 4 4 4 4 4\n"
-     "outcome: painter-coloring-not-dynamic",
-     _rounds(([0, 2], [0, 2], [4, 5, 4, 5, 5], []), ([1, 3], [1, 3], [4, 4, 4, 4, 5], []),
-             ([4], [4], [4, 4, 4, 4, 4], [])),
+     [((0, 2), (0, 2), ()), ((1, 3), (1, 3), ()), ((4,), (4,), ())],
      "painter-coloring-not-dynamic", {}),
 ]
 
 
-@pytest.mark.parametrize("g, r, kind, marks, f, text, rounds, outcome, rejections",
-                         PINNED_TRANSCRIPTS, ids=[p[7] for p in PINNED_TRANSCRIPTS])
-def test_transcript_render_and_json_are_pinned(g, r, kind, marks, f, text, rounds,
+# each round's (marked, colored, rejected) sets, the outcome and the
+# rejection counts of scripted plays
+@pytest.mark.parametrize("g, r, kind, marks, f, rounds, outcome, rejections",
+                         PINNED_TRANSCRIPTS, ids=[p[6] for p in PINNED_TRANSCRIPTS])
+def test_transcript_render_and_json_are_pinned(g, r, kind, marks, f, rounds,
                                                outcome, rejections):
-    painter = solve_xp_r(g, r, f).strategy() if kind == "solver" else Greedy(g)
+    painter = solve_xp_r(g, r, f).solver if kind == "solver" else Greedy(g)
     tr = run_transcript(g, r, painter, marks, f)
-    assert tr.render() == text
-    assert tr.to_json() == json.dumps(
-        {"rounds": rounds, "outcome": outcome, "rejections": rejections}, indent=2)
-
-
-def test_strategy_tree_roundtrip():
-    g = cycle(4)
-    verdict = solve_xp_r(g, 1, 2)
-    tree = strategy_tree(g, 1, 2, verdict.solver)
-    blob = json.dumps(tree)
-    painter = TreePainter(json.loads(blob))
-    report = certify_painter(g, 1, 2, painter)
-    assert report.ok, report.reason
+    assert [(rec.marked, rec.colored, rec.rejected) for rec in tr.rounds] == rounds
+    assert (tr.outcome, tr.rejections) == (outcome, rejections)
 
 
 def test_gprime_first_pendant_example():
@@ -338,11 +303,11 @@ def test_sandwich_chromatic_below_paint():
 def test_exhaustive_adversary_deterministic():
     g = cycle(4)
     verdict = solve_xp_r(g, 1, 2)
-    a = certify_painter(g, 1, 2, verdict.strategy())
-    b = certify_painter(g, 1, 2, verdict.strategy())
+    a = certify_painter(g, 1, 2, verdict.solver)
+    b = certify_painter(g, 1, 2, verdict.solver)
     assert (a.ok, a.states, a.max_rejections) == (b.ok, b.states, b.max_rejections)
-    bad = certify_painter(g, 1, 1, verdict.strategy())
-    bad2 = certify_painter(g, 1, 1, verdict.strategy())
+    bad = certify_painter(g, 1, 1, verdict.solver)
+    bad2 = certify_painter(g, 1, 1, verdict.solver)
     assert bad.losing_line == bad2.losing_line
 
 
@@ -502,7 +467,7 @@ def test_extracted_strategies_pass_exhaustive_lister():
         k = rng.randrange(2, 5)
         verdict = solve_xp_r(g, r, k)
         if verdict.painter_wins:
-            report = certify_painter(g, r, k, verdict.strategy())
+            report = certify_painter(g, r, k, verdict.solver)
             assert report.ok, (g.edges(), r, k, report.reason)
 
 
@@ -683,7 +648,7 @@ def test_adversary_matches_partition_reference_on_random_composites():
 
 def test_scripted_mark_of_a_colored_vertex_is_illegal():
     g = path(3)
-    solver = solve_xp_r(g, 1, 2).strategy()
+    solver = solve_xp_r(g, 1, 2).solver
     with pytest.raises(IllegalMark):
         run_transcript(g, 1, solver, [{0, 1, 2}, {0}], 2)
 
@@ -879,7 +844,6 @@ def test_certification_frees_its_painter_without_a_cycle_collection(max_states, 
 
 SMALL_PAINTERS = {
     "solver": lambda g, r, k: solve_xp_r(g, r, k).solver,
-    "tree": lambda g, r, k: TreePainter(strategy_tree(g, r, k, solve_xp_r(g, r, k).solver)),
 }
 
 
@@ -888,7 +852,7 @@ SMALL_PAINTERS = {
                                      (complete(3), 2, 3), (path(4), 2, 3)])
 def test_packed_and_position_painters_match_the_reference(kind, g, r, k):
     # k is the paint number: a strategy for k tokens passes; with k - 1 the
-    # solver finds no winning response and the tree meets a position it lacks
+    # solver finds no winning response
     painter = SMALL_PAINTERS[kind](g, r, k)
     assert assert_same_certification(g, r, k, painter).ok
     short = k - 1
@@ -1017,14 +981,35 @@ def test_packed_dead_test_and_free_counts_match_a_recount():
     assert dead_seen >= 100 and live_seen >= 100
 
 
-def test_strategy_tree_response_order_is_pinned():
-    # the response order fixes strategy trees, GPrimeFirstPainter's answers
-    # and the budget maxima; this is the C5 tree at r = 2, k = xp = 5
+class Recording:
+    """A painter that asks `painter` and records each packed question and
+    answer as (tokens, res, uncolored, marked, colored)."""
+
+    def __init__(self, painter):
+        self.painter, self.fit, self.calls = painter, painter.fit, []
+
+    def respond_packed(self, tokens, res, uncolored, marked):
+        colored = self.painter.respond_packed(tokens, res, uncolored, marked)
+        self.calls.append((tokens, res, uncolored, marked, colored))
+        return colored
+
+
+def test_response_order_is_pinned():
+    # the solver's response order and the adversary's mark order fix
+    # GPrimeFirstPainter's answers and the budget maxima; this is every
+    # question the adversary puts to the C5 solver at r = 2, k = xp = 5
     g = cycle(5)
-    tree = strategy_tree(g, 2, 5, PaintSolver(g, 2))
-    assert len(tree["nodes"]) == 202
-    digest = hashlib.sha256(json.dumps(tree, sort_keys=True).encode()).hexdigest()
-    assert digest == "76ae52d9aaee9bb3487c6fc2e38e1cd6a04858d450953103f1a953d60dd7533a"
+    painter = Recording(PaintSolver(g, 2))
+    report = certify_painter(g, 2, 5, painter)
+    assert report.ok and report.states == 202 and len(painter.calls) == 1_336
+    digest = hashlib.sha256(repr(painter.calls).encode()).hexdigest()
+    assert digest == "2ec65af28b3cbb76a2cfc4a22193b998a1875449c1155dd42f25919087c4846c"
+
+
+@pytest.mark.parametrize("g, r, k, states", [(cycle(4), 1, 2, 35), (cycle(5), 1, 3, 89),
+                                             (complete(3), 2, 3, 14), (path(4), 2, 3, 41)])
+def test_solver_certification_states_are_pinned(g, r, k, states):
+    assert certify_painter(g, r, k, PaintSolver(g, r)).states == states
 
 
 # -- one painter protocol ------------------------------------------------------------
@@ -1034,8 +1019,7 @@ def test_every_painter_answers_packed_positions_only():
     g = cycle(4)
     solver = solve_xp_r(g, 1, 2).solver
     painters = (solver,
-                GPrimeFirstPainter(g, 1, frozenset(g.vertices()), frozenset(g.edges()), (), {}),
-                TreePainter(strategy_tree(g, 1, 2, solver)))
+                GPrimeFirstPainter(g, 1, frozenset(g.vertices()), frozenset(g.edges()), (), {}))
     for painter in painters:
         assert callable(painter.fit) and callable(painter.respond_packed)
         assert not hasattr(painter, "respond"), type(painter).__name__
