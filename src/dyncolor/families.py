@@ -1,14 +1,14 @@
 """Named graphs, generators, and small-graph enumeration used across the suite.
 
 The enumeration lists every connected graph on n <= 8 vertices, one per
-isomorphism class, told apart by a colour-refined, twin-reduced certificate.
+isomorphism class, told apart by the canonical edge mask that an
+individualisation-refinement search finds.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations
 
 from .graph import Graph
 
@@ -152,33 +152,35 @@ def stacked_triangulation(n: int, rng: random.Random) -> Graph:
 
 # -- exhaustive small-graph enumeration ----------------------------------------
 
-def _refined_colours(adj) -> list[int]:
-    """Colour refinement started from degrees, repeated until no class splits.
+def _refined_colours(adj, colour) -> list[int]:
+    """Colour refinement from `colour`, whose colours lie below n, repeated
+    until no class splits or every vertex has a class of its own.
 
     A vertex's next colour is the rank of its signature, (colour, multiset of
-    neighbour colours), among all signatures.  Ranks never look at vertex
-    ids, so the ordered partition is isomorphism-invariant; the stable one is
-    equitable.
+    neighbour colours), among all signatures, so the colours stay below n; a
+    discrete start comes back as it is.  Ranks never look at vertex ids, so
+    the ordered partition is isomorphism-invariant whenever the start is;
+    the stable one is equitable.
     """
     n = len(adj)
     # a multiset of colours below n, as counts below n in fields this wide
     width = n.bit_length()
-    colour = [len(a) for a in adj]
     classes = len(set(colour))
-    while True:
+    while classes < n:
         weight = [1 << width * c for c in colour]
         sig = [c << width * n | sum(map(weight.__getitem__, a)) for c, a in zip(colour, adj)]
         rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        colour = list(map(rank.__getitem__, sig))
         if len(rank) == classes:
-            return colour
-        colour, classes = [rank[s] for s in sig], len(rank)
+            break
+        classes = len(rank)
+    return colour
 
 
-def _cell_orders(adj, cell: list[int]) -> list[Sequence[int]]:
-    """Every ordering of a refined cell that lists each class of twins in id
-    order.  Twins, u ~ v iff N(u) - v == N(v) - u, always share a cell, and
-    twinship is an equivalence, so a vertex is tested against each class's
-    first member only."""
+def _twin_classes(adj, cell: list[int]) -> list[list[int]]:
+    """The cell split into classes of twins, u ~ v iff N(u) - v == N(v) - u,
+    each in id order.  Twinship is an equivalence, so a vertex is tested
+    against each class's first member only."""
     rows = {v: sum(1 << w for w in adj[v]) for v in cell}
     twins: list[list[int]] = []
     for v in cell:
@@ -188,56 +190,47 @@ def _cell_orders(adj, cell: list[int]) -> list[Sequence[int]]:
                 break
         else:
             twins.append([v])
-    if len(twins) == 1:
-        return twins
-    if len(twins) == len(cell):
-        return list(permutations(cell))
-    orders = [[-1] * len(cell)]
-    for t in twins:
-        nxt = []
-        for o in orders:
-            free = [i for i, v in enumerate(o) if v < 0]
-            for spots in combinations(free, len(t)):
-                p = o.copy()
-                for i, v in zip(spots, t):
-                    p[i] = v
-                nxt.append(p)
-        orders = nxt
-    return orders
+    return twins
 
 
 def _least_mask(adj) -> int:
-    """Least upper-triangle edge bitmask over the relabelings that keep the
-    refined cells in rank order and each twin class in id order.
+    """Least upper-triangle edge bitmask over the leaves of an
+    individualisation-refinement search (McKay and Piperno, Practical graph
+    isomorphism II, 2014).
 
-    Swapping two twins is an automorphism, so the twin restriction drops
-    only relabelings that repeat a mask; both restrictions are
-    isomorphism-invariant, so the least mask is a complete invariant.
+    A node refines its colouring.  If every cell is one class of twins, the
+    node is a leaf, and its mask labels the vertices in colour order, twins
+    by id.  Otherwise the search branches on the first cell in rank order
+    that holds two or more twin classes: it puts each class's first vertex
+    ahead of the rest of the cell, in turn, and recurses.  Every choice is
+    isomorphism-invariant, and swapping twins is an automorphism that keeps
+    the colouring, so the least leaf mask is a complete invariant.
     """
     n = len(adj)
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(_refined_colours(adj)):
-        cells.setdefault(c, []).append(v)
-    choices = [_cell_orders(adj, cell) if len(cell) > 1 else [cell]
-               for _, cell in sorted(cells.items())]
     edges = [(u, v) for u, a in enumerate(adj) for v in a if u < v]
-    pos = [0] * n
-    best = None
-    for parts in product(*choices):
-        for i, v in enumerate(chain.from_iterable(parts)):
-            pos[v] = i
+
+    def search(colour) -> int:
+        colour = _refined_colours(adj, colour)
+        if max(colour, default=-1) < n - 1:
+            cells: list[list[int]] = [[] for _ in range(max(colour) + 1)]
+            for v, c in enumerate(colour):
+                cells[c].append(v)
+            for cell in cells:
+                if len(cell) > 1 and len(twins := _twin_classes(adj, cell)) > 1:
+                    # t[0] keeps its colour and every vertex after it in rank
+                    # order moves up one: the colours stay dense, below n
+                    return min(search([c + (c > colour[t[0]] or c == colour[t[0]] and v != t[0])
+                                       for v, c in enumerate(colour)]) for t in twins)
+            # every cell is one class of twins: list each in id order
+            for i, v in enumerate(chain.from_iterable(cells)):
+                colour[v] = i
         mask = 0
         for u, v in edges:
-            a, b = pos[u], pos[v]
+            a, b = colour[u], colour[v]
             mask |= 1 << (a * n + b if a < b else b * n + a)
-        if best is None or mask < best:
-            best = mask
-    return best
+        return mask
 
-
-def _certificate(g: Graph) -> int:
-    """A complete isomorphism invariant of g: equal exactly for isomorphic graphs."""
-    return _least_mask(g.adj)
+    return search([len(a) for a in adj])
 
 
 def all_connected_graphs(n: int) -> list[Graph]:

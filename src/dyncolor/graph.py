@@ -264,8 +264,10 @@ def payload_lines(text: str):
 # -- edge list ----------------------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
+    """Vertices 0 to the largest id, one edge per 'u v' line.  An id above
+    twice the number of lines is refused: one number must not size the graph."""
     edges = []
-    max_v = -1
+    max_v, max_at = -1, 0
     for line, offset in payload_lines(text):
         parts = line.split()
         if len(parts) != 2:
@@ -279,7 +281,10 @@ def parse_edge_list(text: str) -> Graph:
         if u == v:
             raise ParseError(f"loop at vertex {u}", offset)
         edges.append((u, v))
-        max_v = max(max_v, u, v)
+        if max(u, v) > max_v:
+            max_v, max_at = max(u, v), offset
+    if max_v > 2 * len(edges):
+        raise ParseError(f"vertex id {max_v} exceeds twice the number of edges ({len(edges)})", max_at)
     return Graph(max_v + 1, edges)
 
 

@@ -321,6 +321,11 @@ ROTATION_COMMANDS = ("genus", "find-config", "reduce", "discharge", "unavoidable
     (["verify", "--r", "1", "--coloring", "F", "G"], "0 1\n0 2\n",
      "duplicate line for vertex 0 (byte 4)"),
     (["unavoidable", "F"], GENUS2_K5_ROT, "input error: driver handles genus <= 1, got 2"),
+    # one large id would size the graph: 300,001 rows from 14 bytes, or 10^9
+    (["chi-r", "--r", "2", "F"], "0 1\n1 300000\n",
+     "vertex id 300000 exceeds twice the number of edges (2) (byte 4)"),
+    (["chi-r", "--r", "2", "--format", "edge-list", "F"], "0 999999999\n",
+     "vertex id 999999999 exceeds twice the number of edges (1) (byte 0)"),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
     paths = {"G": tmp_path / "c5.g6", "F": tmp_path / "input.txt"}

@@ -174,6 +174,16 @@ def test_edge_list_comments_and_errors():
         parse_edge_list("0 x\n")
 
 
+def test_edge_list_ids_are_bounded_by_twice_the_edge_count():
+    # ids on no line are isolated vertices, up to twice the edge count
+    assert parse_edge_list("0 2\n") == Graph(3, [(0, 2)])
+    assert parse_edge_list("2 1\n") == Graph(3, [(1, 2)])
+    with pytest.raises(ParseError, match=r"vertex id 3 exceeds .* \(1\) \(byte 0\)"):
+        parse_edge_list("0 3\n")
+    with pytest.raises(ParseError, match=r"\(byte 4\)"):
+        parse_edge_list("0 1\n1 7\n2 3\n")
+
+
 def test_payload_lines_yields_each_payload_at_its_line_offset():
     text = "# head\n\n0 1  # note\n   \r\n2 3\r\n  #\n4 5"
     assert list(payload_lines(text)) == [("0 1", 8), ("2 3", 25), ("4 5", 34)]
