@@ -17,13 +17,14 @@ rejection triggers).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 from typing import Callable
 
 from .coloring import Searcher, verify_r_dynamic
-from .embedding import EmbeddedGraph, add_cofacial_edge, induced_embedding
+from .embedding import EmbeddedGraph, Surgery, surgery
 from .errors import (
     BudgetExceeded,
     EmbeddingRequired,
@@ -366,12 +367,23 @@ class Reduction:
     s_order: tuple[int, ...]
     added_edges: tuple[tuple[int, int], ...]
     gprime_vertices: frozenset[int]
-    gprime_edges: frozenset[tuple[int, int]]
     triggers: dict[int, tuple[RejectionRule, ...]]
     budgets: dict[int, int]
     gprime: Graph
     remap: VertexRemap
-    gprime_embedding: EmbeddedGraph | None = None
+    surgery: Surgery | None = field(default=None, repr=False)
+
+    @property
+    def gprime_embedding(self) -> EmbeddedGraph | None:
+        """G''s embedding, relabelled from the surgery on first read."""
+        return None if self.surgery is None else self.surgery.embedding
+
+    @cached_property
+    def gprime_edges(self) -> frozenset[tuple[int, int]]:
+        """G''s edges in G's labels: by the monotone remap, G' vertex i is
+        the i-th kept vertex of G."""
+        outer = [v for v, dv in enumerate(self.remap.image) if dv is not None]
+        return frozenset((outer[a], outer[b]) for a, b in self.gprime.edges())
 
     def render(self) -> str:
         lines = [f"reduction for {self.match.render()}",
@@ -400,42 +412,40 @@ def _budgets(match: ConfigMatch, roles: dict[int, str]) -> dict[int, int]:
 
 def _assemble(g: Graph, match, s_order, wanted_edges, triggers, budgets,
               emb: EmbeddedGraph | None) -> Reduction:
-    """G' = G - S + E', built once: by the surgery on emb, if it has one."""
+    """G' = G - S + E', built once.  With an embedding, G' is the graph of
+    the `surgery` that draws E' in faces of G - S, in G's labels; G''s own
+    embedding is relabelled when `gprime_embedding` is first read."""
     s = set(s_order)
     added = tuple(
         (min(u, v), max(u, v))
         for u, v in dict.fromkeys(tuple(sorted(e)) for e in wanted_edges)
         if not g.has_edge(u, v)
     )
-    gp_emb = None
+    cut = None
     if emb is not None:
         try:
-            gp_emb, remap = induced_embedding(emb, s)
-            for u, v in added:
-                gp_emb = add_cofacial_edge(gp_emb, remap.image[u], remap.image[v])
+            cut = surgery(emb, s, added)
         except WouldDisconnect:
             pass  # G - S is empty or disconnected: G' is a graph only
-        except NotCofacial:
+        except NotCofacial as exc:
             raise EmbeddingSurgeryFailed(
-                f"E' edge {u}-{v} not cofacial after deleting S") from None
-    if gp_emb is not None:
-        gprime = gp_emb.graph
+                "E' edge {}-{} not cofacial after deleting S".format(*exc.ends)) from None
+    if cut is not None:
+        gprime, remap = cut.graph, cut.remap
     else:
         gprime, remap = delete_vertices(g, s)
         if added:
             gprime = add_edges(gprime, [(remap.image[u], remap.image[v]) for u, v in added])
-    # the remap is monotone: G' vertex i is the i-th kept vertex of G
-    outer = [v for v, dv in enumerate(remap.image) if dv is not None]
-    gp_edges = frozenset((outer[a], outer[b]) for a, b in gprime.edges())
-    return Reduction(match, tuple(s_order), added, frozenset(outer), gp_edges,
-                     triggers, budgets, gprime, remap, gp_emb)
+    kept = frozenset(v for v, dv in enumerate(remap.image) if dv is not None)
+    return Reduction(match, tuple(s_order), added, kept, triggers, budgets,
+                     gprime, remap, cut)
 
 
 def build_reduction(emb_or_graph, match: ConfigMatch) -> Reduction:
     """Transcribe the proof construction for a detected configuration."""
     g, emb = _graph_and_embedding(emb_or_graph)
     entry = CATALOG[match.kind]
-    if entry.reads_faces and emb is None:
+    if (entry.reads_faces or entry.builder_reads_rotation) and emb is None:
         raise EmbeddingRequired(f"{match.kind.value} reduction needs an embedding")
     return entry.build(g, emb, match)
 
@@ -513,8 +523,6 @@ def _build_four_with_3_nbr(g, emb, match):
     threes = [w for w in g.neighbors(v1) if g.degree(w) == 3]
     if threes != [v2] and set(threes) != {v2}:
         raise ValueError("construction expects v2 to be v1's only 3-neighbor")
-    if emb is None:
-        raise EmbeddingRequired("need an embedding to pick the cofacial pair at v1")
     pair = _consecutive_pair_avoiding(emb, v1, v2)
     y1, z1 = pair
     (w,) = set(g.neighbors(v1)) - {v2, y1, z1}
@@ -543,8 +551,6 @@ def _build_light_triangle(g, emb, match):
                          "a 3-vertex reduces through the 4-with-3-neighbor kind")
     v1, v2 = fours[:2]
     (z,) = {a, b, c} - {v1, v2}
-    if emb is None:
-        raise EmbeddingRequired("need an embedding to pick face-consecutive y_i")
     ys = {}
     for vi, vother in ((v1, v2), (v2, v1)):
         rot = emb.rotation.rotation[vi]
@@ -707,12 +713,14 @@ def _build_kp_three_with_twos(g, emb, match):
 @dataclass(frozen=True)
 class Entry:
     """One kind's statement: its detector (run on the embedding when the kind
-    reads faces, else on the graph), its reduction builder, and its certified
-    rejection bounds (key: role or kind-level default)."""
+    reads faces, else on the graph), its reduction builder (which needs an
+    embedding when the kind reads faces or the builder reads the rotation),
+    and its certified rejection bounds (key: role or kind-level default)."""
     detect: Callable
     build: Callable
     budgets: dict[str, int]
     reads_faces: bool = False
+    builder_reads_rotation: bool = False
 
 
 def _kp_detector(kind: ConfigKind):
@@ -726,9 +734,9 @@ CATALOG: dict[ConfigKind, Entry] = {
     ConfigKind.MANY_3_NBRS: Entry(_detect_many_3_nbrs, _build_many_3_nbrs,
                                   {"x": 9, "v": 9}, reads_faces=True),
     ConfigKind.FOUR_WITH_3_NBR: Entry(_detect_four_with_3_nbr, _build_four_with_3_nbr,
-                                      {"v1": 9, "v2": 9}),
+                                      {"v1": 9, "v2": 9}, builder_reads_rotation=True),
     ConfigKind.LIGHT_TRIANGLE: Entry(_detect_light_triangle, _build_light_triangle,
-                                     {"v1": 8, "v2": 8}),
+                                     {"v1": 8, "v2": 8}, builder_reads_rotation=True),
     ConfigKind.TWIN_TRIANGLES: Entry(_detect_twin_triangles, _build_twin_triangles,
                                      {"v": 9}, reads_faces=True),
     ConfigKind.TRIANGLE_AND_4VTX: Entry(_detect_triangle_and_4vtx, _build_triangle_and_4vtx,

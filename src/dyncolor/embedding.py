@@ -10,11 +10,11 @@ a common face of two vertices) goes through one dart -> face index, built on
 an embedding's first lookup.  `corner_lengths` tabulates, once, the length of
 the face at every corner, for callers that need only lengths.
 
-Surgery retraces locally.  Deleting vertices changes only the faces that pass
-through them, and adding an edge inside a face changes only that face, so
-`induced_embedding` and `add_cofacial_edge` keep every other face as it is
-and walk only the darts of the faces they touch.  One tracer serves both and
-`trace_faces`, which walks every dart and tests that G is connected.
+Surgery is local, in G's own labels: `surgery` deletes vertices and draws
+edges in faces, retracing only the faces through the deleted vertices and
+those the edges split, and relabels the result when it is first read;
+`induced_embedding` and `add_cofacial_edge` are its two halves.  One walk
+serves it and `trace_faces`, which walks every dart and tests connectivity.
 
 `find_embedding` is an exact branch and bound over partial rotations (after
 Brinkmann, arXiv:2005.13066), exponential in the worst case.
@@ -115,51 +115,48 @@ class EmbeddedGraph:
         return tuple(sorted(f.length for f in self.faces))
 
 
-def _trace(rot: RotationSystem, kept, darts) -> EmbeddedGraph:
-    """Embedding of rot whose faces are `kept` plus the walks through `darts`.
+def _euler_genus(n: int, m: int, faces: int) -> int:
+    euler = n - m + faces
+    if euler > 2 or euler % 2 != 0:
+        raise MalformedRotation(f"impossible Euler characteristic {euler}")
+    return (2 - euler) // 2
 
-    The caller vouches that rot's graph is connected and not empty, that each
-    kept face is a face of rot and that every other face passes through some
-    dart in `darts`.  The walks may start anywhere, since each face is stored
-    in canonical form and the faces are sorted by their least darts.
-    """
+
+def _walk(start: Dart, rotation, succ_at: list) -> tuple[Dart, ...]:
+    """The canonical boundary walk through start; succ_at caches each row's
+    successor map, or holds None."""
+    walk: list[Dart] = []
+    dart = start
+    while True:
+        walk.append(dart)
+        u, v = dart
+        succ = succ_at[v]
+        if succ is None:
+            order = rotation[v]
+            succ = succ_at[v] = dict(zip(order, order[1:] + order[:1]))
+        dart = (v, succ[u])
+        if dart == start:
+            return _canonical_cycle(walk)
+
+
+def _trace_all(rot: RotationSystem) -> EmbeddedGraph:
+    """Every face of rot; the caller vouches that its graph is connected."""
     rot.validate()
     g = rot.graph
     if g.n == 1:
         # a lone vertex on the sphere: one face with an empty boundary walk
         return EmbeddedGraph(rot, (Face(()),), 0)
-    rotation = rot.rotation
-    # the successor maps of the vertices the walks reach, built on first visit
     succ_at: list[dict[int, int] | None] = [None] * g.n
     traced: set[Dart] = set()
-    faces = list(kept)
-    for start in darts:
-        if start in traced:
-            continue
-        walk: list[Dart] = []
-        dart = start
-        while True:
-            walk.append(dart)
-            u, v = dart
-            succ = succ_at[v]
-            if succ is None:
-                order = rotation[v]
-                succ = succ_at[v] = dict(zip(order, order[1:] + order[:1]))
-            dart = (v, succ[u])
-            if dart == start:
-                break
-        traced.update(walk)
-        faces.append(Face(_canonical_cycle(walk)))
-    euler = g.n - g.m + len(faces)
-    if euler > 2 or euler % 2 != 0:
-        raise MalformedRotation(f"impossible Euler characteristic {euler}")
+    faces = []
+    for u, order in enumerate(rot.rotation):
+        for v in order:
+            if (u, v) not in traced:
+                walk = _walk((u, v), rot.rotation, succ_at)
+                traced.update(walk)
+                faces.append(Face(walk))
     faces.sort(key=lambda f: f.darts)
-    return EmbeddedGraph(rot, tuple(faces), (2 - euler) // 2)
-
-
-def _trace_all(rot: RotationSystem) -> EmbeddedGraph:
-    """Every face of rot; the caller vouches that its graph is connected."""
-    return _trace(rot, (), ((u, v) for u, order in enumerate(rot.rotation) for v in order))
+    return EmbeddedGraph(rot, tuple(faces), _euler_genus(g.n, g.m, len(faces)))
 
 
 def trace_faces(rot: RotationSystem) -> EmbeddedGraph:
@@ -181,71 +178,121 @@ def cofacial(emb: EmbeddedGraph, u: int, v: int) -> tuple[bool, Face | None]:
               & {index[(a, v)] for a in rot[v]})
     if not common:
         return False, None
-    # the first common face in `faces` order: add_cofacial_edge splits it
+    # the first common face in `faces` order: an added edge splits it
     return True, emb.faces[min(common)]
 
 
-def add_cofacial_edge(emb: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
-    """Add edge uv inside a common face; the witness face splits, genus is kept.
+class Surgery:
+    """G' = G - delete + add on G's surface, held in G's labels: `graph`,
+    `remap` and `genus` are G''s, and `embedding`, relabelled, is built on
+    first read.  Two surgeries are equal when their embeddings are."""
 
-    Re-adding an existing edge is a no-op, matching the convention that
-    multiedges are ignored.
-    """
-    g = emb.graph
-    if u == v:
-        raise ValueError("cannot add a loop")
-    if g.has_edge(u, v):
-        return emb
-    ok, face = cofacial(emb, u, v)
-    if not ok:
-        raise NotCofacial(f"{u} and {v} share no face")
-    # tails of the darts entering u and v at their first visits on the face
-    a = next(t for t, h in face.darts if h == u)
-    c = next(t for t, h in face.darts if h == v)
-    new_rot = list(emb.rotation.rotation)
-    for x, before, y in ((u, a, v), (v, c, u)):
-        order = new_rot[x]
-        k = order.index(before) + 1
-        new_rot[x] = order[:k] + (y,) + order[k:]
-    # only the witness face changes: it splits into two faces, one through
-    # each new dart, and the genus check below fails if it does not
-    out = _trace(RotationSystem(add_edges(g, [(u, v)]), tuple(new_rot)),
-                 (f for f in emb.faces if f is not face), ((u, v), (v, u)))
-    if out.genus != emb.genus:
-        raise AssertionError("face split changed genus; corner bookkeeping bug")
-    return out
+    def __init__(self, emb, graph, remap, rows, gone, walks, genus):
+        self._emb, self._rows, self._gone, self._walks = emb, rows, gone, walks
+        self.graph, self.remap, self.genus = graph, remap, genus
+
+    @cached_property
+    def embedding(self) -> EmbeddedGraph:
+        image = self.remap.image
+        rot = tuple(tuple([image[w] for w in row])
+                    for v, row in enumerate(self._rows) if image[v] is not None)
+        # the remap is monotone: the walks keep their least darts and order
+        walks = sorted([f.darts for i, f in enumerate(self._emb.faces)
+                        if i not in self._gone] + list(self._walks.values()))
+        faces = tuple(Face(tuple([(image[u], image[v]) for u, v in w])) for w in walks)
+        return EmbeddedGraph(RotationSystem(self.graph, rot), faces, self.genus)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Surgery) and self.embedding == other.embedding
 
 
-def induced_embedding(
-    emb: EmbeddedGraph, delete
-) -> tuple[EmbeddedGraph, VertexRemap]:
-    """Embedding induced on G - delete: rotations restricted, and the faces
-    through deleted vertices retraced.  The remap is monotone, so every other
-    face keeps its least dart and its place in the face order."""
+def surgery(emb: EmbeddedGraph, delete=(), add=()) -> Surgery:
+    """emb restricted to G - delete, then each added edge drawn in the first
+    face common to its ends, after the tails of the darts entering them at
+    their first visits.  Only the faces through deleted vertices and those
+    the edges split are retraced; every other face is found in emb's dart
+    index.  The remap is monotone, so least darts, the face order and the
+    first common face are the same in G's labels as in G''s."""
     doomed = set(delete)
     g2, remap = delete_vertices(emb.graph, doomed)
     if g2.n == 0 or not g2.is_connected():
         raise WouldDisconnect("deletion disconnects (or empties) the graph")
-    image, rotation = remap.image, emb.rotation.rotation
-    rot = tuple(
-        tuple(image[w] for w in order if w not in doomed)
-        for v, order in enumerate(rotation) if v not in doomed
-    )
-    index = emb._face_index
-    touched = {index[(w, x)] for x in doomed for w in rotation[x]}
-    kept = (
-        Face(tuple([(image[u], image[v]) for u, v in f.darts]))
-        for i, f in enumerate(emb.faces) if i not in touched
-    )
-    darts = [
-        (image[u], image[v])
-        for i in touched for u, v in emb.faces[i].darts
-        if u not in doomed and v not in doomed
-    ]
-    out = _trace(RotationSystem(g2, rot), kept, darts)
-    if out.genus > emb.genus:
+    image, faces, index, m = remap.image, emb.faces, emb._face_index, g2.m
+    rows = list(emb.rotation.rotation)
+    changed = {w for x in doomed for w in rows[x] if w not in doomed}
+    gone = {index[w, x] for x in doomed for w in rows[x]}
+    for w in changed:
+        rows[w] = tuple([a for a in rows[w] if a not in doomed])
+    # the faces that are not faces of emb, by least dart, and the face of
+    # each of their darts
+    walks: dict[Dart, tuple[Dart, ...]] = {}
+    face_of: dict[Dart, tuple[Dart, ...]] = {}
+    succ_at: list[dict[int, int] | None] = [None] * len(rows)
+
+    def retrace(start: Dart) -> tuple[Dart, ...]:
+        walk = _walk(start, rows, succ_at)
+        walks[walk[0]] = walk
+        face_of.update(dict.fromkeys(walk, walk))
+        return walk
+
+    for i in gone:
+        for d in faces[i].darts:
+            if d not in face_of and d[0] not in doomed and d[1] not in doomed:
+                retrace(d)
+    if g2.n == 1:
+        walks[()] = ()  # a lone vertex on the sphere: one face, no darts
+    genus = _euler_genus(g2.n, m, len(faces) - len(gone) + len(walks))
+    if genus > emb.genus:
         raise AssertionError("induced embedding raised genus")
-    return out, remap
+
+    def face_at(d: Dart) -> tuple[Dart, ...]:
+        return face_of.get(d) or faces[index[d]].darts
+
+    for u, v in add:
+        if u == v:
+            raise ValueError("cannot add a loop")
+        if image[u] is None or image[v] is None:
+            raise ValueError(f"edge {u}-{v} meets a deleted vertex")
+        common = ({face_at((a, u))[0] for a in rows[u]}
+                  & {face_at((c, v))[0] for c in rows[v]})
+        if not common:
+            raise NotCofacial(u, v)
+        face = face_at(min(common))
+        if walks.pop(face[0], None) is None:
+            gone.add(index[face[0]])
+        for x, y in ((u, v), (v, u)):
+            k = rows[x].index(next(t for t, h in face if h == x)) + 1
+            rows[x] = rows[x][:k] + (y,) + rows[x][k:]
+            succ_at[x] = None
+            changed.add(x)
+        # the face splits in two, one through each new dart, and the genus
+        # check fails if it does not
+        if (v, u) not in retrace((u, v)):
+            retrace((v, u))
+        m += 1
+        if _euler_genus(g2.n, m, len(faces) - len(gone) + len(walks)) != genus:
+            raise AssertionError("face split changed genus; corner bookkeeping bug")
+    gprime = add_edges(g2, [(image[u], image[v]) for u, v in add]) if add else g2
+    for w in changed:
+        if sorted(image[a] for a in rows[w]) != list(gprime.adj[image[w]]):
+            raise MalformedRotation(
+                f"rotation at {image[w]} is not a permutation of its neighborhood")
+    return Surgery(emb, gprime, remap, rows, gone, walks, genus)
+
+
+def add_cofacial_edge(emb: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
+    """Add edge uv inside a common face, which splits; re-adding an existing
+    edge is a no-op, matching the convention that multiedges are ignored."""
+    if emb.graph.has_edge(u, v):
+        return emb
+    return surgery(emb, (), ((u, v),)).embedding
+
+
+def induced_embedding(emb: EmbeddedGraph, delete) -> tuple[EmbeddedGraph, VertexRemap]:
+    """Embedding induced on G - delete: rotations restricted, and the faces
+    through deleted vertices retraced."""
+    cut = surgery(emb, delete)
+    return cut.embedding, cut.remap
 
 
 # -- rotation-system search ------------------------------------------------------

@@ -32,7 +32,11 @@ class MalformedRotation(DynColorError):
 
 
 class NotCofacial(DynColorError):
-    pass
+    """No face visits both ends of an edge to add; carries the ends."""
+
+    def __init__(self, u: int, v: int):
+        super().__init__(f"{u} and {v} share no face")
+        self.ends = (u, v)
 
 
 class WouldDisconnect(DynColorError):

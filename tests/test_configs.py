@@ -48,23 +48,41 @@ from tori import SIX_STEPS, SQUARE_STEPS, embed_rotation, lattice_torus, split_t
 
 
 def test_embedding_required():
-    # a triangle with a tail: every kind that reads no faces matches in it
+    # a triangle with a tail: every kind that reads no faces matches in it;
+    # a kind whose detector or builder reads the embedding is refused up
+    # front, before its builder looks at the match
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5)])
     for kind in ConfigKind:
-        if CATALOG[kind].reads_faces:
+        entry = CATALOG[kind]
+        if entry.reads_faces:
             with pytest.raises(EmbeddingRequired, match=f"{kind.value} needs face information"):
                 find_configs(g, [kind])
+        else:
+            matches = find_configs(g, [kind])
+            assert matches and matches == find_configs(find_embedding(g), [kind])
+        if entry.reads_faces or entry.builder_reads_rotation:
             with pytest.raises(EmbeddingRequired,
                                match=f"{kind.value} reduction needs an embedding"):
                 build_reduction(g, ConfigMatch(kind, {}))
             continue
-        matches = find_configs(g, [kind])
-        assert matches and matches == find_configs(find_embedding(g), [kind])
         try:
             build_reduction(g, matches[0])
         except (ValueError, DynColorError) as exc:
             # a builder may refuse the match, but the face check does not apply
             assert "reduction needs an embedding" not in str(exc)
+    assert [kind for kind in ConfigKind if CATALOG[kind].builder_reads_rotation] == [
+        ConfigKind.FOUR_WITH_3_NBR, ConfigKind.LIGHT_TRIANGLE]
+    # the flag is exact: on its catalog instance, a flagged builder reads the
+    # rotation, and any other kind that detects on the bare graph reduces
+    # there as on the embedding
+    for kind, (emb, match) in catalog_instances().items():
+        entry = CATALOG[kind]
+        if entry.builder_reads_rotation:
+            with pytest.raises(AttributeError):
+                entry.build(emb.graph, None, match)
+        elif not entry.reads_faces:
+            bare, embedded = build_reduction(emb.graph, match), build_reduction(emb, match)
+            assert bare.render() == embedded.render() and bare.gprime == embedded.gprime
 
 
 def test_the_catalog_has_one_entry_per_kind_in_enum_order():
@@ -585,3 +603,12 @@ def test_configs_and_reductions_output_pinned(toroidal_corpus):
     assert _configs_digest([embed_rotation(lattice_torus(20, 20, SIX_STEPS))], 40) == "2e7d41bfa352c81a"
     assert _configs_digest([embed_rotation(lattice_torus(30, 30, SQUARE_STEPS))], 40) == "d0505d270aba9e2b"
     assert _configs_digest([embed_rotation(split)], 1) == "8a8af746ddcd973c"
+
+
+@pytest.mark.slow
+def test_every_match_on_the_lattice_tori_pinned():
+    # opt-in (pytest -m slow): every match reduced, not every 40th, in about
+    # 9 s and 5 s on 2 CPUs; the values were taken before the surgery worked
+    # in G's labels, when the two took 15 s and 9.5 s
+    assert _configs_digest([embed_rotation(lattice_torus(20, 20, SIX_STEPS))], 1) == "0ede1bab5ccce42c"
+    assert _configs_digest([embed_rotation(lattice_torus(30, 30, SQUARE_STEPS))], 1) == "52dcdd46a5c8502b"

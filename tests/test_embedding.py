@@ -1,10 +1,11 @@
 import random
 import tracemalloc
+from itertools import combinations
 from math import factorial, prod
 
 import pytest
 
-from dyncolor import configs
+from dyncolor import embedding
 from dyncolor.configs import (
     TORUS_KINDS,
     ConfigKind,
@@ -28,6 +29,7 @@ from dyncolor.embedding import (
     k7_torus,
     parse_rotation,
     petersen_torus,
+    surgery,
     trace_faces,
 )
 from dyncolor.errors import (
@@ -201,6 +203,14 @@ def test_would_disconnect():
     emb = find_embedding(g)
     with pytest.raises(WouldDisconnect):
         induced_embedding(emb, {1})
+
+
+def test_surgery_refuses_a_loop_and_an_edge_to_a_deleted_vertex():
+    emb = c3c3_torus()
+    with pytest.raises(ValueError, match="cannot add a loop"):
+        surgery(emb, {0}, [(1, 1)])
+    with pytest.raises(ValueError, match="edge 0-4 meets a deleted vertex"):
+        surgery(emb, {0}, [(0, 4)])
 
 
 def test_rotation_format_roundtrip():
@@ -392,13 +402,29 @@ def full_add_cofacial_edge(emb, u, v):
         return emb
     ok, face = cofacial(emb, u, v)
     if not ok:
-        raise NotCofacial(f"{u} and {v} share no face")
+        raise NotCofacial(u, v)
     a = next(t for t, h in face.darts if h == u)
     c = next(t for t, h in face.darts if h == v)
     rot = [list(order) for order in emb.rotation.rotation]
     rot[u].insert(rot[u].index(a) + 1, v)
     rot[v].insert(rot[v].index(c) + 1, u)
     return embed(Graph(g.n, g.edges() + [(u, v)]), rot)
+
+
+def full_surgery(emb, delete, add):
+    """G - delete + add by full retraces, each edge drawn by
+    `full_add_cofacial_edge` with its ends remapped: the oracle for `surgery`."""
+    out, remap = full_induced_embedding(emb, delete)
+    for u, v in add:
+        if u == v:
+            raise ValueError("cannot add a loop")
+        out = full_add_cofacial_edge(out, remap.image[u], remap.image[v])
+    return out, remap
+
+
+def local_surgery(emb, delete, add):
+    cut = surgery(emb, delete, add)
+    return cut.embedding, cut.remap
 
 
 def outcome(f, *args):
@@ -422,6 +448,9 @@ def test_local_surgery_matches_a_full_retrace(toroidal_corpus):
     trees += [find_embedding(random_tree(n, rng)) for n in range(3, 10)]
     small = list(toroidal_corpus) + trees
     seen = {"n=1": 0, "n=2": 0, "revisit": 0, WouldDisconnect: 0, NotCofacial: 0}
+    # delete-then-insert outcomes: drawn, drawn at an end that a face visits
+    # twice, and each refusal
+    drawn = {"drawn": 0, "revisit": 0, WouldDisconnect: 0, NotCofacial: 0, ValueError: 0}
 
     def delete(emb, doomed):
         got = outcome(induced_embedding, emb, doomed)
@@ -433,6 +462,24 @@ def test_local_surgery_matches_a_full_retrace(toroidal_corpus):
         seen["n=2"] += got[0].graph.n == 2
         seen["revisit"] += any(f.boundary_vertices().count(x) > 1
                                for f in emb.faces for x in doomed)
+
+    def delete_then_insert(emb, doomed):
+        # one or two E' edges among the neighbours of S, or a loop at one
+        near = sorted({w for x in doomed for w in emb.graph.neighbors(x)} - doomed)
+        pairs = [e for e in combinations(near, 2) if not emb.graph.has_edge(*e)]
+        cases = [rng.sample(pairs, k) for k in (1, 2) if len(pairs) >= k]
+        cases += [[(near[0], near[0])]] if near else []
+        for add in cases:
+            got = outcome(local_surgery, emb, doomed, add)
+            assert got == outcome(full_surgery, emb, doomed, add)
+            if isinstance(got, type):
+                drawn[got] += 1
+                continue
+            drawn["drawn"] += 1
+            out, remap = got
+            ends = {remap.image[x] for e in add for x in e}
+            drawn["revisit"] += any(
+                f.boundary_vertices().count(x) > 1 for f in out.faces for x in ends)
 
     def insert_chain(emb, steps):
         for _ in range(steps):
@@ -449,20 +496,36 @@ def test_local_surgery_matches_a_full_retrace(toroidal_corpus):
     for emb in small:
         for v in emb.graph.vertices():
             delete(emb, {v})
+            delete_then_insert(emb, {v})
         if emb.graph.n > 2:
             for _ in range(3):
-                delete(emb, set(rng.sample(range(emb.graph.n), 2)))
+                doomed = set(rng.sample(range(emb.graph.n), 2))
+                delete(emb, doomed)
+                delete_then_insert(emb, doomed)
         insert_chain(emb, 4)
     for emb in large_tori():
         for _ in range(8):
             delete(emb, {rng.randrange(emb.graph.n)})
-            delete(emb, set(rng.sample(range(emb.graph.n), 2)))
+            doomed = set(rng.sample(range(emb.graph.n), 2))
+            delete(emb, doomed)
+            delete_then_insert(emb, doomed)
+            delete_then_insert(emb, {rng.randrange(emb.graph.n)})
         insert_chain(emb, 4)
         insert_chain(induced_embedding(emb, {0})[0], 4)
     assert all(seen.values()), seen
+    assert all(drawn.values()), drawn
 
 
-def test_reductions_match_a_full_retrace(monkeypatch):
+def first_reductions(emb):
+    """The first match of every torus kind in emb, and its reduction or the
+    type of the error that refused it."""
+    first = {}
+    for m in find_configs(emb, TORUS_KINDS):
+        first.setdefault(m.kind, m)
+    return {kind: (m, outcome(build_reduction, emb, m)) for kind, m in first.items()}
+
+
+def test_reductions_match_a_full_retrace():
     # the first match of every kind, with G' built from subgraph and
     # add_edges and its embedding from full retraces
     quad = embed_rotation(lattice_torus(30, 30, SQUARE_STEPS))
@@ -471,18 +534,13 @@ def test_reductions_match_a_full_retrace(monkeypatch):
     built = set()
     for emb in (quad, split):
         g = emb.graph
-        first = {}
-        for m in find_configs(emb, TORUS_KINDS):
-            first.setdefault(m.kind, m)
-        got = {kind: outcome(build_reduction, emb, m) for kind, m in first.items()}
-        with monkeypatch.context() as patch:
-            patch.setattr(configs, "induced_embedding", full_induced_embedding)
-            patch.setattr(configs, "add_cofacial_edge", full_add_cofacial_edge)
-            want = {kind: outcome(build_reduction, emb, m) for kind, m in first.items()}
-        assert got == want
-        for kind, red in got.items():
+        for kind, (m, red) in first_reductions(emb).items():
+            # a reduction equals another build by value, embedding included
+            assert red == outcome(build_reduction, emb, m)
             if isinstance(red, type):
                 continue
+            want = full_surgery(emb, red.s_order, red.added_edges)
+            assert (red.gprime_embedding, red.remap) == want
             dense, remap = subgraph(g, red.gprime_vertices)
             image = remap.image
             assert red.remap == remap
@@ -493,6 +551,31 @@ def test_reductions_match_a_full_retrace(monkeypatch):
     assert len({kind for kind, _ in built}) >= 6
     assert (ConfigKind.ALL4S_QUAD_FACE, False) in built
     assert any(has_added for _, has_added in built)
+
+
+def test_a_reduction_relabels_no_face_until_its_embedding_is_read(monkeypatch):
+    # building a reduction on the 30 x 30 quadrangulation constructs no face
+    # of G': the surgery works in G's labels, on the faces S and E' touch;
+    # the first read of gprime_embedding relabels them all, once.  Only
+    # all-4s-quad-face reduces there, adding no edge, so a deletion that
+    # draws a chord of the merged 8-face joins it
+    emb = embed_rotation(lattice_torus(30, 30, SQUARE_STEPS))
+    built = []
+
+    def counted(darts):
+        built.append(darts)
+        return Face(darts)
+
+    monkeypatch.setattr(embedding, "Face", counted)
+    reds = [red for _, red in first_reductions(emb).values() if not isinstance(red, type)]
+    match = ConfigMatch(ConfigKind.DEG_LE_2, {"v": 0})
+    reds.append(_assemble(emb.graph, match, (0,), ((1, 29),), {}, {0: 0}, emb))
+    assert [bool(red.added_edges) for red in reds] == [False, True] and built == []
+    for red in reds:
+        out = red.gprime_embedding
+        assert red.gprime_embedding is out and len(built) == len(out.faces)
+        assert (out, red.remap) == full_surgery(emb, red.s_order, red.added_edges)
+        built.clear()
 
 
 def test_an_added_edge_with_no_common_face_fails_the_surgery():
