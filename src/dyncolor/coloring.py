@@ -333,16 +333,15 @@ def is_L_colorable_r_dynamic(
     g: Graph,
     lists: Mapping[int, set[int]],
     r: int,
-    *,
-    node_budget: int = 5_000_000,
 ) -> dict[int, int] | None:
-    """A witness r-dynamic coloring drawn from the lists, or None if unsatisfiable."""
+    """A witness r-dynamic coloring drawn from the lists, or None if
+    unsatisfiable; BudgetExceeded past 5,000,000 search nodes."""
     for v in g.vertices():
         if v not in lists or not lists[v]:
             raise PartialInput(f"vertex {v} has no list")
     _refuse_unknown_vertices(g, lists, "lists")
     ordered = {v: tuple(sorted(lists[v])) for v in g.vertices()}
-    witness = _verified(g, r, Searcher(g, r, node_budget).solve(lists=ordered))
+    witness = _verified(g, r, Searcher(g, r, 5_000_000).solve(lists=ordered))
     if witness is not None and any(witness[v] not in lists[v] for v in g.vertices()):
         raise AssertionError("solver returned a bad witness")
     return witness

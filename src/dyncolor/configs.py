@@ -9,9 +9,11 @@ whether it reads faces.  Detectors match
 the catalog statements; they read degrees from one list per call, face
 lengths at a vertex's corners from the embedding's `corner_lengths` table,
 and faces through its dart -> face index (`face_of_dart`, `faces_at`) only
-where a match needs them; reduction builders transcribe the
-proof constructions (deletion set S, added edges E', and the per-vertex
-rejection triggers).
+where a match needs them.  Reduction builders transcribe the proof
+constructions as data: the deletion set S with each vertex's role, the added
+edges E', the per-vertex rejection triggers and any roles they derive;
+`build_reduction` reads the budgets of the roles from the catalog and
+assembles G' = G - S + E'.
 """
 
 from __future__ import annotations
@@ -404,12 +406,6 @@ def _colored_all(watch, note=""):
     return RejectionRule("colored_all", frozenset(watch), note=note)
 
 
-def _budgets(match: ConfigMatch, roles: dict[int, str]) -> dict[int, int]:
-    """Each deleted vertex's budget, read from the catalog by its role."""
-    declared = CATALOG[match.kind].budgets
-    return {t: declared[role] for t, role in roles.items()}
-
-
 def _assemble(g: Graph, match, s_order, wanted_edges, triggers, budgets,
               emb: EmbeddedGraph | None) -> Reduction:
     """G' = G - S + E', built once.  With an embedding, G' is the graph of
@@ -442,31 +438,39 @@ def _assemble(g: Graph, match, s_order, wanted_edges, triggers, budgets,
 
 
 def build_reduction(emb_or_graph, match: ConfigMatch) -> Reduction:
-    """Transcribe the proof construction for a detected configuration."""
+    """Transcribe the proof construction for a detected configuration.
+
+    The kind's builder returns S as {vertex: role} in the order Painter
+    decides its vertices, the wanted E', the triggers and, optionally, the
+    roles it derives, which join the match.  A role names a budget in the
+    catalog, or is the budget itself."""
     g, emb = _graph_and_embedding(emb_or_graph)
     entry = CATALOG[match.kind]
     if (entry.reads_faces or entry.builder_reads_rotation) and emb is None:
         raise EmbeddingRequired(f"{match.kind.value} reduction needs an embedding")
-    return entry.build(g, emb, match)
+    s, wanted, triggers, *derived = entry.build(g, emb, match)
+    if derived:
+        match = replace(match, roles={**match.roles, **derived[0]})
+    budgets = {t: role if isinstance(role, int) else entry.budgets[role]
+               for t, role in s.items()}
+    return _assemble(g, match, tuple(s), wanted, triggers, budgets, emb)
 
 
 def _build_deg_le_2(g, emb, match):
     v = match.role("v")
     nbrs = g.neighbors(v)
     if len(nbrs) <= 1:
-        triggers = {v: tuple(
+        return {v: "deg1"}, (), {v: tuple(
             [_colored_any({u}, f"{u} colored") for u in nbrs]
             + [dull_rule(g, u) for u in nbrs]
         )}
-        return _assemble(g, match, (v,), (), triggers, _budgets(match, {v: "deg1"}), emb)
     y, z = nbrs
-    triggers = {v: (
+    return {v: "deg2"}, ((y, z),), {v: (
         _colored_any({y}, f"{y} colored"),
         _colored_any({z}, f"{z} colored"),
         dull_rule(g, y),
         dull_rule(g, z),
     )}
-    return _assemble(g, match, (v,), ((y, z),), triggers, _budgets(match, {v: "deg2"}), emb)
 
 
 def _build_adjacent_3s(g, emb, match):
@@ -483,8 +487,7 @@ def _build_adjacent_3s(g, emb, match):
                    dull_rule(g, y2), dull_rule(g, z2),
                    _colored_any({v1}, "partner colored")]),
     }
-    budgets = _budgets(match, {v1: "v1", v2: "v2"})
-    return _assemble(g, match, (v1, v2), ((y1, z1), (y2, z2)), triggers, budgets, emb)
+    return {v1: "v1", v2: "v2"}, ((y1, z1), (y2, z2)), triggers
 
 
 def _build_many_3_nbrs(g, emb, match):
@@ -506,13 +509,13 @@ def _build_many_3_nbrs(g, emb, match):
         elif i == 2:
             rules.append(_colored_any({xs[0], xs[1]}, "earlier xs colored"))
         triggers[x] = tuple(rules)
-    budgets = {v: len(reject_v), **_budgets(match, {x: "x" for x in xs})}
     wanted = tuple((ys[i], zs[i]) for i in range(len(xs)))
     for y, z in wanted:
         if {y, z} & ({v} | set(xs)) and not g.has_edge(y, z):
             raise ValueError(f"E' edge {y}-{z} meets a deleted 3-neighbor; "
                              "reduce the adjacent 3-vertices first")
-    return _assemble(g, match, (v,) + tuple(xs), wanted, triggers, budgets, emb)
+    # the center's budget is the size of its guard set, not a catalog role
+    return {v: len(reject_v), **dict.fromkeys(xs, "x")}, wanted, triggers
 
 
 def _build_four_with_3_nbr(g, emb, match):
@@ -536,11 +539,8 @@ def _build_four_with_3_nbr(g, emb, match):
                    dull_rule(g, y2), dull_rule(g, z2),
                    _colored_any({v1}, "partner colored")]),
     }
-    budgets = _budgets(match, {v1: "v1", v2: "v2"})
-    red = _assemble(g, match, (v1, v2), ((y1, z1), (y2, z2)), triggers, budgets, emb)
-    red.match = replace(match, roles={**match.roles, "y1": y1, "z1": z1,
-                                      "y2": y2, "z2": z2, "w": w})
-    return red
+    return ({v1: "v1", v2: "v2"}, ((y1, z1), (y2, z2)), triggers,
+            {"y1": y1, "z1": z1, "y2": y2, "z2": z2, "w": w})
 
 
 def _build_light_triangle(g, emb, match):
@@ -574,19 +574,15 @@ def _build_light_triangle(g, emb, match):
         v2: tuple([_colored_any({y1, y2, z}, "y/z colored"), dull_rule(g, y2),
                    _colored_any({v1}, "partner colored")]),
     }
-    budgets = _budgets(match, {v1: "v1", v2: "v2"})
-    red = _assemble(g, match, (v1, v2), ((y1, z), (y2, z)), triggers, budgets, emb)
-    red.match = replace(match, roles={**match.roles, "v1": v1, "v2": v2,
-                                      "z": z, "y1": y1, "y2": y2})
-    return red
+    return ({v1: "v1", v2: "v2"}, ((y1, z), (y2, z)), triggers,
+            {"v1": v1, "v2": v2, "z": z, "y1": y1, "y2": y2})
 
 
 def _build_twin_triangles(g, emb, match):
     v, y, z = match.role("v"), match.role("y"), match.role("z")
-    triggers = {v: tuple([_colored_any(set(g.neighbors(v)), "neighborhood colored"),
-                          dull_rule(g, y), dull_rule(g, z)])}
-    budgets = _budgets(match, {v: "v"})
-    return _assemble(g, match, (v,), ((y, z),), triggers, budgets, emb)
+    return {v: "v"}, ((y, z),), {v: tuple([
+        _colored_any(set(g.neighbors(v)), "neighborhood colored"),
+        dull_rule(g, y), dull_rule(g, z)])}
 
 
 def _build_triangle_and_4vtx(g, emb, match):
@@ -596,8 +592,7 @@ def _build_triangle_and_4vtx(g, emb, match):
         x: tuple([_colored_any(set(g.neighbors(x)), "N(x) colored"),
                   dull_rule(g, v), dull_rule(g, y), dull_rule(g, z)]),
     }
-    budgets = _budgets(match, {v: "v", x: "x"})
-    return _assemble(g, match, (v, x), ((y, z),), triggers, budgets, emb)
+    return {v: "v", x: "x"}, ((y, z),), triggers
 
 
 def _build_three_triangle_fan(g, emb, match):
@@ -611,17 +606,14 @@ def _build_three_triangle_fan(g, emb, match):
     if nz:
         rules.append(RejectionRule("few_colors", watch=nz, observe=nz,
                                    threshold=1, note="N(z)-{v,x} still colorless"))
-    triggers = {v: tuple(rules)}
-    budgets = _budgets(match, {v: "v"})
-    return _assemble(g, match, (v,), ((y, z),), triggers, budgets, emb)
+    return {v: "v"}, ((y, z),), {v: tuple(rules)}
 
 
 def _build_exp4_meets_3face(g, emb, match):
     v, y, z = match.role("v"), match.role("y"), match.role("z")
-    triggers = {v: tuple([_colored_any(set(g.neighbors(v)), "N(v) colored"),
-                          dull_rule(g, y), dull_rule(g, z)])}
-    budgets = _budgets(match, {v: "v"})
-    return _assemble(g, match, (v,), ((y, z),), triggers, budgets, emb)
+    return {v: "v"}, ((y, z),), {v: tuple([
+        _colored_any(set(g.neighbors(v)), "N(v) colored"),
+        dull_rule(g, y), dull_rule(g, z)])}
 
 
 def _build_all4s_quad_face(g, emb, match):
@@ -664,8 +656,7 @@ def _build_all4s_quad_face(g, emb, match):
         v4: (_colored_any({v1, v2, v3, y[1], z[1], y[3], z[3], y[4], z[4]},
                           "listed set colored"),),
     }
-    budgets = _budgets(match, {v: "v" for v in face})
-    return _assemble(g, match, tuple(face), (), triggers, budgets, emb)
+    return dict.fromkeys(face, "v"), (), triggers
 
 
 def _build_kp_pendant(g, emb, match):
@@ -674,9 +665,7 @@ def _build_kp_pendant(g, emb, match):
     rules = [_colored_any({u}, "u colored")]
     if others:
         rules.append(_colored_all(others, "all other neighbors of u colored"))
-    triggers = {v: tuple(rules)}
-    budgets = _budgets(match, {v: "v"})
-    return _assemble(g, match, kp_deleted(match), (), triggers, budgets, emb)
+    return dict.fromkeys(kp_deleted(match), "v"), (), {v: tuple(rules)}
 
 
 def _deficient_rule(g, w: int, watch, r: int, note: str):
@@ -696,8 +685,7 @@ def _build_kp_two_two(g, emb, match):
                   _deficient_rule(g, vp, set(g.neighbors(vp)) - {v}, 2,
                                   "v' not yet 2-dynamic")]),
     }
-    budgets = _budgets(match, {u: "u", v: "v"})
-    return _assemble(g, match, kp_deleted(match), (), triggers, budgets, emb)
+    return dict(zip(kp_deleted(match), ("u", "v"))), (), triggers
 
 
 def _build_kp_three_with_twos(g, emb, match):
@@ -706,16 +694,16 @@ def _build_kp_three_with_twos(g, emb, match):
     triggers = {u: (_colored_any(set(other.values()), "a T-partner colored"),)}
     for w in t:
         triggers[w] = (_colored_any({u, other[w], vp}, "u/w'/v' colored"),)
-    budgets = _budgets(match, {u: "u", **{w: "w" for w in t}})
-    return _assemble(g, match, kp_deleted(match), (), triggers, budgets, emb)
+    return dict(zip(kp_deleted(match), ("u",) + ("w",) * len(t))), (), triggers
 
 
 @dataclass(frozen=True)
 class Entry:
     """One kind's statement: its detector (run on the embedding when the kind
-    reads faces, else on the graph), its reduction builder (which needs an
-    embedding when the kind reads faces or the builder reads the rotation),
-    and its certified rejection bounds (key: role or kind-level default)."""
+    reads faces, else on the graph), its reduction builder (the data that
+    `build_reduction` assembles; it needs an embedding when the kind reads
+    faces or the builder reads the rotation), and its certified rejection
+    bounds by role."""
     detect: Callable
     build: Callable
     budgets: dict[str, int]
@@ -783,7 +771,7 @@ def check_extendable(
     reduction: Reduction,
     r: int,
     *,
-    k: int | None = None,
+    k: int,
 ) -> ExtendabilityReport:
     """r-extendability: every r-dynamic k-coloring of G' must extend to an
     r-dynamic coloring of G on the deleted vertices.
@@ -794,8 +782,6 @@ def check_extendable(
     interchangeable), and the search stops at the first base that does not
     extend.
     """
-    if k is None:
-        k = reduction.match.kind.target[1]
     inverse = sorted(reduction.gprime_vertices)  # the remap is monotone
     extender = Searcher(g, r, math.inf)
     checked = 0

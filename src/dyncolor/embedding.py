@@ -11,10 +11,11 @@ an embedding's first lookup.  `corner_lengths` tabulates, once, the length of
 the face at every corner, for callers that need only lengths.
 
 Surgery is local, in G's own labels: `surgery` deletes vertices and draws
-edges in faces, retracing only the faces through the deleted vertices and
-those the edges split, and relabels the result when it is first read;
-`induced_embedding` and `add_cofacial_edge` are its two halves.  One walk
-serves it and `trace_faces`, which walks every dart and tests connectivity.
+new edges in faces, retracing only the faces through the deleted vertices
+and those the edges split, and relabels the result when it is first read.
+It is the one way to change an embedding; it refuses a loop, an edge to a
+deleted vertex and an edge already present.  One walk serves it and
+`trace_faces`, which walks every dart and tests connectivity.
 
 `find_embedding` is an exact branch and bound over partial rotations (after
 Brinkmann, arXiv:2005.13066), exponential in the worst case.
@@ -33,7 +34,7 @@ from .errors import (
     ParseError,
     WouldDisconnect,
 )
-from .graph import Graph, VertexRemap, add_edges, delete_vertices, payload_lines
+from .graph import Graph, add_edges, delete_vertices, payload_lines
 
 Dart = tuple[int, int]
 
@@ -207,12 +208,13 @@ class Surgery:
 
 
 def surgery(emb: EmbeddedGraph, delete=(), add=()) -> Surgery:
-    """emb restricted to G - delete, then each added edge drawn in the first
-    face common to its ends, after the tails of the darts entering them at
-    their first visits.  Only the faces through deleted vertices and those
-    the edges split are retraced; every other face is found in emb's dart
-    index.  The remap is monotone, so least darts, the face order and the
-    first common face are the same in G's labels as in G''s."""
+    """emb restricted to G - delete, then each added edge, new to G - delete
+    and to the edges before it, drawn in the first face common to its ends,
+    after the tails of the darts entering them at their first visits.  Only
+    the faces through deleted vertices and those the edges split are
+    retraced; every other face is found in emb's dart index.  The remap is
+    monotone, so least darts, the face order and the first common face are
+    the same in G's labels as in G''s."""
     doomed = set(delete)
     g2, remap = delete_vertices(emb.graph, doomed)
     if g2.n == 0 or not g2.is_connected():
@@ -253,6 +255,8 @@ def surgery(emb: EmbeddedGraph, delete=(), add=()) -> Surgery:
             raise ValueError("cannot add a loop")
         if image[u] is None or image[v] is None:
             raise ValueError(f"edge {u}-{v} meets a deleted vertex")
+        if v in rows[u]:
+            raise ValueError(f"edge {u}-{v} is already present")
         common = ({face_at((a, u))[0] for a in rows[u]}
                   & {face_at((c, v))[0] for c in rows[v]})
         if not common:
@@ -278,21 +282,6 @@ def surgery(emb: EmbeddedGraph, delete=(), add=()) -> Surgery:
             raise MalformedRotation(
                 f"rotation at {image[w]} is not a permutation of its neighborhood")
     return Surgery(emb, gprime, remap, rows, gone, walks, genus)
-
-
-def add_cofacial_edge(emb: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
-    """Add edge uv inside a common face, which splits; re-adding an existing
-    edge is a no-op, matching the convention that multiedges are ignored."""
-    if emb.graph.has_edge(u, v):
-        return emb
-    return surgery(emb, (), ((u, v),)).embedding
-
-
-def induced_embedding(emb: EmbeddedGraph, delete) -> tuple[EmbeddedGraph, VertexRemap]:
-    """Embedding induced on G - delete: rotations restricted, and the faces
-    through deleted vertices retraced."""
-    cut = surgery(emb, delete)
-    return cut.embedding, cut.remap
 
 
 # -- rotation-system search ------------------------------------------------------

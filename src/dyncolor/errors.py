@@ -68,10 +68,6 @@ class IllegalResponse(DynColorError):
     pass
 
 
-class BudgetViolated(DynColorError):
-    """A T-vertex exceeded its rejection budget (wrong trigger set)."""
-
-
 class InnerLost(DynColorError):
     """The inner strategy had no winning response; it was not a winning strategy."""
 

@@ -24,9 +24,11 @@ with each key the most rejections every tracked vertex can still get.
 The solver declares a position lost when some res(v) exceeds the uncolored
 neighbors of v, as each round adds at most one color there; it packs each
 vertex's count of uncolored neighbors in one more int, in fields wide enough
-for the maximum degree, so the test is one subtraction.  A scripted game
-is played with `advance` too; its transcript keeps the round in which each
-vertex was colored, for `verify_r_dynamic`.
+for the maximum degree, so the test is one subtraction.  A scripted game,
+for any painter, the composite G'-first one included, is played by
+`run_transcript` with `advance` too; its transcript keeps the round in which
+each vertex was colored, for `verify_r_dynamic`, and each vertex's
+rejections.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .coloring import chi_r_exact, verify_r_dynamic
 from .errors import (
     ApplicabilityError,
     BudgetExceeded,
-    BudgetViolated,
     IllegalMark,
     IllegalResponse,
     InnerLost,
@@ -746,29 +747,22 @@ def run_gprime_first(
     lister="exhaustive",
     *,
     s_order: Sequence[int],
-):
-    """Drive the composite strategy; exhaustive lister or a scripted mark list.
+) -> CertificationReport:
+    """Certify the composite strategy against the exhaustive Lister.
 
     `s_order` is the deleted set S in the order in which the painter decides
-    its vertices each round.  With the exhaustive adversary the result is a CertificationReport
-    whose max_rejections must stay at or below f(v)-1 for every T-vertex; a
-    scripted adversary yields a single Transcript.
+    its vertices each round.  The report's max_rejections must stay at or
+    below f(v)-1 for every vertex of S.  `lister` admits only "exhaustive";
+    scripted play is `run_transcript` with a `GPrimeFirstPainter`.
     """
+    if lister != "exhaustive":
+        raise ValueError("run_gprime_first only certifies; play a scripted "
+                         "Lister with run_transcript")
     painter = GPrimeFirstPainter(
         g, r, frozenset(gprime_vertices), frozenset(tuple(e) for e in gprime_edges),
         s_order, triggers
     )
-    if lister == "exhaustive":
-        return certify_painter(g, r, f, painter, track=s_order)
-    transcript = run_transcript(g, r, painter, lister, f)
-    tokens = normalize_tokens(g, f)
-    for t in s_order:
-        if transcript.rejections.get(t, 0) > tokens[t] - 1:
-            raise BudgetViolated(
-                f"vertex {t} rejected {transcript.rejections[t]} times with "
-                f"{tokens[t]} tokens; the trigger set is wrong"
-            )
-    return transcript
+    return certify_painter(g, r, f, painter, track=s_order)
 
 
 # -- paint number -------------------------------------------------------------------

@@ -326,6 +326,44 @@ ROTATION_COMMANDS = ("genus", "find-config", "reduce", "discharge", "unavoidable
      "vertex id 300000 exceeds twice the number of edges (2) (byte 4)"),
     (["chi-r", "--r", "2", "--format", "edge-list", "F"], "0 999999999\n",
      "vertex id 999999999 exceeds twice the number of edges (1) (byte 0)"),
+    # each remaining refusal of the input readers, one row each
+    (["genus", "F"], "# rotation\nrot 3 3\n", "expected header 'rot <n>' (byte 11)"),
+    (["genus", "F"], "rot 0\n", "vertex count must be positive (byte 0)"),
+    (["genus", "F"], "rot 2\n0: 1\n1 0\n", "expected '<v>: w1 w2 ...' (byte 11)"),
+    (["genus", "F"], "rot 2\n0: 1\n1: x\n", "non-integer vertex id (byte 11)"),
+    (["genus", "F"], "rot 2\n0: 1\n5: 0\n", "vertex 5 out of range (byte 11)"),
+    (["genus", "F"], "rot 2\n0: 1\n1: 0\n0: 1\n", "duplicate line for vertex 0 (byte 16)"),
+    (["genus", "F"], "rot 2\n0: 1\n1: 1\n", "loop at vertex 1 (byte 11)"),
+    (["genus", "F"], "rot 2\n0: 1 2\n", "neighbor out of range at vertex 0 (byte 6)"),
+    (["chi-r", "--r", "1", "--format", "edge-list", "F"], "0 1\n1 2 3\n",
+     "expected 'u v', got '1 2 3' (byte 4)"),
+    (["chi-r", "--r", "1", "--format", "edge-list", "F"], "0 1\n1 -2\n",
+     "negative vertex id (byte 4)"),
+    (["chi-r", "--r", "1", "--format", "graph6", "F"], "!\n", "bad size byte 33 (byte 0)"),
+    (["chi-r", "--r", "1", "--format", "graph6", "F"], "~?!?\n", "bad size byte 33 (byte 2)"),
+    (["chi-r", "--r", "1", "--format", "graph6", "F"], "~~??!???\n",
+     "bad size byte 33 (byte 4)"),
+    (["chi-r", "--r", "1", "--format", "graph6", "F"], "~??\n",
+     "truncated long size field (byte 3)"),
+    (["chi-r", "--r", "1", "--format", "graph6", "F"], "~~???\n",
+     "truncated very long size field (byte 5)"),
+    (["chi-r", "--r", "1", "--format", "graph6", "F"], "B!\n",
+     "data byte 33 out of graph6 range (byte 1)"),
+    (["verify", "--r", "1", "--coloring", "F", "G"], "0 1\n1\n",
+     "expected '<vertex> <color>', got '1' (byte 4)"),
+    (["verify", "--r", "1", "--coloring", "F", "G"], "0 1\n1 x\n",
+     "non-integer in '1 x' (byte 4)"),
+    (["verify", "--r", "1", "--coloring", "F", "G"], "0 1\n1 0\n",
+     "colors are positive integers (byte 4)"),
+    (["list-check", "--r", "1", "--lists", "F", "G"], "0: 1 2\n1 2\n",
+     "expected '<v>: c1 c2 ...' (byte 7)"),
+    (["list-check", "--r", "1", "--lists", "F", "G"], "0: 1 2\n1: x\n",
+     "non-integer in '1: x' (byte 7)"),
+    (["list-check", "--r", "1", "--lists", "F", "G"], "0: 1 2\n1:\n",
+     "empty list for vertex 1 (byte 7)"),
+    (["replay", "--certificate", "F", "G"], "contraction-trace\nr 11\nbase 0\n",
+     "trace missing r/genus header (byte 30)"),
+    (["replay", "--certificate", "F", "G"], "frobnicate\n", "unknown certificate header"),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
     paths = {"G": tmp_path / "c5.g6", "F": tmp_path / "input.txt"}

@@ -17,14 +17,12 @@ from dyncolor.configs import (
 from dyncolor.embedding import (
     Face,
     RotationSystem,
-    add_cofacial_edge,
     all_rotation_systems,
     c3c3_torus,
     cofacial,
     embed,
     emit_rotation,
     find_embedding,
-    induced_embedding,
     k5_torus,
     k7_torus,
     parse_rotation,
@@ -141,20 +139,15 @@ def test_cofacial_grid_all_pairs():
 
 def test_add_chord_splits_face():
     emb = c5_embedding()
-    out = add_cofacial_edge(emb, 0, 2)
+    out = surgery(emb, (), [(0, 2)]).embedding
     assert out.genus == 0
     assert out.face_multiset() == (3, 4, 5)
     assert sum(f.length for f in out.faces) == 2 * out.graph.m == 12
 
 
-def test_add_existing_edge_is_noop():
-    emb = c5_embedding()
-    assert add_cofacial_edge(emb, 0, 1) is emb
-
-
 def test_add_grid_diagonal_keeps_genus():
     emb = c3c3_torus()
-    out = add_cofacial_edge(emb, 0, 4)  # diagonal of the face 0,1,4,3
+    out = surgery(emb, (), [(0, 4)]).embedding  # diagonal of the face 0,1,4,3
     assert out.genus == 1
     assert out.graph.m == 19
 
@@ -162,7 +155,7 @@ def test_add_grid_diagonal_keeps_genus():
 def test_add_not_cofacial_raises():
     embq = find_embedding(cube())
     with pytest.raises(NotCofacial):
-        add_cofacial_edge(embq, 0, 7)
+        surgery(embq, (), [(0, 7)])
 
 
 def test_induced_embedding_cases():
@@ -170,17 +163,17 @@ def test_induced_embedding_cases():
     w5 = wheel(5)
     emb = find_embedding(w5, max_genus=0)
     assert emb.genus == 0
-    out, remap = induced_embedding(emb, {0})
+    out = surgery(emb, {0}).embedding
     assert out.face_multiset() == (5, 5)
     assert out.genus == 0
     # deleting one K5 vertex keeps genus <= 1
-    out2, _ = induced_embedding(k5_torus(), {4})
+    out2 = surgery(k5_torus(), {4}).embedding
     assert out2.graph == complete(4)
     assert out2.genus <= 1
     # degree-1 vertex attached to C4
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
     emb3 = find_embedding(g)
-    out3, _ = induced_embedding(emb3, {4})
+    out3 = surgery(emb3, {4}).embedding
     assert out3.graph == cycle(4)
     assert out3.genus == 0
 
@@ -192,7 +185,7 @@ def test_induced_embedding_never_raises_genus():
         emb = trace_faces(random_rotation(g, rng))
         v = rng.randrange(g.n)
         try:
-            out, _ = induced_embedding(emb, {v})
+            out = surgery(emb, {v}).embedding
         except WouldDisconnect:
             continue
         assert out.genus <= emb.genus
@@ -202,7 +195,7 @@ def test_would_disconnect():
     g = Graph(3, [(0, 1), (1, 2)])
     emb = find_embedding(g)
     with pytest.raises(WouldDisconnect):
-        induced_embedding(emb, {1})
+        surgery(emb, {1})
 
 
 def test_surgery_refuses_a_loop_and_an_edge_to_a_deleted_vertex():
@@ -211,6 +204,13 @@ def test_surgery_refuses_a_loop_and_an_edge_to_a_deleted_vertex():
         surgery(emb, {0}, [(1, 1)])
     with pytest.raises(ValueError, match="edge 0-4 meets a deleted vertex"):
         surgery(emb, {0}, [(0, 4)])
+    # an edge G - S has, or one that E' lists twice, is refused too
+    with pytest.raises(ValueError, match="edge 0-1 is already present"):
+        surgery(emb, (), [(0, 1)])
+    with pytest.raises(ValueError, match="edge 0-4 is already present"):
+        surgery(emb, (), [(0, 4), (0, 4)])
+    with pytest.raises(ValueError, match="edge 1-2 is already present"):
+        surgery(c5_embedding(), (), [(1, 2)])
 
 
 def test_rotation_format_roundtrip():
@@ -453,7 +453,7 @@ def test_local_surgery_matches_a_full_retrace(toroidal_corpus):
     drawn = {"drawn": 0, "revisit": 0, WouldDisconnect: 0, NotCofacial: 0, ValueError: 0}
 
     def delete(emb, doomed):
-        got = outcome(induced_embedding, emb, doomed)
+        got = outcome(local_surgery, emb, doomed, ())
         assert got == outcome(full_induced_embedding, emb, doomed)
         if isinstance(got, type):
             seen[got] += 1
@@ -486,12 +486,17 @@ def test_local_surgery_matches_a_full_retrace(toroidal_corpus):
             if emb.graph.n < 2:
                 return
             u, v = rng.sample(range(emb.graph.n), 2)
-            got = outcome(add_cofacial_edge, emb, u, v)
-            assert got == outcome(full_add_cofacial_edge, emb, u, v)
+            got = outcome(local_surgery, emb, (), [(u, v)])
+            if emb.graph.has_edge(u, v):
+                assert got is ValueError  # surgery refuses an edge G has
+                continue
+            want = outcome(full_add_cofacial_edge, emb, u, v)
             if isinstance(got, type):
+                assert got == want
                 seen[got] += 1
             else:
-                emb = got
+                assert got[0] == want
+                emb = got[0]
 
     for emb in small:
         for v in emb.graph.vertices():
@@ -511,7 +516,7 @@ def test_local_surgery_matches_a_full_retrace(toroidal_corpus):
             delete_then_insert(emb, doomed)
             delete_then_insert(emb, {rng.randrange(emb.graph.n)})
         insert_chain(emb, 4)
-        insert_chain(induced_embedding(emb, {0})[0], 4)
+        insert_chain(surgery(emb, {0}).embedding, 4)
     assert all(seen.values()), seen
     assert all(drawn.values()), drawn
 

@@ -8,7 +8,6 @@ from dyncolor import paintgame
 from dyncolor.coloring import verify_r_dynamic
 from dyncolor.errors import (
     ApplicabilityError,
-    BudgetViolated,
     IllegalMark,
     IllegalResponse,
     InnerLost,
@@ -312,15 +311,19 @@ def test_exhaustive_adversary_deterministic():
 
 
 def test_scripted_gprime_budget_violation():
-    from dyncolor.errors import BudgetViolated
-
     g = Graph(3, [(0, 1), (1, 2)])
-    # vetoes on every round: vertex 0 can never be colored
+    # vetoes on every round: vertex 0 can never be colored, spends both its
+    # tokens on rejections, and the third mark finds it token-less
     always = RejectionRule("few_colors", watch=frozenset({0, 1, 2}),
                            observe=frozenset({0, 1, 2}), threshold=99)
-    with pytest.raises(BudgetViolated):
+    painter = GPrimeFirstPainter(g, 1, {1, 2}, {(1, 2)}, [0], {0: (always,)})
+    tr = run_transcript(g, 1, painter, [{0, 1}, {0, 2}, {0}], 2)
+    assert tr.rejections[0] == 2 and tr.outcome == "lister"
+    assert tr.rounds[-1] == paintgame.RoundRecord((0,), (), ())
+    # the certifying driver takes no scripted Lister
+    with pytest.raises(ValueError, match="run_transcript"):
         run_gprime_first(g, 1, {1, 2}, {(1, 2)}, {0: (always,)}, 2,
-                         lister=[{0, 1}, {0, 2}, {0}], s_order=[0])
+                         [{0, 1}, {0, 2}, {0}], s_order=[0])
 
 
 def test_solver_single_vertex():
@@ -540,7 +543,7 @@ def reference_certify(g, r, f, painter, track=()):
             step = list(line) + [tuple(sorted(marked))]
             try:
                 response = respond_at(painter, state.position(g, r, watch), marked)
-            except (IllegalResponse, InnerLost, BudgetViolated) as exc:
+            except (IllegalResponse, InnerLost) as exc:
                 out["losing"], out["reason"] = step, f"{type(exc).__name__}: {exc}"
                 ok = False
                 break
@@ -654,8 +657,8 @@ def test_scripted_mark_of_a_colored_vertex_is_illegal():
 
     # a deleted vertex of the composite strategy, colored and marked again
     def composite_run(marks):
-        return run_gprime_first(g, 1, {1, 2}, {(1, 2)}, {0: ()}, 3,
-                                lister=marks, s_order=[0])
+        painter = GPrimeFirstPainter(g, 1, {1, 2}, {(1, 2)}, [0], {0: ()})
+        return run_transcript(g, 1, painter, marks, 3)
 
     assert composite_run([{0}]).rounds[0].colored == (0,)
     with pytest.raises(IllegalMark):
@@ -706,9 +709,8 @@ def test_few_colors_rule_reads_its_residual():
     g = Graph(4, [(0, 3), (1, 2), (2, 3)])
 
     def rejected(marks):
-        tr = run_gprime_first(g, 1, {1, 2, 3}, {(1, 2), (2, 3)}, {0: (rule,)}, 3,
-                              lister=marks, s_order=[0])
-        return tr.rounds[-1].rejected
+        painter = GPrimeFirstPainter(g, 1, {1, 2, 3}, {(1, 2), (2, 3)}, [0], {0: (rule,)})
+        return run_transcript(g, 1, painter, marks, 3).rounds[-1].rejected
 
     assert rejected([{0, 1}]) == (0,)
     assert rejected([{2}, {0, 1}]) == ()
@@ -731,10 +733,9 @@ def passing_catalog_budgets():
         yield name, emb.graph, red, suggested_tokens(emb.graph, red, 3, 10)
 
 
-def gprime_first(g, red, tokens, lister="exhaustive"):
+def gprime_first(g, red, tokens):
     return run_gprime_first(g, 3, red.gprime_vertices, red.gprime_edges, red.triggers,
-                            [tokens[v] for v in g.vertices()], lister,
-                            s_order=red.s_order)
+                            [tokens[v] for v in g.vertices()], s_order=red.s_order)
 
 
 def token_free_positions(g, r, painter, f, track):
@@ -788,9 +789,9 @@ def test_adversary_maxima_are_tight():
             tight = {**tokens, t: maxima[t]}
             rep = gprime_first(g, red, tight)
             assert not rep.ok and rep.reason.startswith(f"vertex {t} drained"), (name, t)
-            replayed = f"vertex {t} rejected {maxima[t]} times"
-            with pytest.raises(BudgetViolated, match=replayed):
-                gprime_first(g, red, tight, lister=rep.losing_line)
+            f = [tight[v] for v in g.vertices()]
+            transcript = run_transcript(g, 3, composite(g, red), rep.losing_line, f)
+            assert transcript.rejections[t] == maxima[t], (name, t)
 
 
 class RejectsLoneMark(Greedy):
