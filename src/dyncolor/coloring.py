@@ -1,15 +1,20 @@
 """r-dynamic coloring: verification, exact chromatic search, list colorability.
 
 An r-dynamic coloring is a proper coloring where every vertex v sees at least
-min(r, d(v)) distinct colors on its open neighborhood.  One backtracker
-answers every exact question: chromatic search, list colorability, and,
-through its precoloring and leaf predicate, the enumeration and extension of
-base colorings in `configs.check_extendable`.  It has two sound prunes: a
-partial coloring dies as soon as some vertex's distinct-colored-neighbor
-count plus its uncolored-neighbor count drops below its requirement, and
-forced rainbows (a vertex whose uncolored neighbors must all take colors new
-to its neighborhood) close those colors to them.  It branches fail-first, on
-the vertex with the fewest open colors, with ties broken by DSATUR's key.
+min(r, d(v)) distinct colors on its open neighborhood.  `verify_r_dynamic`
+judges every finished coloring: each witness a search returns, and each
+extension `configs.check_extendable` takes, whether searched or reused from
+the previous base.  Its all-clear path builds no edge or vertex lists.
+
+One backtracker answers every exact question: chromatic search, list
+colorability, and, through its precoloring and leaf predicate, the
+enumeration and extension of base colorings in `configs.check_extendable`.
+It has two sound prunes: a partial coloring dies as soon as some vertex's
+distinct-colored-neighbor count plus its uncolored-neighbor count drops
+below its requirement, and forced rainbows (a vertex whose uncolored
+neighbors must all take colors new to its neighborhood) close those colors
+to them.  It branches fail-first, on the vertex with the fewest open colors,
+with ties broken by DSATUR's key.
 """
 
 from __future__ import annotations
@@ -55,19 +60,23 @@ def _refuse_unknown_vertices(g: Graph, assignment: Mapping, what: str) -> None:
 
 
 def verify_r_dynamic(g: Graph, coloring: Mapping[int, int], r: int) -> DynamicReport:
-    colors = [coloring.get(v) for v in g.vertices()]
-    if None in colors:
-        missing = [v for v, c in enumerate(colors) if c is None]
-        raise PartialInput(f"vertices without a color: {missing[:10]}")
+    try:
+        colors = [coloring[v] for v in g.vertices()]
+    except KeyError:
+        missing = [v for v in g.vertices() if v not in coloring]
+        raise PartialInput(f"vertices without a color: {missing[:10]}") from None
     _refuse_unknown_vertices(g, coloring, "colors")
-    # each neighborhood's color set, read once for both conditions
+    # each neighborhood's color set, read once for both conditions; the
+    # offending edges and vertices are listed only when there are some
     on_nbrs = [set(map(colors.__getitem__, nbrs)) for nbrs in g.adj]
     improper = ()
     if any(map(set.__contains__, on_nbrs, colors)):
         improper = tuple((u, v) for u, v in g.edges() if colors[u] == colors[v])
     seen = tuple(map(len, on_nbrs))
-    required = tuple(min(r, len(nbrs)) for nbrs in g.adj)
-    violations = tuple(v for v in g.vertices() if seen[v] < required[v])
+    required = tuple([d if d < r else r for d in map(len, g.adj)])
+    violations = ()
+    if any(map(lt, seen, required)):
+        violations = tuple(v for v in g.vertices() if seen[v] < required[v])
     return DynamicReport(r, not improper, improper, seen, required, violations)
 
 

@@ -754,12 +754,14 @@ class ExtendabilityReport:
     extendable: bool
     colorings_checked: int
     counterexample: dict[int, int] | None
+    extensions_searched: int  # bases whose extension needed a search on G
 
     def render(self) -> str:
+        searched = f" ({self.extensions_searched} searched)"
         if self.extendable:
-            return f"extendable: all {self.colorings_checked} base colorings extend"
+            return f"extendable: all {self.colorings_checked} base colorings extend" + searched
         return (f"NOT extendable: counterexample after "
-                f"{self.colorings_checked} colorings: {self.counterexample}")
+                f"{self.colorings_checked} colorings: {self.counterexample}" + searched)
 
 
 # check_extendable's cap on base colorings of G'
@@ -776,33 +778,53 @@ def check_extendable(
     """r-extendability: every r-dynamic k-coloring of G' must extend to an
     r-dynamic coloring of G on the deleted vertices.
 
-    The coloring search on G' meets each base coloring once up to renaming;
-    its leaf predicate precolors G with the base and searches S over 1..k
+    The coloring search on G' meets each base coloring once up to renaming,
+    and stops at the first base that does not extend.  Each base first tries
+    the colors S took in the latest extension found: unless one of them sits
+    on a G-neighbor of its vertex in the base, the base plus those colors is
+    taken if `verify_r_dynamic` passes it on all of G.  Otherwise the
+    extension is searched: G precolored with the base, S over 1..k
     (canonically: the unused colors above the base's largest are
-    interchangeable), and the search stops at the first base that does not
-    extend.
+    interchangeable), and the witness verified the same way.  Every
+    extension is thus a verified coloring of G, and a counterexample is
+    verified r-dynamic on G' before it is reported.
     """
     inverse = sorted(reduction.gprime_vertices)  # the remap is monotone
     extender = Searcher(g, r, math.inf)
-    checked = 0
+    s, adj = reduction.s_order, g.adj
+    last: dict[int, int] | None = None  # the latest extension searched
+    checked = searched = 0
 
     def fails_to_extend(base: dict[int, int]) -> bool:
-        nonlocal checked
+        nonlocal checked, searched, last
         checked += 1
         if checked > EXTEND_MAX_COLORINGS:
-            raise BudgetExceeded("too many base colorings to enumerate")
+            raise BudgetExceeded(
+                f"more than EXTEND_MAX_COLORINGS={EXTEND_MAX_COLORINGS} base colorings "
+                f"of G': {searched} extensions searched, "
+                f"{EXTEND_MAX_COLORINGS - searched} reused")
         fixed = {inverse[dv]: c for dv, c in base.items()}
+        # the base already colors every vertex outside S, so last | fixed
+        # keeps only last's colors on S
+        if last is not None and all(fixed.get(w) != last[t] for t in s for w in adj[t]):
+            if verify_r_dynamic(g, last | fixed, r).ok:
+                return False
+        searched += 1
         witness = extender.solve(k, fixed)
         if witness is None:
             return True
         if not verify_r_dynamic(g, witness, r).ok:
             raise AssertionError("extension search returned a bad witness")
+        last = witness
         return False
 
     bad = Searcher(reduction.gprime, r, math.inf).solve(k, accept=fails_to_extend)
     if bad is None:
-        return ExtendabilityReport(True, checked, None)
-    return ExtendabilityReport(False, checked, {inverse[dv]: c for dv, c in bad.items()})
+        return ExtendabilityReport(True, checked, None, searched)
+    if not verify_r_dynamic(reduction.gprime, bad, r).ok:
+        raise AssertionError("base coloring search returned a bad counterexample")
+    return ExtendabilityReport(False, checked, {inverse[dv]: c for dv, c in bad.items()},
+                               searched)
 
 
 def reduction_without_added_edges(g: Graph, reduction: Reduction) -> Reduction:

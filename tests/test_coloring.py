@@ -85,6 +85,38 @@ def test_verify_partial_input():
         verify_r_dynamic(cycle(3), {0: 1}, 1)
 
 
+def test_verify_matches_the_definition_on_random_colorings():
+    # every report field against the definition, written out pair by pair,
+    # on colorings from few colors (improper, deficient) to many (rainbow)
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(400):
+        n = rng.randrange(0, 9)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < 0.4])
+        coloring = {v: rng.randrange(1, rng.randrange(1, n + 2) + 1) for v in range(n)}
+        r = rng.randrange(1, 5)
+        rep = verify_r_dynamic(g, coloring, r)
+        nbrs = [[w for w in range(n) if g.has_edge(v, w)] for v in range(n)]
+        seen = tuple(len({coloring[w] for w in nbrs[v]}) for v in range(n))
+        required = tuple(min(r, len(nbrs[v])) for v in range(n))
+        improper = tuple((u, v) for u in range(n) for v in range(u + 1, n)
+                         if g.has_edge(u, v) and coloring[u] == coloring[v])
+        assert rep.r == r
+        assert rep.improper_edges == improper
+        assert rep.proper == (not improper)
+        assert rep.seen == seen
+        assert rep.required == required
+        assert rep.violations == tuple(v for v in range(n) if seen[v] < required[v])
+        assert rep.ok == (not improper and rep.violations == ())
+        kinds.add((rep.proper, bool(rep.violations)))
+    assert kinds == {(True, False), (True, True), (False, False), (False, True)}
+    with pytest.raises(PartialInput, match=r"vertices without a color: \[2, 3, 4\]"):
+        verify_r_dynamic(cycle(5), {0: 1, 1: 2}, 2)
+    with pytest.raises(PartialInput, match=r"colors for vertices not in the graph: \[9\]"):
+        verify_r_dynamic(cycle(3), {0: 1, 1: 2, 2: 3, 9: 1}, 2)
+
+
 def test_chi_small_cases():
     assert chi_r_exact(cycle(5), 1).value == 3
     assert chi_r_exact(cycle(4), 1).value == 2

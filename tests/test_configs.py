@@ -301,6 +301,64 @@ def test_extendability_all_ten_lemmas():
         assert rep.extendable, (kind, rep.render())
 
 
+def test_extension_searches_pinned():
+    # (bases, bases whose extension was searched) at r=3, k=10: every other
+    # base took the previous extension's colors on S, passed by the verifier
+    reports = {kind.value: check_extendable(emb.graph, build_reduction(emb, match), 3, k=10)
+               for kind, (emb, match) in catalog_instances().items()}
+    counts = {kind: (rep.colorings_checked, rep.extensions_searched)
+              for kind, rep in reports.items()}
+    assert counts == {
+        "deg<=2": (1, 1), "adjacent-3s": (1, 1), "many-3-neighbors": (114, 25),
+        "4-with-3-neighbor": (27, 14), "light-triangle": (1, 1),
+        "twin-triangles": (2, 2), "triangle-and-4-vertex": (1, 1),
+        "three-triangle-fan": (2, 2), "expensive-4-meets-3-face": (6256, 183),
+        "all-4s-quad-face": (5, 5),
+    }
+    assert (reports["expensive-4-meets-3-face"].render()
+            == "extendable: all 6256 base colorings extend (183 searched)")
+
+
+def test_every_extension_is_verified(monkeypatch):
+    # each base that extends is counted once, for a coloring of all of G that
+    # the verifier passed, whether the extension was searched or reused
+    log = []
+
+    def counting(h, coloring, r):
+        rep = verify_r_dynamic(h, coloring, r)
+        log.append((h, rep.ok))
+        return rep
+    monkeypatch.setattr(configs, "verify_r_dynamic", counting)
+    cases = [(emb.graph, build_reduction(emb, match), 3)
+             for emb, match in catalog_instances().values()]
+    g, match = notsubgraph_instance()
+    red = build_reduction(find_embedding(g), match)
+    cases += [(g, red, 2), (g, reduction_without_added_edges(g, red), 2)]
+    for g, red, r in cases:
+        log.clear()
+        rep = check_extendable(g, red, r, k=10)
+        passed_on_g = sum(ok for h, ok in log if h is g)
+        if rep.extendable:
+            assert passed_on_g == rep.colorings_checked
+        else:
+            # the last base does not extend, and it is verified on G'
+            assert passed_on_g == rep.colorings_checked - 1
+            assert [(h, ok) for h, ok in log if h is not g] == [(red.gprime, True)]
+    assert not rep.extendable  # the stripped control, last, took the "no" branch
+
+
+def test_a_counterexample_is_verified_on_gprime(monkeypatch):
+    g, match = notsubgraph_instance()
+    stripped = reduction_without_added_edges(g, build_reduction(find_embedding(g), match))
+
+    def refuse_on_gprime(h, coloring, r):
+        rep = verify_r_dynamic(h, coloring, r)
+        return replace(rep, proper=False) if h is stripped.gprime else rep
+    monkeypatch.setattr(configs, "verify_r_dynamic", refuse_on_gprime)
+    with pytest.raises(AssertionError, match="bad counterexample"):
+        check_extendable(g, stripped, 2, k=10)
+
+
 def test_notsubgraph_negative_control():
     g, match = notsubgraph_instance()
     emb = find_embedding(g)
@@ -556,20 +614,24 @@ def test_extendability_matches_brute_force_on_random_reductions():
         if rng.random() < 0.5:
             red = reduction_without_added_edges(g, red)
         rep = assert_matches_brute_force(g, red, rng.randrange(1, 4), rng.randrange(2, 6))
-        verdicts.append(rep.extendable)
-    assert True in verdicts and False in verdicts
+        reused = rep.colorings_checked - rep.extensions_searched
+        verdicts.append((rep.extendable, reused > 0))
+    # a "no" reached after some base took the previous extension's colors
+    assert {(True, False), (True, True), (False, True)} <= set(verdicts)
 
 
 def test_coloring_limit_below_base_count(monkeypatch):
     emb, match = catalog_instances()[ConfigKind.FOUR_WITH_3_NBR]
     red = build_reduction(emb, match)
     count = check_extendable(emb.graph, red, 3, k=10).colorings_checked
-    assert count > 1
+    assert count == 27
     monkeypatch.setattr(configs, "EXTEND_MAX_COLORINGS", count)
     assert check_extendable(emb.graph, red, 3, k=10).extendable
     monkeypatch.setattr(configs, "EXTEND_MAX_COLORINGS", count - 1)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as info:
         check_extendable(emb.graph, red, 3, k=10)
+    assert str(info.value) == ("more than EXTEND_MAX_COLORINGS=26 base colorings of G': "
+                               "13 extensions searched, 13 reused")
 
 
 def _configs_digest(embs, stride: int) -> str:
