@@ -2,7 +2,8 @@
 
 The enumeration lists every connected graph on n <= 8 vertices, one per
 isomorphism class, told apart by the canonical edge mask that an
-individualisation-refinement search finds.
+individualisation-refinement search finds, which also gives generators of
+a graph's automorphism group (`automorphisms`).
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def _twin_classes(adj, cell: list[int]) -> list[list[int]]:
     return twins
 
 
-def _least_mask(adj) -> int:
+def _least_mask(adj, leaves: list | None = None) -> int:
     """Least upper-triangle edge bitmask over the leaves of an
     individualisation-refinement search (McKay and Piperno, Practical graph
     isomorphism II, 2014).
@@ -204,7 +205,8 @@ def _least_mask(adj) -> int:
     that holds two or more twin classes: it puts each class's first vertex
     ahead of the rest of the cell, in turn, and recurses.  Every choice is
     isomorphism-invariant, and swapping twins is an automorphism that keeps
-    the colouring, so the least leaf mask is a complete invariant.
+    the colouring, so the least leaf mask is a complete invariant.  Each
+    leaf appends (mask, label of each vertex) to the list `leaves` if given.
     """
     n = len(adj)
     edges = [(u, v) for u, a in enumerate(adj) for v in a if u < v]
@@ -228,9 +230,44 @@ def _least_mask(adj) -> int:
         for u, v in edges:
             a, b = colour[u], colour[v]
             mask |= 1 << (a * n + b if a < b else b * n + a)
+        if leaves is not None:
+            leaves.append((mask, colour))
         return mask
 
     return search([len(a) for a in adj])
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group of g, each as the tuple of the
+    images of 0..n-1.
+
+    Each twin class gives the transpositions of its consecutive members.
+    Each leaf of `_least_mask`'s search whose mask equals the least gives
+    the map from its labelling to the first least leaf's.  Together they
+    generate the group: twin swaps carry an automorphism's image of the
+    first least leaf's branch onto a branch the search takes, whose leaf
+    has the least mask.
+    """
+    leaves: list = []
+    least = _least_mask(g.adj, leaves)
+    gens = []
+    for twins in _twin_classes(g.adj, list(g.vertices())):
+        for u, v in zip(twins, twins[1:]):
+            p = list(g.vertices())
+            p[u], p[v] = v, u
+            gens.append(tuple(p))
+    first = None  # vertex of each label at the first least leaf
+    for mask, label in leaves:
+        if mask == least:
+            if first is None:
+                first = sorted(g.vertices(), key=label.__getitem__)
+            else:
+                gens.append(tuple(first[c] for c in label))
+    return gens
+
+
+# the levels built so far, as adjacency rows: entry m - 1 holds m vertices
+_LEVELS: list[list[tuple[tuple[int, ...], ...]]] = [[((),)]]
 
 
 def all_connected_graphs(n: int) -> list[Graph]:
@@ -241,7 +278,7 @@ def all_connected_graphs(n: int) -> list[Graph]:
     vertices plus a new vertex joined to a nonempty set.  Candidates come
     parent by parent in the level's order, each parent's neighbour masks
     ascending, and the first of each class is kept, so any complete
-    invariant gives the same graphs, labels and order.
+    invariant gives the same graphs, labels and order.  Built levels are kept.
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
@@ -249,11 +286,11 @@ def all_connected_graphs(n: int) -> list[Graph]:
         return []
     if n > 8:
         raise ValueError("exhaustive enumeration supported only for n <= 8")
-    level: list[tuple[tuple[int, ...], ...]] = [((),)]
-    for m in range(1, n):
+    while len(_LEVELS) < n:
+        m = len(_LEVELS)
         seen: set[int] = set()
         nxt = []
-        for adj in level:
+        for adj in _LEVELS[-1]:
             for mask in range(1, 1 << m):
                 h = tuple(a + (m,) if mask >> v & 1 else a for v, a in enumerate(adj))
                 h += (tuple(v for v in range(m) if mask >> v & 1),)
@@ -261,5 +298,5 @@ def all_connected_graphs(n: int) -> list[Graph]:
                 if cert not in seen:
                     seen.add(cert)
                     nxt.append(h)
-        level = nxt
-    return [Graph._from_adj(adj) for adj in level]
+        _LEVELS.append(nxt)
+    return [Graph._from_adj(adj) for adj in _LEVELS[n - 1]]

@@ -47,6 +47,7 @@ from .errors import (
     IllegalResponse,
     InnerLost,
 )
+from .families import automorphisms
 from .graph import Graph
 
 
@@ -189,6 +190,13 @@ class PaintSolver:
     uncolored neighbors; fields are wide enough for the maximum degree, so
     one subtraction compares every residual need with its count.  As a
     painter it answers packed positions laid out by `fit` (`respond_packed`).
+
+    At a root every automorphism fixes (all uncolored, equal tokens, the
+    start residuals min(r, d(v))), Lister tries one mark per orbit: a mark
+    that a generator from `families.automorphisms` maps to a smaller packed
+    mask is skipped and counted in `root_skips`.  Marks in one orbit lead to
+    isomorphic subgames, so verdicts and responses are unchanged.  The
+    generators are found once, after the whole vertex set fails as a mark.
     """
 
     def __init__(self, g: Graph, r: int, *, node_budget: int | None = None,
@@ -199,6 +207,8 @@ class PaintSolver:
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
+        self.root_skips = 0
+        self._automorphisms: list[tuple[int, ...]] | None = None
         self._layout(0)
 
     def _layout(self, largest: int) -> None:
@@ -210,6 +220,10 @@ class PaintSolver:
         self._nbr = [lay.mask(g.neighbors(v)) for v in g.vertices()]
         self._nbr_at = {1 << (v * lay.w): nb for v, nb in enumerate(self._nbr)}
         self._tables: dict[int, list] = {}
+        self._start_res = lay.pack(min(self.r, g.degree(v)) for v in g.vertices())
+        # automorphism images of the two halves of a mask, built when needed
+        self._images: list[tuple[dict[int, int], dict[int, int]]] | None = None
+        self._low = (1 << (g.n // 2 * lay.w)) - 1
         self.memo.clear()
 
     def fit(self, largest: int) -> int:
@@ -252,10 +266,34 @@ class PaintSolver:
                                         for _, c, t, lost in subs]
         return table
 
-    def _wins(self, tokens: int, res: int, uncolored: int, free: int) -> bool:
+    def _skip_root_mark(self, marked: int) -> bool:
+        """Whether some automorphism maps the root mark `marked` to a smaller
+        packed mask; counts the skip.  A generator's image of a mask is the
+        sum of its images of the mask's two halves, looked up in tables."""
+        if self._images is None:
+            if self._automorphisms is None:
+                self._automorphisms = automorphisms(self.g)
+            w, half = self._lay.w, self.g.n // 2
+            self._images = []
+            for p in self._automorphisms:
+                low, high = {0: 0}, {0: 0}
+                for v in self.g.vertices():
+                    table, bit, image = low if v < half else high, 1 << (v * w), 1 << (p[v] * w)
+                    table.update([(s | bit, t | image) for s, t in table.items()])
+                self._images.append((low, high))
+        lo = marked & self._low
+        hi = marked - lo
+        if any(low[lo] + high[hi] < marked for low, high in self._images):
+            self.root_skips += 1
+            return True
+        return False
+
+    def _wins(self, tokens: int, res: int, uncolored: int, free: int,
+              root: bool = False) -> bool:
         """Verdict of a position in which every uncolored vertex has a token;
         `free` holds each vertex's count of uncolored neighbors (the memo key
-        leaves the uncolored set, and so `free`, implicit in the tokens)."""
+        leaves the uncolored set, and so `free`, implicit in the tokens).
+        At a `root` every automorphism fixes, `_skip_root_mark` thins the marks."""
         if not uncolored:
             return not res
         key = res << self._span | tokens
@@ -280,16 +318,17 @@ class PaintSolver:
         verdict = True
         marked = uncolored  # subsets in descending order: big marks refute fastest
         while verdict and marked:
-            left = tokens - marked
-            spent = marked & ~(((left + half) & high) >> top)
-            table = tables.get(marked) or self._responses(marked)
-            for colored, touched, clear, lost in table:
-                if not spent & ~colored and wins(
-                        left & clear, res - (needy & touched), uncolored ^ colored,
-                        free - lost):
-                    break
-            else:
-                verdict = False
+            if not (root and marked != uncolored and self._skip_root_mark(marked)):
+                left = tokens - marked
+                spent = marked & ~(((left + half) & high) >> top)
+                table = tables.get(marked) or self._responses(marked)
+                for colored, touched, clear, lost in table:
+                    if not spent & ~colored and wins(
+                            left & clear, res - (needy & touched), uncolored ^ colored,
+                            free - lost):
+                        break
+                else:
+                    verdict = False
             marked = (marked - 1) & uncolored
         self.memo[key] = verdict
         return verdict
@@ -302,9 +341,12 @@ class PaintSolver:
         no token."""
         self._start()
         self.fit(max((pos.tokens[v] for v in pos.uncolored), default=0))
-        tokens, res, uncolored = _pack(self._lay, pos)
-        return (self._lay.nonzero(tokens) & uncolored == uncolored
-                and self._wins(tokens, res, uncolored, self._free(uncolored)))
+        lay = self._lay
+        tokens, res, uncolored = _pack(lay, pos)
+        root = (uncolored == lay.mask(self.g.vertices()) and res == self._start_res
+                and tokens == (tokens & lay.field) * uncolored)
+        return (lay.nonzero(tokens) & uncolored == uncolored
+                and self._wins(tokens, res, uncolored, self._free(uncolored), root))
 
     def respond_packed(self, tokens: int, res: int, uncolored: int, marked: int) -> int:
         """First winning response, in the solver's deterministic order, at a

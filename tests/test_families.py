@@ -1,15 +1,18 @@
 import hashlib
+import math
 import random
 from collections import Counter, defaultdict
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
+from dyncolor import families
 from dyncolor.families import (
     _least_mask,
     _refined_colours,
     all_connected_graphs,
+    automorphisms,
     complete,
     complete_bipartite,
     cube,
@@ -18,6 +21,7 @@ from dyncolor.families import (
     petersen,
     prism,
     star,
+    wheel,
 )
 from dyncolor.graph import Graph, emit_graph6
 
@@ -224,3 +228,100 @@ def test_enumeration_is_capped():
     assert all_connected_graphs(0) == []
     with pytest.raises(ValueError):
         all_connected_graphs(9)
+
+
+def test_levels_are_built_once(monkeypatch):
+    # every level up to 7 is kept, so later calls run no certificate at all
+    all_connected_graphs(7)
+
+    def refuse(adj):
+        raise AssertionError("a kept level was built again")
+
+    monkeypatch.setattr(families, "_least_mask", refuse)
+    graphs = [g for n in range(1, 8) for g in all_connected_graphs(n)]
+    assert graph6_digest(graphs) == "5b14b04ffd940836"
+    # each call hands out a list of its own
+    first = all_connected_graphs(3)
+    first.clear()
+    assert len(all_connected_graphs(3)) == 2
+
+
+# -- automorphisms -------------------------------------------------------------
+
+
+def group_order(gens, n: int) -> int:
+    """Order of the permutation group the tuples `gens` generate: the product
+    of the orbit lengths along the stabiliser chain of 0, 1, ..., n-1, each
+    stabiliser generated by its Schreier generators (Schreier's lemma)."""
+    identity = tuple(range(n))
+
+    def compose(p, q):  # p after q
+        return tuple(p[x] for x in q)
+
+    def inverse(p):
+        q = [0] * n
+        for x, y in enumerate(p):
+            q[y] = x
+        return tuple(q)
+
+    order, gens = 1, set(gens) - {identity}
+    for point in range(n):
+        coset = {point: identity}  # image of point -> an element taking point there
+        queue = [point]
+        for x in queue:
+            for s in gens:
+                if s[x] not in coset:
+                    coset[s[x]] = compose(s, coset[x])
+                    queue.append(s[x])
+        order *= len(coset)
+        gens = {compose(inverse(coset[s[x]]), compose(s, t))
+                for x, t in coset.items() for s in gens} - {identity}
+    return order
+
+
+def is_automorphism(g: Graph, p) -> bool:
+    edges = set(g.edges())
+    return sorted(p) == list(g.vertices()) and all(
+        (min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges)
+
+
+def test_group_order_helper_counts_known_groups():
+    # S_4 from a transposition and a 4-cycle, the cyclic group C_5, the trivial group
+    assert group_order([(1, 0, 2, 3), (1, 2, 3, 0)], 4) == 24
+    assert group_order([(1, 2, 3, 4, 0)], 5) == 5
+    assert group_order([], 3) == 1
+
+
+def test_automorphisms_generate_the_whole_group_on_small_graphs():
+    # every connected graph on up to six vertices (143), against a count of
+    # the vertex permutations that keep the edge set
+    checked = 0
+    for n in range(1, 7):
+        for g in connected(n):
+            gens = automorphisms(g)
+            assert all(is_automorphism(g, p) for p in gens)
+            brute = sum(is_automorphism(g, p) for p in permutations(g.vertices()))
+            assert group_order(gens, g.n) == brute, g.edges()
+            checked += 1
+    assert checked == 143
+
+
+@pytest.mark.parametrize("name, g, order", [
+    ("Petersen", petersen(), 120), ("cube", cube(), 48), ("C8", cycle(8), 16),
+    ("W5", wheel(5), 10), ("K3,3", complete_bipartite(3, 3), 72), ("C10", cycle(10), 20),
+    ("Mobius10", mobius_ladder(10), 20), ("prism5", pentagonal_prism(), 20)])
+def test_automorphism_group_orders(name, g, order):
+    rng = random.Random(name)
+    for h in (g, relabel(g, rng)):
+        gens = automorphisms(h)
+        assert all(is_automorphism(h, p) for p in gens)
+        assert group_order(gens, h.n) == order
+
+
+def test_twins_give_the_symmetric_group_without_a_search():
+    # K1,8: the eight leaves are twins, so the generators are the seven swaps
+    # of consecutive leaves and the search has a single leaf
+    gens = automorphisms(star(8))
+    assert len(gens) == 7
+    assert all(sum(p[v] != v for v in range(9)) == 2 for p in gens)
+    assert group_order(gens, 9) == math.factorial(8)

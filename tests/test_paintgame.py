@@ -12,7 +12,16 @@ from dyncolor.errors import (
     IllegalResponse,
     InnerLost,
 )
-from dyncolor.families import complete, cycle, path, random_connected_graph, star, wheel
+from dyncolor.families import (
+    complete,
+    complete_bipartite,
+    cycle,
+    path,
+    prism,
+    random_connected_graph,
+    star,
+    wheel,
+)
 from dyncolor.graph import Graph
 from dyncolor.paintgame import (
     Fields,
@@ -923,14 +932,15 @@ def test_failing_catalog_budgets_search_the_pinned_states(name):
     assert not rep.ok and rep.certification.states == CATALOG_STATES[name]
 
 
-# search size at the change that packed the dead test: equal counts tell a
-# faster inner loop from a smaller search
+# search sizes: equal counts tell a faster inner loop from a smaller search.
+# The Painter wins try one root mark per automorphism orbit; the Lister wins
+# are refuted by their first mark, the whole vertex set, and never skip one
 SEARCH_SIZES = [
-    ("C7", cycle(7), 1, 3, 526, True),
+    ("C7", cycle(7), 1, 3, 247, True),
     ("C8", cycle(8), 2, 3, 145, False),
-    ("C8", cycle(8), 2, 4, 4_770, True),
-    ("W5", wheel(5), 2, 4, 697, True),
-    ("K1,8", star(8), 2, 3, 4_640, True),  # degree 8: five-bit fields
+    ("C8", cycle(8), 2, 4, 2_227, True),
+    ("W5", wheel(5), 2, 4, 435, True),
+    ("K1,8", star(8), 2, 3, 1_887, True),  # degree 8: five-bit fields
     ("W8", wheel(8), 3, 4, 659, False),
 ]
 
@@ -942,6 +952,61 @@ def test_search_size_is_pinned(name, g, r, k, nodes, wins):
     assert verdict.painter_wins == wins
     assert verdict.solver.nodes == nodes
     assert len(verdict.solver.memo) == nodes
+
+
+def test_root_marks_are_one_per_orbit():
+    # Aut(C8) is the dihedral group of order 16, and its 255 nonempty vertex
+    # sets fall into 29 orbits (30 binary bracelets of length 8, less the
+    # empty one): one root mark per orbit is tried, 226 are skipped
+    verdict = solve_xp_r(cycle(8), 2, 4, max_n=8)
+    assert verdict.painter_wins and verdict.solver.root_skips == 226
+    # a Lister win refuted by the whole vertex set never finds the generators
+    verdict = solve_xp_r(cycle(8), 2, 3, max_n=8)
+    assert not verdict.painter_wins
+    assert verdict.solver.root_skips == 0 and verdict.solver._automorphisms is None
+    # a root with unequal tokens is not fixed by every automorphism: no skips
+    solver = PaintSolver(cycle(8), 2)
+    _, start = start_position(cycle(8), 2, (5,) + (4,) * 7)
+    assert solver.painter_wins(start) and solver.root_skips == 0
+
+
+# graphs on six vertices, where the root pruning acts, with their paint
+# numbers at r = 1, 2, 3
+PRUNED_ROOTS = [("C6", cycle(6), (2, 3, 3)), ("W5", wheel(5), (4, 4, 6)),
+                ("prism", prism(), (3, 3, 6)), ("K3,3", complete_bipartite(3, 3), (3, 4, 6))]
+
+
+@pytest.mark.parametrize("name, g, xps", PRUNED_ROOTS, ids=[c[0] for c in PRUNED_ROOTS])
+def test_solver_matches_reference_where_root_marks_are_skipped(name, g, xps):
+    skipped = 0
+    for r, xp in zip((1, 2, 3), xps):
+        for k in (xp - 1, xp):
+            verdict = solve_xp_r(g, r, k)
+            assert verdict.painter_wins == (k == xp) == reference_game_value(g, r, [k] * g.n)
+            skipped += verdict.solver.root_skips
+    assert skipped > 0
+
+
+@pytest.mark.slow
+def test_petersen_is_3_paintable_with_exactly_10_tokens(monkeypatch):
+    # opt-in (pytest -m slow): 85 to 90 s on 2 CPUs.  The paper's sharpness
+    # example on the torus, xp_3(Petersen) = 10, by exhaustive play alone.
+    # One solver runs k = 4..10; the fields widen at k = 8, which clears the
+    # memo, so it ends with fewer entries than nodes
+    from dyncolor.families import petersen
+
+    made = []
+
+    class Kept(PaintSolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(paintgame, "PaintSolver", Kept)
+    res = xp_r_number(petersen(), 3, max_n=10)
+    assert (res.exact, res.value) == (True, 10)
+    [solver] = made
+    assert (solver.nodes, len(solver.memo), solver.root_skips) == (436_317, 434_201, 990)
 
 
 def test_packed_dead_test_and_free_counts_match_a_recount():
