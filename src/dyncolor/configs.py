@@ -844,15 +844,7 @@ def reduction_without_rules(g: Graph, reduction: Reduction, kinds=("few_colors",
 
 def structural_budget(reduction: Reduction, t: int) -> int:
     """Upper bound on rejections of t implied by its trigger list alone."""
-    total = 0
-    for rule in reduction.triggers.get(t, ()):
-        if rule.kind == "colored_any":
-            total += len(rule.watch)
-        elif rule.kind == "colored_all":
-            total += 1
-        else:
-            total += max(rule.threshold, 0)
-    return total
+    return sum(rule.budget for rule in reduction.triggers.get(t, ()))
 
 
 def suggested_tokens(g: Graph, reduction: Reduction, r: int, k: int) -> dict[int, int]:

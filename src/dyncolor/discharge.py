@@ -202,11 +202,9 @@ def vertex_case(emb: EmbeddedGraph, v: int) -> str:
         count, runs = _three_face_runs(emb, v)
         if count <= 4:
             return "Case 6a"
-        if runs <= 2:
-            return "Case 6b"
-        if count == 5 and runs == 3:
-            return "Case 6c"
-        return f"degree 8 with {count} corner 3-faces in {runs} runs"
+        # runs never outnumber the 8 - count gaps between them, so three
+        # runs here are five corners in three runs
+        return "Case 6b" if runs <= 2 else "Case 6c"
     return "Case 7"
 
 

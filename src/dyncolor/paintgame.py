@@ -16,7 +16,10 @@ that holds values up to `largest`, and `respond_packed(tokens, res,
 uncolored, marked)` returns the colored set from the tokens and residuals
 alone, so the minimax solver and the exhaustive adversary both key
 positions on them.  `respond_at` is the one place that packs a
-`Position` for a painter and unpacks its answer.  The adversary may track a
+`Position` for a painter and unpacks its answer.  Painters answer and
+do not judge: `certify_painter` ends a line as a FAIL on a response that
+leaves the mark or colors an adjacent pair, as `advance` refuses one in
+scripted play.  The adversary may track a
 vertex set whose tokens its painter never reads (the deleted set of a
 reduction): its memo key is then the int `res << (n*w) | tokens` with each
 tracked vertex's token field replaced by its uncolored bit, and it stores
@@ -102,7 +105,7 @@ def advance(g: Graph, slots: Sequence[Sequence[int]], pos: Position,
         raise IllegalResponse("response must be a subset of the marked set")
     for u, v in combinations(sorted(response), 2):
         if g.has_edge(u, v):
-            raise IllegalResponse(f"response contains adjacent pair {u},{v}")
+            raise IllegalResponse(f"response colors adjacent pair {u},{v}")
     tokens = list(pos.tokens)
     for v in marked:
         tokens[v] = 0 if v in response else tokens[v] - 1
@@ -220,6 +223,7 @@ class PaintSolver:
         self._nbr = [lay.mask(g.neighbors(v)) for v in g.vertices()]
         self._nbr_at = {1 << (v * lay.w): nb for v, nb in enumerate(self._nbr)}
         self._tables: dict[int, list] = {}
+        self._answers: dict[int, int] = {}  # respond_packed: packed question -> answer
         self._start_res = lay.pack(min(self.r, g.degree(v)) for v in g.vertices())
         # automorphism images of the two halves of a mask, built when needed
         self._images: list[tuple[dict[int, int], dict[int, int]]] | None = None
@@ -350,8 +354,14 @@ class PaintSolver:
 
     def respond_packed(self, tokens: int, res: int, uncolored: int, marked: int) -> int:
         """First winning response, in the solver's deterministic order, at a
-        packed position: tokens and the n neighborhood residuals at the width
-        `fit` returned, vertex sets as masks."""
+        packed position: tokens on uncolored vertices and the n neighborhood
+        residuals at the width `fit` returned, vertex sets as masks.  Answers
+        are cached by the whole question."""
+        span = self._span
+        key = ((res << span | tokens) << span | uncolored) << span | marked
+        colored = self._answers.get(key)
+        if colored is not None:
+            return colored
         nonzero = self._lay.nonzero
         if marked & ~nonzero(tokens):
             raise InnerLost("a marked vertex had no tokens")
@@ -361,6 +371,7 @@ class PaintSolver:
             left, rest = (tokens - marked) & clear, uncolored ^ colored
             if nonzero(left) & rest == rest and self._wins(
                     left, res - (needy & touched), rest, free - lost):
+                self._answers[key] = colored
                 return colored
         raise InnerLost("no winning response from this position")
 
@@ -403,6 +414,8 @@ class RejectionRule:
                         `observe` (colors from earlier rounds) and the
                         response-so-far touches `watch`; the painter reads
                         the residual of `observe` watched with need `threshold`.
+
+    This class alone says what a kind means; an unknown kind is refused.
     """
 
     kind: str
@@ -410,6 +423,32 @@ class RejectionRule:
     observe: frozenset[int] = frozenset()
     threshold: int = 0
     note: str = ""
+
+    def __post_init__(self):
+        if self.kind not in ("colored_any", "colored_all", "few_colors"):
+            raise ValueError(f"unknown rule kind {self.kind!r}")
+
+    @property
+    def residual(self) -> tuple[frozenset[int], int] | None:
+        """The (set, need) whose residual a few_colors rule reads, else None."""
+        return (self.observe, self.threshold) if self.kind == "few_colors" else None
+
+    @property
+    def budget(self) -> int:
+        """The most rejections the rule alone allows (a watched vertex is
+        colored once)."""
+        if self.kind == "colored_any":
+            return len(self.watch)
+        if self.kind == "colored_all":
+            return 1
+        return max(self.threshold, 0)
+
+    def masks(self, lay: Fields, positive: int) -> tuple[int, int]:
+        """The rule as one mask test (meet, cover): it fires iff a state
+        holding the response so far, and the bit `positive` while the residual
+        it reads is positive (0 if it reads none), meets `meet` and covers `cover`."""
+        watch = lay.mask(self.watch)
+        return watch, watch if self.kind == "colored_all" else positive
 
     def render(self) -> str:
         if self.kind == "colored_any":
@@ -421,18 +460,6 @@ class RejectionRule:
                     f"any of {sorted(self.watch)} is being colored")
         tag = f" [{self.note}]" if self.note else ""
         return f"reject while {body}{tag}"
-
-
-def _fires(kind: str, residual: int, hit, watch) -> bool:
-    """Whether a rule of `kind` fires, given the part `hit` of its packed
-    watched set `watch` being colored."""
-    if kind == "colored_any":
-        return bool(hit)
-    if kind == "colored_all":
-        return bool(watch) and hit == watch
-    if kind == "few_colors":
-        return residual > 0 and bool(hit)
-    raise ValueError(f"unknown rule kind {kind}")
 
 
 def dull_rule(g: Graph, w: int) -> RejectionRule:
@@ -453,11 +480,14 @@ class GPrimeFirstPainter:
 
     The inner solver plays on G' in the outer labels, with S left isolated.
     The painter watches N_G'(v) for every vertex (the inner solver's
-    residuals) and the observed set of each few_colors rule, so it is a
-    function of the residuals and the tokens on G'; it reads no token of S,
-    so the exhaustive adversary tracking S keys positions without them.
-    It answers packed positions at its inner solver's field width: the
-    inner solver sees the G' token fields and the N_G'(v) residual block.
+    residuals) and the set each few_colors rule reads, so it is a function
+    of the residuals and the tokens on G'; it reads no token of S, so the
+    exhaustive adversary tracking S keys positions without them.  The inner
+    solver answers on the G' token fields and the N_G'(v) residual block;
+    then each marked S-vertex is colored, in `s_order`, unless one of its
+    rules, compiled by `fit` to one mask test, fires on the response so far.
+    It answers and does not judge: `certify_painter` or `advance` refuses an
+    adjacent pair its rules let through.
     """
 
     def __init__(
@@ -477,81 +507,52 @@ class GPrimeFirstPainter:
         self.triggers = triggers
         gprime = Graph(g.n, gprime_edges)
         self.inner = PaintSolver(gprime, r)
-        few = dict.fromkeys(rule for rules in triggers.values() for rule in rules
-                            if rule.kind == "few_colors")
-        # residual n + v watches N_G'(v); residual 2n + i the i-th few_colors rule
-        self._slot = {rule: 2 * g.n + i for i, rule in enumerate(few)}
+        # residual n + v watches N_G'(v); residual 2n + i the i-th rule that reads one
+        self._readers = list(dict.fromkeys(rule for rules in triggers.values()
+                                            for rule in rules if rule.residual))
         self.watch = [(gprime.neighbors(v), min(r, gprime.degree(v)))
                       for v in g.vertices()]
-        self.watch += [(rule.observe, rule.threshold) for rule in few]
-        # inner winning responses by (N_G' residuals, G' tokens, inner mark);
-        # an uncolored vertex of G' keeps a token under the inner strategy, so
-        # the tokens give the uncolored part of G'
-        self._inner_responses: dict[int, int] = {}
-        self._w = 0
-        self.fit(0)
+        self.watch += [rule.residual for rule in self._readers]
+        self._w = 0  # no layout until the first `fit`
 
     def fit(self, largest: int) -> int:
         """Widen the fields to hold values up to `largest` if they do not;
         returns the field width."""
         w = self.inner.fit(largest)
         if w != self._w:
-            lay = self._lay = self.inner._lay
-            self._w, n = w, self.g.n
-            self._span = n * w
+            lay, n = self.inner._lay, self.g.n
+            self._w, self._span = w, n * w
             self._gmask = lay.mask(self.gv)
             self._gfields = self._gmask * lay.field
             self._block = (1 << self._span) - 1
-            # per S-vertex in s_order: its bit and its rules as (kind,
-            # watched mask, shift of the residual it reads or None)
+            # state bit n + i: the i-th read residual (slot 2n + i) is positive
+            self._reads = Fields(len(self._readers), w)
+            positive = {rule: lay.mask((n + i,)) for i, rule in enumerate(self._readers)}
+            # per S-vertex in s_order: its bit and its rules' (meet, cover)
             self._s_rules = [
-                (lay.mask((t,)), tuple(
-                    (rule.kind, lay.mask(rule.watch),
-                     self._slot[rule] * w if rule in self._slot else None)
-                    for rule in self.triggers.get(t, ())))
+                (lay.mask((t,)), tuple(rule.masks(lay, positive.get(rule, 0))
+                                       for rule in self.triggers.get(t, ())))
                 for t in self.s_order]
-            self._nbr = [lay.mask(self.g.neighbors(v)) for v in self.g.vertices()]
-            self._independent = {0}
-            self._inner_responses.clear()
         return w
 
     def respond_packed(self, tokens: int, res: int, uncolored: int, marked: int) -> int:
         """The response at a packed position laid out at the width `fit`
         returned: the inner solver's on G', then each S-vertex no rule vetoes."""
-        colored = 0
+        span = self._span
         inner_marked = marked & self._gmask
-        if inner_marked:
-            span = self._span
-            block, gtokens = res >> span & self._block, tokens & self._gfields
-            key = (block << span | gtokens) << span | inner_marked
-            colored = self._inner_responses.get(key)
-            if colored is None:
-                colored = self._inner_responses[key] = self.inner.respond_packed(
-                    gtokens, block, uncolored & self._gmask, inner_marked)
-        field = self._lay.field
+        colored = inner_marked and self.inner.respond_packed(
+            tokens & self._gfields, res >> span & self._block,
+            uncolored & self._gmask, inner_marked)
+        state = colored | self._reads.nonzero(res >> 2 * span) << span
         for bit, rules in self._s_rules:
-            if marked & bit and not any(
-                    _fires(kind, 0 if shift is None else res >> shift & field,
-                           colored & watch, watch)
-                    for kind, watch, shift in rules):
-                colored |= bit
-        if colored not in self._independent:
-            pair = _adjacent_pair(self._lay, self._nbr, colored)
-            if pair:
-                raise IllegalResponse(
-                    f"triggers allowed adjacent pair {pair[0]},{pair[1]} in one round"
-                )
-            self._independent.add(colored)
+            if marked & bit:
+                for meet, cover in rules:  # a loop, not any(): no generator per vertex
+                    if state & meet and state & cover == cover:
+                        break
+                else:
+                    colored |= bit
+                    state |= bit
         return colored
-
-
-def _adjacent_pair(lay: Fields, nbr: Sequence[int], colored: int):
-    """The first pair (u, v), u < v, of adjacent vertices in the set
-    `colored`, or None; `nbr` holds each vertex's neighborhood mask."""
-    for u in lay.items(colored):
-        if nbr[u] & colored:
-            return u, lay.items(nbr[u] & colored)[0]
-    return None
 
 
 # -- transcripts and adversaries -------------------------------------------------------
@@ -661,7 +662,10 @@ def certify_painter(
     Marks are the nonempty subsets of the uncolored set in increasing order
     of their masks, which is the order of their indicator words over the
     sorted uncolored vertices.  The painter answers packed marks at the
-    width its `fit` returns.
+    width its `fit` returns, and this walk is the one judge of its answers:
+    a response that is not a subset of the mark, or that colors an adjacent
+    pair (the least one is named), ends the line as a FAIL, as does an
+    IllegalResponse or InnerLost the painter raises.
     A line whose final residuals call the coloring not r-dynamic is replayed
     with `run_transcript`, and the verdict confirmed with `verify_r_dynamic`.
     """
@@ -729,21 +733,20 @@ def certify_painter(
                 break
             try:
                 colored = respond(tokens, res, uncolored, marked)
+                if colored & ~marked:
+                    raise IllegalResponse("response must be a subset of the marked set")
+                touched = meets.get(colored)
+                if touched is None:  # a response not judged yet
+                    touched = 0
+                    for v in lay.items(colored):
+                        if nbr[v] & colored:  # v is the least vertex of an adjacent pair
+                            raise IllegalResponse("response colors adjacent pair "
+                                                  f"{v},{lowest(nbr[v] & colored)}")
+                        touched |= slot_masks[v]
+                    meets[colored] = touched
             except (IllegalResponse, InnerLost) as exc:
                 losing, reason = spell(line + [marked]), f"{type(exc).__name__}: {exc}"
                 return None
-            if colored & ~marked:
-                raise IllegalResponse("response must be a subset of the marked set")
-            touched = meets.get(colored)
-            if touched is None:
-                pair = _adjacent_pair(lay, nbr, colored)
-                if pair:
-                    raise IllegalResponse(
-                        f"response contains adjacent pair {pair[0]},{pair[1]}")
-                touched = 0
-                for v in lay.items(colored):
-                    touched |= slot_masks[v]
-                meets[colored] = touched
             left = (tokens - marked) & ~(colored * field)
             rest = uncolored ^ colored
             dry = rest & track_bits & ~nonzero(left)

@@ -364,6 +364,9 @@ ROTATION_COMMANDS = ("genus", "find-config", "reduce", "discharge", "unavoidable
     (["replay", "--certificate", "F", "G"], "contraction-trace\nr 11\nbase 0\n",
      "trace missing r/genus header (byte 30)"),
     (["replay", "--certificate", "F", "G"], "frobnicate\n", "unknown certificate header"),
+    # eight bytes declaring 2^36 - 1 vertices and no edge data
+    (["chi-r", "--r", "1", "--format", "graph6", "F"], "~~~~~~~~\n",
+     "need 393530540221957231958 data bytes for n=68719476735, found 0 (byte 8)"),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
     paths = {"G": tmp_path / "c5.g6", "F": tmp_path / "input.txt"}
@@ -532,3 +535,32 @@ def test_a_directory_for_a_file_is_a_usage_error(tmp_path, capsys, argv):
     assert main([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path) in err
+
+
+P3_ROT = "rot 3\n0: 1\n1: 0 2\n2: 1\n"
+
+
+def test_a_coloring_node_cap_is_a_budget_exit(petersen_file, capsys):
+    assert main(["chi-r", "--r", "3", "--max-nodes", "1", petersen_file]) == 3
+    assert "coloring search exceeded 1 nodes" in capsys.readouterr().err
+
+
+def test_reduce_without_a_configuration_is_a_false_verdict(tmp_path, capsys):
+    p3 = tmp_path / "p3.rot"
+    p3.write_text(P3_ROT)
+    assert main(["reduce", "--kind", "adjacent-3s", str(p3)]) == 1
+    assert capsys.readouterr().out == "no reducible configuration with a buildable reduction\n"
+
+
+@pytest.mark.parametrize("kinds, rotation, head, count", [
+    ("kp", P3_ROT, "kp-pendant: v=0 u=1", 2),
+    ("all", None, "light-triangle: cycle=(0,1,2)", 15),
+])
+def test_find_config_kind_groups(tmp_path, grid_rot, capsys, kinds, rotation, head, count):
+    path = grid_rot
+    if rotation is not None:
+        path = tmp_path / "input.rot"
+        path.write_text(rotation)
+    assert main(["find-config", "--kinds", kinds, str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert (out[0], out[-1], len(out)) == (head, f"{count} matches", count + 1)

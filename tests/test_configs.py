@@ -369,6 +369,8 @@ def test_notsubgraph_negative_control():
     assert not rep.extendable
     y, z = match.role("y"), match.role("z")
     assert rep.counterexample[y] == rep.counterexample[z]
+    assert rep.render() == ("NOT extendable: counterexample after 1 colorings:"
+                            " {2: 1, 3: 2, 1: 3, 4: 3} (1 searched)")
 
 
 def test_check_budget_small_instance():

@@ -237,6 +237,20 @@ def test_case_gadget_inequalities(name):
         assert final > 0
 
 
+def test_every_degree_8_corner_pattern_gets_a_case_label():
+    # at most four corner 3-faces is Case 6a and at most two runs 6b; runs
+    # never outnumber the gaps, so the rest are five corners in three runs,
+    # Case 6c: three pairwise non-adjacent gaps on the 8-cycle, 16 ways
+    cases = []
+    for pattern in range(256):
+        emb, w = wheel_gadget([5] * 8, {c for c in range(1, 9) if pattern >> (c - 1) & 1})
+        cases.append(vertex_case(emb, w))
+    assert {case: cases.count(case) for case in set(cases)} == {
+        "Case 6a": 163, "Case 6b": 77, "Case 6c": 16}
+    emb, w = wheel_gadget([5] * 8, {1, 2, 4, 6, 7})
+    assert vertex_case(emb, w) == "Case 6c"
+
+
 def test_driver_on_named_embeddings():
     assert unavoidability_driver(petersen_torus()).config.kind == ConfigKind.ADJACENT_3S
     assert unavoidability_driver(k5_torus()).config.kind == ConfigKind.LIGHT_TRIANGLE

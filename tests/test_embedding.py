@@ -113,6 +113,11 @@ def test_malformed_rotation_rejected():
         embed(Graph(4, [(0, 1), (2, 3)]), [(1,), (0,), (3,), (2,)])
 
 
+def test_embedding_search_refuses_a_disconnected_graph():
+    with pytest.raises(DisconnectedGraph, match="embedding search requires a connected graph"):
+        find_embedding(Graph(4, [(0, 1), (2, 3)]))
+
+
 def test_cofacial_c5_and_cube():
     emb = c5_embedding()
     for u in range(5):

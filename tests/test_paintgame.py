@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 from typing import NamedTuple
 
 import pytest
@@ -510,6 +511,31 @@ def test_a_declared_genus_below_the_lower_end_is_refused():
     assert res.render() == "8  (exact chromatic side of the sandwich; rainbow bound)"
 
 
+def test_paint_number_sandwiches_name_their_ends(monkeypatch):
+    from dyncolor.errors import BudgetExceeded
+    from dyncolor.families import grid_torus
+
+    # past the game cap: the exact chromatic number below, n above
+    res = xp_r_number(cycle(8), 1, max_n=7)
+    assert res.render() == "[2, 8]  (exact chromatic side of the sandwich; rainbow bound)"
+    with pytest.raises(ValueError, match="only an interval"):
+        res.value
+    # a declared genus brings its paintability and contraction bounds
+    assert xp_r_number(grid_torus(3, 4), 3, genus=1).render() == (
+        "[5, 10]  (exact chromatic side of the sandwich;"
+        " toroidal 3-dynamic paintability bound)")
+    assert xp_r_number(path(80), 11, genus=0).render() == (
+        "[1, 63]  (trivial; genus contraction bound)")
+
+    # a chromatic search that stops keeps the lower bound it proved
+    def capped(g, r):
+        raise BudgetExceeded("coloring search exceeded 0 nodes", lower=4)
+
+    monkeypatch.setattr(paintgame, "chi_r_exact", capped)
+    assert xp_r_number(cycle(8), 1, max_n=7).render() == (
+        "[4, 8]  (partial chromatic search; rainbow bound)")
+
+
 # -- the one position: reference adversary on colour partitions ------------------
 
 
@@ -552,6 +578,12 @@ def reference_certify(g, r, f, painter, track=()):
             step = list(line) + [tuple(sorted(marked))]
             try:
                 response = respond_at(painter, state.position(g, r, watch), marked)
+                # the adversary judges: subset first, then the least adjacent pair
+                if not response <= marked:
+                    raise IllegalResponse("response must be a subset of the marked set")
+                for u, v in combinations(sorted(response), 2):
+                    if g.has_edge(u, v):
+                        raise IllegalResponse(f"response colors adjacent pair {u},{v}")
             except (IllegalResponse, InnerLost) as exc:
                 out["losing"], out["reason"] = step, f"{type(exc).__name__}: {exc}"
                 ok = False
@@ -1118,3 +1150,70 @@ def test_respond_at_refuses_a_colored_vertex_as_advance_does():
         with pytest.raises(IllegalMark) as got:
             respond_at(painter, pos, {0, 1})
         assert str(got.value) == str(want.value) == "colored vertices marked: [0]"
+
+
+# -- painters answer, the adversary judges ---------------------------------------------
+
+
+class Misanswers(Greedy):
+    """Greedy, but the mark `at` is answered with `answer`."""
+
+    def __init__(self, g, at, answer):
+        super().__init__(g)
+        self.at, self.answer = frozenset(at), frozenset(answer)
+
+    def respond(self, pos, marked):
+        return self.answer if marked == self.at else super().respond(pos, marked)
+
+
+@pytest.mark.parametrize("at, answer, reason", [
+    ({1}, {1, 2}, "IllegalResponse: response must be a subset of the marked set"),
+    ({0, 1}, {0, 1}, "IllegalResponse: response colors adjacent pair 0,1"),
+], ids=["outside-the-mark", "adjacent-pair"])
+def test_the_adversary_judges_every_painter(at, answer, reason):
+    # an illegal answer ends the walk as a FAIL whose losing line ends in the
+    # mark it answered, as a painter's own IllegalResponse does
+    g = path(3)
+    rep = assert_same_certification(g, 1, 3, Misanswers(g, at, answer))
+    assert (rep.ok, rep.reason, rep.losing_line[-1]) == (False, reason, tuple(sorted(at)))
+
+
+def test_scripted_play_judges_the_composite_painter_with_advance():
+    # no rule vetoes the deleted vertex 0: the mark {0, 1} colors the edge
+    # 0-1, which the painter answers and advance refuses
+    g = path(3)
+    painter = GPrimeFirstPainter(g, 1, {1, 2}, {(1, 2)}, [0], {0: ()})
+    with pytest.raises(IllegalResponse, match="response colors adjacent pair 0,1$") as info:
+        run_transcript(g, 1, painter, [{0, 1}], 3)
+    assert info.traceback[-1].name == "advance"
+
+
+def test_each_rule_kind_states_its_budget_and_an_unknown_kind_is_refused():
+    watch = frozenset({1, 2, 3})
+    budgets = [RejectionRule(kind, watch, watch, 2).budget
+               for kind in ("colored_any", "colored_all", "few_colors")]
+    assert budgets == [3, 1, 2]
+    with pytest.raises(ValueError, match="unknown rule kind 'bogus'"):
+        RejectionRule("bogus", watch)
+
+
+def test_the_solver_refuses_a_token_less_mark():
+    pos = Position((0, 2, 2), (1, 1, 1), frozenset({0, 1, 2}))
+    with pytest.raises(InnerLost, match="a marked vertex had no tokens"):
+        respond_at(PaintSolver(path(3), 1), pos, {0})
+
+
+def test_solver_answers_are_cached_for_one_uncolored_set():
+    g = cycle(5)
+    solver = PaintSolver(g, 1)
+    slots, start = start_position(g, 1, (3,) * 5)
+    pos = advance(g, slots, start, {4}, {4})
+    first = respond_at(solver, pos, {0, 1})
+    # asked again with the memo gone, the solver searches nothing
+    solver.memo.clear()
+    nodes = solver.nodes
+    assert respond_at(solver, pos, {0, 1}) == first and solver.nodes == nodes
+    # the same tokens and residuals with 4 uncolored and token-less: no
+    # answer wins, and the cached one is not given
+    with pytest.raises(InnerLost, match="no winning response"):
+        respond_at(solver, pos._replace(uncolored=pos.uncolored | {4}), {0, 1})
