@@ -34,7 +34,7 @@ from .errors import (
     NotCofacial,
     WouldDisconnect,
 )
-from .graph import Graph, VertexRemap, add_edges, delete_vertices
+from .graph import Graph, add_edges, delete_vertices
 from .paintgame import (
     CertificationReport,
     RejectionRule,
@@ -132,7 +132,7 @@ def _detect_adjacent_3s(g: Graph):
 def _detect_many_3_nbrs(emb: EmbeddedGraph):
     g = emb.graph
     deg = [len(a) for a in g.adj]
-    rotation = emb.rotation.rotation
+    rotation = emb.rotation
     out = []
     for v, order in enumerate(rotation):
         xs = [x for x in order if deg[x] == 3]
@@ -217,7 +217,7 @@ def _detect_twin_triangles(emb: EmbeddedGraph):
 
 def _consecutive_pair_avoiding(emb: EmbeddedGraph, x: int, avoid: int):
     """Two neighbors of x consecutive in its rotation, neither equal to avoid."""
-    rot = emb.rotation.rotation[x]
+    rot = emb.rotation[x]
     d = len(rot)
     for i in range(d):
         a, b = rot[i], rot[(i + 1) % d]
@@ -251,7 +251,7 @@ def _detect_triangle_and_4vtx(emb: EmbeddedGraph):
 
 def _detect_three_triangle_fan(emb: EmbeddedGraph):
     out = []
-    for v, (rot, ells) in enumerate(zip(emb.rotation.rotation, emb.corner_lengths)):
+    for v, (rot, ells) in enumerate(zip(emb.rotation, emb.corner_lengths)):
         d = len(rot)
         if not 4 <= d <= 6:
             continue
@@ -372,7 +372,7 @@ class Reduction:
     triggers: dict[int, tuple[RejectionRule, ...]]
     budgets: dict[int, int]
     gprime: Graph
-    remap: VertexRemap
+    remap: tuple[int | None, ...]
     surgery: Surgery | None = field(default=None, repr=False)
 
     @property
@@ -384,7 +384,7 @@ class Reduction:
     def gprime_edges(self) -> frozenset[tuple[int, int]]:
         """G''s edges in G's labels: by the monotone remap, G' vertex i is
         the i-th kept vertex of G."""
-        outer = [v for v, dv in enumerate(self.remap.image) if dv is not None]
+        outer = [v for v, dv in enumerate(self.remap) if dv is not None]
         return frozenset((outer[a], outer[b]) for a, b in self.gprime.edges())
 
     def render(self) -> str:
@@ -431,8 +431,8 @@ def _assemble(g: Graph, match, s_order, wanted_edges, triggers, budgets,
     else:
         gprime, remap = delete_vertices(g, s)
         if added:
-            gprime = add_edges(gprime, [(remap.image[u], remap.image[v]) for u, v in added])
-    kept = frozenset(v for v, dv in enumerate(remap.image) if dv is not None)
+            gprime = add_edges(gprime, [(remap[u], remap[v]) for u, v in added])
+    kept = frozenset(v for v, dv in enumerate(remap) if dv is not None)
     return Reduction(match, tuple(s_order), added, kept, triggers, budgets,
                      gprime, remap, cut)
 
@@ -553,7 +553,7 @@ def _build_light_triangle(g, emb, match):
     (z,) = {a, b, c} - {v1, v2}
     ys = {}
     for vi, vother in ((v1, v2), (v2, v1)):
-        rot = emb.rotation.rotation[vi]
+        rot = emb.rotation[vi]
         d = len(rot)
         y = None
         for i in range(d):
@@ -623,7 +623,7 @@ def _build_all4s_quad_face(g, emb, match):
     v1, v2, v3, v4 = face
     ext: dict[int, tuple[int, int]] = {}
     for idx, vi in enumerate(face):
-        off = [w for w in emb.rotation.rotation[vi] if w not in face]
+        off = [w for w in emb.rotation[vi] if w not in face]
         if len(off) != 2:
             raise ValueError("face vertex with a chord; reduce via the triangle kinds")
         ext[vi] = (off[0], off[1])

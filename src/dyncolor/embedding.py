@@ -10,12 +10,14 @@ a common face of two vertices) goes through one dart -> face index, built on
 an embedding's first lookup.  `corner_lengths` tabulates, once, the length of
 the face at every corner, for callers that need only lengths.
 
-Surgery is local, in G's own labels: `surgery` deletes vertices and draws
-new edges in faces, retracing only the faces through the deleted vertices
-and those the edges split, and relabels the result when it is first read.
-It is the one way to change an embedding; it refuses a loop, an edge to a
-deleted vertex and an edge already present.  One walk serves it and
-`trace_faces`, which walks every dart and tests connectivity.
+`embed(g, rotation)` is the one way in for rows from outside: it tests
+that g is connected and each row a permutation of its neighbourhood, then
+walks every dart.  Surgery is local, in G's own labels: `surgery` deletes
+vertices and draws new edges in faces, retracing only the faces through the
+deleted vertices and those the edges split, and relabels the result when it
+is first read.  It is the one way to change an embedding; it refuses a
+loop, an edge to a deleted vertex and an edge already present.  One walk
+serves it and `embed`.
 
 `find_embedding` is an exact branch and bound over partial rotations (after
 Brinkmann, arXiv:2005.13066), exponential in the worst case.
@@ -37,22 +39,6 @@ from .errors import (
 from .graph import Graph, add_edges, delete_vertices, payload_lines
 
 Dart = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class RotationSystem:
-    graph: Graph
-    rotation: tuple[tuple[int, ...], ...]
-
-    def validate(self) -> None:
-        g = self.graph
-        if len(self.rotation) != g.n:
-            raise MalformedRotation("rotation has wrong number of vertices")
-        for v in range(g.n):
-            if sorted(self.rotation[v]) != list(g.neighbors(v)):
-                raise MalformedRotation(
-                    f"rotation at {v} is not a permutation of its neighborhood"
-                )
 
 
 @dataclass(frozen=True)
@@ -80,13 +66,14 @@ def _canonical_cycle(darts: list[Dart]) -> tuple[Dart, ...]:
 
 @dataclass(frozen=True)
 class EmbeddedGraph:
-    rotation: RotationSystem
+    """A connected graph drawn on an orientable surface: `rotation[v]` lists
+    v's neighbours clockwise, `faces` are the boundary walks it traces, in
+    order of their least darts, and `genus` is the surface's."""
+
+    graph: Graph
+    rotation: tuple[tuple[int, ...], ...]
     faces: tuple[Face, ...]
     genus: int
-
-    @property
-    def graph(self) -> Graph:
-        return self.rotation.graph
 
     @cached_property
     def _face_index(self) -> dict[Dart, int]:
@@ -101,7 +88,7 @@ class EmbeddedGraph:
         """Face at each corner of v in rotation order: corner i, between
         rotation positions i and i+1, is the face entering v along dart
         (rotation[v][i], v)."""
-        return tuple(self.face_of_dart((a, v)) for a in self.rotation.rotation[v])
+        return tuple(self.face_of_dart((a, v)) for a in self.rotation[v])
 
     @cached_property
     def corner_lengths(self) -> tuple[tuple[int, ...], ...]:
@@ -110,7 +97,7 @@ class EmbeddedGraph:
         index = self._face_index
         length = [len(f.darts) for f in self.faces]
         return tuple(tuple([length[index[a, v]] for a in order])
-                     for v, order in enumerate(self.rotation.rotation))
+                     for v, order in enumerate(self.rotation))
 
     def face_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(f.length for f in self.faces))
@@ -140,41 +127,45 @@ def _walk(start: Dart, rotation, succ_at: list) -> tuple[Dart, ...]:
             return _canonical_cycle(walk)
 
 
-def _trace_all(rot: RotationSystem) -> EmbeddedGraph:
-    """Every face of rot; the caller vouches that its graph is connected."""
-    rot.validate()
-    g = rot.graph
+def embed(g: Graph, rotation) -> EmbeddedGraph:
+    """g drawn by `rotation`, one clockwise neighbour order per vertex: every
+    face, by walking each dart, and the genus.  g must be connected and
+    non-empty, and each order a permutation of its vertex's neighbourhood."""
+    if not g.is_connected() or g.n == 0:
+        raise DisconnectedGraph("face tracing requires a connected, non-empty graph")
+    return _trace(g, tuple(map(tuple, rotation)))
+
+
+def _trace(g: Graph, rotation: tuple[tuple[int, ...], ...]) -> EmbeddedGraph:
+    """`embed` once g is known to be connected and non-empty."""
+    if len(rotation) != g.n:
+        raise MalformedRotation("rotation has wrong number of vertices")
+    for v in range(g.n):
+        if sorted(rotation[v]) != list(g.adj[v]):
+            raise MalformedRotation(
+                f"rotation at {v} is not a permutation of its neighborhood"
+            )
     if g.n == 1:
         # a lone vertex on the sphere: one face with an empty boundary walk
-        return EmbeddedGraph(rot, (Face(()),), 0)
+        return EmbeddedGraph(g, rotation, (Face(()),), 0)
     succ_at: list[dict[int, int] | None] = [None] * g.n
     traced: set[Dart] = set()
     faces = []
-    for u, order in enumerate(rot.rotation):
+    for u, order in enumerate(rotation):
         for v in order:
             if (u, v) not in traced:
-                walk = _walk((u, v), rot.rotation, succ_at)
+                walk = _walk((u, v), rotation, succ_at)
                 traced.update(walk)
                 faces.append(Face(walk))
     faces.sort(key=lambda f: f.darts)
-    return EmbeddedGraph(rot, tuple(faces), _euler_genus(g.n, g.m, len(faces)))
-
-
-def trace_faces(rot: RotationSystem) -> EmbeddedGraph:
-    if not rot.graph.is_connected() or rot.graph.n == 0:
-        raise DisconnectedGraph("face tracing requires a connected, non-empty graph")
-    return _trace_all(rot)
-
-
-def embed(g: Graph, rotation) -> EmbeddedGraph:
-    return trace_faces(RotationSystem(g, tuple(tuple(r) for r in rotation)))
+    return EmbeddedGraph(g, rotation, tuple(faces), _euler_genus(g.n, g.m, len(faces)))
 
 
 def cofacial(emb: EmbeddedGraph, u: int, v: int) -> tuple[bool, Face | None]:
     """Whether some face boundary visits both u and v; returns a witness face."""
     if u == v:
         raise ValueError("cofacial requires distinct vertices")
-    rot, index = emb.rotation.rotation, emb._face_index
+    rot, index = emb.rotation, emb._face_index
     common = ({index[(a, u)] for a in rot[u]}
               & {index[(a, v)] for a in rot[v]})
     if not common:
@@ -194,14 +185,14 @@ class Surgery:
 
     @cached_property
     def embedding(self) -> EmbeddedGraph:
-        image = self.remap.image
+        image = self.remap
         rot = tuple(tuple([image[w] for w in row])
                     for v, row in enumerate(self._rows) if image[v] is not None)
         # the remap is monotone: the walks keep their least darts and order
         walks = sorted([f.darts for i, f in enumerate(self._emb.faces)
                         if i not in self._gone] + list(self._walks.values()))
         faces = tuple(Face(tuple([(image[u], image[v]) for u, v in w])) for w in walks)
-        return EmbeddedGraph(RotationSystem(self.graph, rot), faces, self.genus)
+        return EmbeddedGraph(self.graph, rot, faces, self.genus)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Surgery) and self.embedding == other.embedding
@@ -216,11 +207,11 @@ def surgery(emb: EmbeddedGraph, delete=(), add=()) -> Surgery:
     monotone, so least darts, the face order and the first common face are
     the same in G's labels as in G''s."""
     doomed = set(delete)
-    g2, remap = delete_vertices(emb.graph, doomed)
+    g2, image = delete_vertices(emb.graph, doomed)
     if g2.n == 0 or not g2.is_connected():
         raise WouldDisconnect("deletion disconnects (or empties) the graph")
-    image, faces, index, m = remap.image, emb.faces, emb._face_index, g2.m
-    rows = list(emb.rotation.rotation)
+    faces, index, m = emb.faces, emb._face_index, g2.m
+    rows = list(emb.rotation)
     changed = {w for x in doomed for w in rows[x] if w not in doomed}
     gone = {index[w, x] for x in doomed for w in rows[x]}
     for w in changed:
@@ -281,17 +272,17 @@ def surgery(emb: EmbeddedGraph, delete=(), add=()) -> Surgery:
         if sorted(image[a] for a in rows[w]) != list(gprime.adj[image[w]]):
             raise MalformedRotation(
                 f"rotation at {image[w]} is not a permutation of its neighborhood")
-    return Surgery(emb, gprime, remap, rows, gone, walks, genus)
+    return Surgery(emb, gprime, image, rows, gone, walks, genus)
 
 
 # -- rotation-system search ------------------------------------------------------
 
 def all_rotation_systems(g: Graph):
-    """All rotation systems of g, one per choice of cyclic orders: each vertex
-    keeps its least neighbour first and runs through `permutations` of the
-    rest, the last vertex fastest."""
-    choices = [[order[:1] + rest for rest in permutations(order[1:])] for order in g.adj]
-    return (RotationSystem(g, rot) for rot in product(*choices))
+    """The rows of every rotation system of g, one per choice of cyclic
+    orders: each vertex keeps its least neighbour first and runs through
+    `permutations` of the rest, the last vertex fastest."""
+    return product(*[[order[:1] + rest for rest in permutations(order[1:])]
+                     for order in g.adj])
 
 
 def _first_rotation(g: Graph, genus: int) -> tuple[tuple[int, ...], ...] | None:
@@ -382,7 +373,7 @@ def find_embedding(g: Graph, *, max_genus: int | None = None,
     for genus in count() if max_genus is None else (max_genus,):
         rot = _first_rotation(g, genus)
         if rot is not None:
-            return _trace_all(RotationSystem(g, rot))
+            return _trace(g, rot)
     return None
 
 
@@ -439,13 +430,13 @@ def parse_rotation(text: str) -> EmbeddedGraph:
     rotation = tuple(tuple(orders.get(v, ())) for v in range(n))
     # the orders are checked loop-free, repeat-free, in range and symmetric
     g = Graph._from_adj(tuple(tuple(sorted(order)) for order in rotation))
-    return trace_faces(RotationSystem(g, rotation))
+    return embed(g, rotation)
 
 
 def emit_rotation(emb: EmbeddedGraph) -> str:
     lines = [f"rot {emb.graph.n}"]
     for v in range(emb.graph.n):
-        lines.append(f"{v}: " + " ".join(str(w) for w in emb.rotation.rotation[v]))
+        lines.append(f"{v}: " + " ".join(str(w) for w in emb.rotation[v]))
     return "\n".join(lines) + "\n"
 
 

@@ -9,14 +9,7 @@ degree is absorbed by pendant vertices placed away from the ring corners.
 from __future__ import annotations
 
 from .configs import ConfigKind, ConfigMatch, find_configs
-from .embedding import (
-    EmbeddedGraph,
-    RotationSystem,
-    c3c3_torus,
-    embed,
-    find_embedding,
-    trace_faces,
-)
+from .embedding import EmbeddedGraph, c3c3_torus, embed, find_embedding
 from .families import cycle, diamond, octahedron
 from .graph import Graph
 
@@ -55,9 +48,7 @@ def wheel_gadget(
             next_id += 1
         rotations[i] = order
     g = Graph(next_id, edges)
-    emb = trace_faces(RotationSystem(
-        g, tuple(tuple(rotations[v]) for v in range(next_id))
-    ))
+    emb = embed(g, [rotations[v] for v in range(next_id)])
     # faces_at(0)[c - 1] is the corner between ring vertices c and c + 1
     for c, face in enumerate(emb.faces_at(0), start=1):
         if (face.length == 3) != (c in triangle_corners):
@@ -95,7 +86,7 @@ def _expensive4_with_triangle() -> EmbeddedGraph:
         (3, 1, 5),          # 4 = u2
         (4,), (1,), (1,), (3,), (3,), (3,),
     ]
-    return trace_faces(RotationSystem(g, tuple(rotations)))
+    return embed(g, rotations)
 
 
 def _first(matches, pred=lambda m: True) -> ConfigMatch:

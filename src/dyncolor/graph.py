@@ -1,14 +1,15 @@
 """Simple undirected graphs on dense integer vertex ids, plus graph6 / edge-list io.
 
 Graphs are immutable values: vertex deletion returns a new graph together
-with a VertexRemap describing how old ids moved, so callers holding vertex
-references can re-address them after surgery.
+with its remap, the tuple of each old vertex's new id (None for a deleted
+one), so callers holding vertex references can re-address them after
+surgery.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from itertools import count
 from math import isqrt
 
 from .errors import LoopRequested, ParseError
@@ -104,38 +105,17 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class VertexRemap:
-    """Maps old vertex ids to new ones after a vertex deletion.
-
-    `image[v]` is the new id of old vertex v, or None if v was removed.
-    """
-
-    image: tuple[int | None, ...]
-
-
-def _compact_remap(n: int, removed: set[int]) -> VertexRemap:
-    image: list[int | None] = []
-    nxt = 0
-    for v in range(n):
-        if v in removed:
-            image.append(None)
-        else:
-            image.append(nxt)
-            nxt += 1
-    return VertexRemap(tuple(image))
-
-
-def delete_vertices(g: Graph, doomed) -> tuple[Graph, VertexRemap]:
-    """G - doomed, its rows filtered: the remap is monotone, so they stay sorted."""
+def delete_vertices(g: Graph, doomed) -> tuple[Graph, tuple[int | None, ...]]:
+    """G - doomed and its remap: the new id of each old vertex, None for a
+    deleted one.  The remap is monotone, so the filtered rows stay sorted."""
     doomed = set(doomed)
-    remap = _compact_remap(g.n, doomed)
-    image = remap.image
+    kept = count()
+    image = tuple([None if v in doomed else next(kept) for v in range(g.n)])
     adj = tuple(
         tuple([image[w] for w in row if w not in doomed])
         for v, row in enumerate(g.adj) if v not in doomed
     )
-    return Graph._from_adj(adj), remap
+    return Graph._from_adj(adj), image
 
 
 def add_edges(g: Graph, new_edges) -> Graph:
@@ -155,7 +135,7 @@ def add_edges(g: Graph, new_edges) -> Graph:
     return Graph._from_adj(tuple(adj))
 
 
-def subgraph(g: Graph, keep) -> tuple[Graph, VertexRemap]:
+def subgraph(g: Graph, keep) -> tuple[Graph, tuple[int | None, ...]]:
     keep = set(keep)
     return delete_vertices(g, set(g.vertices()) - keep)
 

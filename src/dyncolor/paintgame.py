@@ -851,8 +851,10 @@ def xp_r_number(
         return XpResult(0, 0, True, ("empty graph",))
     refuted = 0  # largest token count at which the game found a Lister win
     if g.n <= max_n:
-        # one solver for every k: the memo key holds the tokens
+        # one solver for every k: the memo key holds the tokens, and the
+        # fields hold the rainbow bound n, so no widening clears the memo
         solver = PaintSolver(g, r, node_budget=node_budget)
+        solver.fit(g.n)
         k = max(min(r, g.degree(v)) + 1 for v in g.vertices()) if g.m else 1
         try:
             while not solver.painter_wins(start_position(g, r, (k,) * g.n)[1]):

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -429,6 +430,8 @@ def test_every_line_format_ignores_comments_and_blank_lines(tmp_path, capsys, ar
 @pytest.mark.parametrize("argv, out", [
     (["chi-r", "--r", "2", "F"], "0\n"),
     (["paint", "--r", "2", "F"], "0  (empty graph)\n"),
+    (["contract-color", "--r", "11", "--genus", "0", "F", "--format", "edge-list"],
+     "colored with 0 colors; largest forbidden set 0\n"),
 ])
 def test_the_empty_graph_has_trivial_numbers(tmp_path, capsys, argv, out):
     path = tmp_path / "empty.el"
@@ -564,3 +567,9 @@ def test_find_config_kind_groups(tmp_path, grid_rot, capsys, kinds, rotation, he
     assert main(["find-config", "--kinds", kinds, str(path)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert (out[0], out[-1], len(out)) == (head, f"{count} matches", count + 1)
+
+
+def test_a_graph_is_read_from_stdin_for_a_dash(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("Dhc\n"))  # C5
+    assert main(["chi-r", "-", "--r", "2"]) == 0
+    assert capsys.readouterr().out == "5\n"

@@ -364,3 +364,13 @@ def test_c5xc6_refutation_at_k4_is_small():
     searcher = Searcher(grid_torus(5, 6), 3, math.inf)
     assert searcher.solve(4) is None
     assert searcher.nodes <= 2_000
+
+
+def test_solve_refuses_a_precoloring_above_k_and_a_palette_not_given_once():
+    searcher = Searcher(cycle(5), 2, math.inf)
+    with pytest.raises(ValueError, match="precoloring uses a color above k=3"):
+        searcher.solve(3, {0: 4})
+    with pytest.raises(TypeError, match="give exactly one of k and lists"):
+        searcher.solve()
+    with pytest.raises(TypeError, match="give exactly one of k and lists"):
+        searcher.solve(3, lists={v: (1, 2, 3) for v in range(5)})

@@ -273,8 +273,8 @@ def test_reduction_invariants():
             assert red.gprime_embedding.genus <= emb.genus
             assert red.gprime is red.gprime_embedding.graph
             for u, v in red.added_edges:
-                du = red.remap.image[u]
-                dv = red.remap.image[v]
+                du = red.remap[u]
+                dv = red.remap[v]
                 assert red.gprime.has_edge(du, dv)
         for t in red.s_order:
             assert t in red.budgets
@@ -467,7 +467,7 @@ def naive_fan_centers(emb):
     for v in g.vertices():
         if not 4 <= g.degree(v) <= 6:
             continue
-        rot = emb.rotation.rotation[v]
+        rot = emb.rotation[v]
         d = len(rot)
         for i in range(d):
             quad = [rot[(i + j) % d] for j in range(4)]
@@ -570,7 +570,7 @@ def brute_extends(g, coloring, s, r, k):
 
 def brute_extendable(g, red, r, k):
     """(number of bases, the bases that do not extend), bases in G's labels."""
-    inverse = {d: v for v, d in enumerate(red.remap.image) if d is not None}
+    inverse = {d: v for v, d in enumerate(red.remap) if d is not None}
     bases = [{inverse[d]: c for d, c in b.items()} for b in brute_bases(red.gprime, r, k)]
     return len(bases), [b for b in bases if not brute_extends(g, b, red.s_order, r, k)]
 
@@ -582,7 +582,7 @@ def assert_matches_brute_force(g, red, r, k):
     if rep.extendable:
         assert rep.colorings_checked == count
     else:
-        image = red.remap.image
+        image = red.remap
         base = {image[v]: c for v, c in rep.counterexample.items()}
         assert verify_r_dynamic(red.gprime, base, r).ok
         assert not brute_extends(g, rep.counterexample, red.s_order, r, k)

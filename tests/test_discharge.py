@@ -16,11 +16,11 @@ from dyncolor.discharge import (
     unavoidability_driver,
     vertex_case,
 )
-from dyncolor.embedding import c3c3_torus, emit_rotation, find_embedding, k5_torus, k7_torus, petersen_torus, trace_faces
+from dyncolor.embedding import c3c3_torus, emit_rotation, find_embedding, k5_torus, k7_torus, petersen_torus
 from dyncolor.errors import GenusTooLarge
 from dyncolor.families import complete, cycle, random_connected_graph
 from dyncolor.gadgets import wheel_gadget
-from tori import SIX_STEPS, SQUARE_STEPS, embed_rotation, lattice_torus, random_rotation, split_triangles
+from tori import SIX_STEPS, SQUARE_STEPS, embed_rotation, lattice_torus, random_embedding, split_triangles
 
 
 def test_initial_charges_formulas():
@@ -68,7 +68,7 @@ def test_conservation_on_random_embeddings():
     rng = random.Random(0)
     for _ in range(1000):
         g = random_connected_graph(rng.randrange(2, 9), 0.4, rng)
-        emb = trace_faces(random_rotation(g, rng))
+        emb = random_embedding(g, rng)
         led = run_discharge(emb)
         assert led.total_final() == led.total_initial()
         assert led.total_initial() == Fraction(-6 * (2 - 2 * emb.genus))
@@ -78,7 +78,7 @@ def test_rule_exclusivity_and_totality():
     rng = random.Random(1)
     for _ in range(1000):
         g = random_connected_graph(rng.randrange(2, 9), 0.5, rng)
-        emb = trace_faces(random_rotation(g, rng))
+        emb = random_embedding(g, rng)
         led = run_discharge(emb)
         assert len(led.face_rules) == len(emb.faces)
         for rule, face in zip(led.face_rules, emb.faces):
@@ -196,7 +196,7 @@ def test_degree4_gives_at_most_half_each():
     rng = random.Random(2)
     for _ in range(200):
         g = random_connected_graph(rng.randrange(3, 9), 0.5, rng)
-        emb = trace_faces(random_rotation(g, rng))
+        emb = random_embedding(g, rng)
         led = run_discharge(emb)
         for t in led.transfers:
             if emb.graph.degree(t.vertex) == 4 and t.rule != "R5":
@@ -262,7 +262,7 @@ def test_driver_on_named_embeddings():
 def test_driver_rejects_high_genus():
     # K7 with a random rotation generally lands well above the torus
     rng = random.Random(3)
-    emb = trace_faces(random_rotation(complete(7), rng))
+    emb = random_embedding(complete(7), rng)
     if emb.genus > 1:
         with pytest.raises(GenusTooLarge):
             unavoidability_driver(emb)

@@ -16,7 +16,6 @@ from dyncolor.configs import (
 )
 from dyncolor.embedding import (
     Face,
-    RotationSystem,
     all_rotation_systems,
     c3c3_torus,
     cofacial,
@@ -28,7 +27,6 @@ from dyncolor.embedding import (
     parse_rotation,
     petersen_torus,
     surgery,
-    trace_faces,
 )
 from dyncolor.errors import (
     DisconnectedGraph,
@@ -56,7 +54,7 @@ from tori import (
     SQUARE_STEPS,
     embed_rotation,
     lattice_torus,
-    random_rotation,
+    random_embedding,
     split_triangles,
 )
 
@@ -73,7 +71,8 @@ def test_cycle_two_faces():
 
 def test_k4_exhaustive_search_finds_planar():
     # brute force over all rotation systems of K4 reaches F=4
-    best = max(len(trace_faces(rot).faces) for rot in all_rotation_systems(complete(4)))
+    g = complete(4)
+    best = max(len(embed(g, rot).faces) for rot in all_rotation_systems(g))
     assert best == 4
     emb = find_embedding(complete(4))
     assert emb.genus == 0 and emb.face_multiset() == (3, 3, 3, 3)
@@ -97,7 +96,7 @@ def test_dart_partition_and_euler_integrality():
     while checked < 1000:
         n = rng.randrange(2, 11)
         g = random_connected_graph(n, 0.35, rng)
-        emb = trace_faces(random_rotation(g, rng))
+        emb = random_embedding(g, rng)
         darts = [d for f in emb.faces for d in f.darts]
         assert len(darts) == 2 * g.m
         assert len(set(darts)) == 2 * g.m
@@ -108,7 +107,9 @@ def test_dart_partition_and_euler_integrality():
 def test_malformed_rotation_rejected():
     g = cycle(3)
     with pytest.raises(MalformedRotation):
-        trace_faces_bad = embed(g, [(1, 1), (0, 2), (1, 0)])
+        embed(g, [(1, 1), (0, 2), (1, 0)])
+    with pytest.raises(MalformedRotation, match="^rotation has wrong number of vertices$"):
+        embed(cycle(4), [(1, 3), (0, 2), (1, 3)])
     with pytest.raises(DisconnectedGraph):
         embed(Graph(4, [(0, 1), (2, 3)]), [(1,), (0,), (3,), (2,)])
 
@@ -187,7 +188,7 @@ def test_induced_embedding_never_raises_genus():
     rng = random.Random(1)
     for _ in range(60):
         g = random_connected_graph(rng.randrange(4, 9), 0.5, rng)
-        emb = trace_faces(random_rotation(g, rng))
+        emb = random_embedding(g, rng)
         v = rng.randrange(g.n)
         try:
             out = surgery(emb, {v}).embedding
@@ -221,7 +222,7 @@ def test_surgery_refuses_a_loop_and_an_edge_to_a_deleted_vertex():
 def test_rotation_format_roundtrip():
     for emb in (c5_embedding(), c3c3_torus(), k5_torus()):
         again = parse_rotation(emit_rotation(emb))
-        assert again.rotation.rotation == emb.rotation.rotation
+        assert again.rotation == emb.rotation
         assert again.genus == emb.genus
 
 
@@ -302,7 +303,7 @@ def test_the_search_returns_the_first_rotation_in_enumeration_order():
         lowest = 0 if is_planar(g) else 1
         for max_genus, target in ((1, 1), (None, lowest)):
             want = next(rot for rot in all_rotation_systems(g)
-                        if trace_faces(rot).genus <= target)
+                        if embed(g, rot).genus <= target)
             assert find_embedding(g, max_genus=max_genus).rotation == want
         checked += 1
     assert checked > 150
@@ -347,7 +348,7 @@ def scan_face_of_dart(emb, dart):
 
 def scan_corner_faces(emb, v):
     # the corner after rotation position i is entered along dart (rot[i], v)
-    return [scan_face_of_dart(emb, (a, v)) for a in emb.rotation.rotation[v]]
+    return [scan_face_of_dart(emb, (a, v)) for a in emb.rotation[v]]
 
 
 def scan_first_common_face(emb, u, v):
@@ -394,9 +395,9 @@ def full_induced_embedding(emb, delete):
     g2, remap = delete_vertices(emb.graph, doomed)
     if g2.n == 0 or not g2.is_connected():
         raise WouldDisconnect("deletion disconnects (or empties) the graph")
-    rot = tuple(tuple(remap.image[w] for w in order if w not in doomed)
-                for v, order in enumerate(emb.rotation.rotation) if v not in doomed)
-    return trace_faces(RotationSystem(g2, rot)), remap
+    rot = tuple(tuple(remap[w] for w in order if w not in doomed)
+                for v, order in enumerate(emb.rotation) if v not in doomed)
+    return embed(g2, rot), remap
 
 
 def full_add_cofacial_edge(emb, u, v):
@@ -410,7 +411,7 @@ def full_add_cofacial_edge(emb, u, v):
         raise NotCofacial(u, v)
     a = next(t for t, h in face.darts if h == u)
     c = next(t for t, h in face.darts if h == v)
-    rot = [list(order) for order in emb.rotation.rotation]
+    rot = [list(order) for order in emb.rotation]
     rot[u].insert(rot[u].index(a) + 1, v)
     rot[v].insert(rot[v].index(c) + 1, u)
     return embed(Graph(g.n, g.edges() + [(u, v)]), rot)
@@ -423,7 +424,7 @@ def full_surgery(emb, delete, add):
     for u, v in add:
         if u == v:
             raise ValueError("cannot add a loop")
-        out = full_add_cofacial_edge(out, remap.image[u], remap.image[v])
+        out = full_add_cofacial_edge(out, remap[u], remap[v])
     return out, remap
 
 
@@ -482,7 +483,7 @@ def test_local_surgery_matches_a_full_retrace(toroidal_corpus):
                 continue
             drawn["drawn"] += 1
             out, remap = got
-            ends = {remap.image[x] for e in add for x in e}
+            ends = {remap[x] for e in add for x in e}
             drawn["revisit"] += any(
                 f.boundary_vertices().count(x) > 1 for f in out.faces for x in ends)
 
@@ -551,9 +552,8 @@ def test_reductions_match_a_full_retrace():
                 continue
             want = full_surgery(emb, red.s_order, red.added_edges)
             assert (red.gprime_embedding, red.remap) == want
-            dense, remap = subgraph(g, red.gprime_vertices)
-            image = remap.image
-            assert red.remap == remap
+            dense, image = subgraph(g, red.gprime_vertices)
+            assert red.remap == image
             assert red.gprime == add_edges(
                 dense, [(image[u], image[v]) for u, v in red.added_edges])
             assert red.gprime is red.gprime_embedding.graph
@@ -597,7 +597,7 @@ def test_an_added_edge_with_no_common_face_fails_the_surgery():
         _assemble(emb.graph, match, (2,), ((0, 10),), {}, {2: 0}, emb)
     # the diagonal (0,0)-(1,1) of a square still splits it
     red = _assemble(emb.graph, match, (2,), ((0, 5),), {}, {2: 0}, emb)
-    du, dv = red.remap.image[0], red.remap.image[5]
+    du, dv = red.remap[0], red.remap[5]
     out = red.gprime_embedding
     assert red.gprime.has_edge(du, dv)
     assert out.face_of_dart((du, dv)) is not out.face_of_dart((dv, du))
@@ -666,7 +666,7 @@ def test_corner_lengths_equal_the_faces_at_each_corner(toroidal_corpus):
     embs = list(toroidal_corpus)
     # random rotations of dense graphs land at genus 2 and above
     for n in (6, 7, 8, 9):
-        embs += [trace_faces(random_rotation(random_connected_graph(n, 0.8, rng), rng))
+        embs += [random_embedding(random_connected_graph(n, 0.8, rng), rng)
                  for _ in range(10)]
     # a path's one face visits each inner vertex twice
     embs += [find_embedding(path(5)), find_embedding(random_tree(9, rng))]

@@ -51,8 +51,7 @@ def test_surgery_equals_a_rebuild_from_the_edge_list():
         n = rng.randrange(1, 16)
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.35])
         doomed = set(rng.sample(range(n), rng.randrange(n + 1)))
-        h, remap = delete_vertices(g, doomed)
-        image = remap.image
+        h, image = delete_vertices(g, doomed)
         assert [v for v in range(n) if image[v] is None] == sorted(doomed)
         assert [image[v] for v in range(n) if v not in doomed] == list(range(n - len(doomed)))
         assert h == Graph(n - len(doomed), [(image[u], image[v]) for u, v in g.edges()
@@ -193,6 +192,7 @@ def test_payload_lines_yields_each_payload_at_its_line_offset():
 def test_parse_graph_auto():
     assert parse_graph("0 1\n1 2\n") == path(3)
     assert parse_graph("Bw") == complete(3)
+    assert parse_graph(">>graph6<<Dhc") == cycle(5)
 
 
 def test_graph6_long_form():

@@ -1021,10 +1021,10 @@ def test_solver_matches_reference_where_root_marks_are_skipped(name, g, xps):
 
 @pytest.mark.slow
 def test_petersen_is_3_paintable_with_exactly_10_tokens(monkeypatch):
-    # opt-in (pytest -m slow): 85 to 90 s on 2 CPUs.  The paper's sharpness
+    # opt-in (pytest -m slow): 75 to 90 s on 2 CPUs.  The paper's sharpness
     # example on the torus, xp_3(Petersen) = 10, by exhaustive play alone.
-    # One solver runs k = 4..10; the fields widen at k = 8, which clears the
-    # memo, so it ends with fewer entries than nodes
+    # One solver runs k = 4..10 with fields sized for k = n from the start,
+    # so no widening clears the memo and it holds one entry per node
     from dyncolor.families import petersen
 
     made = []
@@ -1038,7 +1038,7 @@ def test_petersen_is_3_paintable_with_exactly_10_tokens(monkeypatch):
     res = xp_r_number(petersen(), 3, max_n=10)
     assert (res.exact, res.value) == (True, 10)
     [solver] = made
-    assert (solver.nodes, len(solver.memo), solver.root_skips) == (436_317, 434_201, 990)
+    assert (solver.nodes, len(solver.memo), solver.root_skips) == (434_201, 434_201, 990)
 
 
 def test_packed_dead_test_and_free_counts_match_a_recount():
@@ -1217,3 +1217,18 @@ def test_solver_answers_are_cached_for_one_uncolored_set():
     # answer wins, and the cached one is not given
     with pytest.raises(InnerLost, match="no winning response"):
         respond_at(solver, pos._replace(uncolored=pos.uncolored | {4}), {0, 1})
+
+
+def test_initial_tokens_are_refused_at_the_wrong_length_or_below_1():
+    g = cycle(5)
+    assert normalize_tokens(g, 2) == (2,) * 5
+    with pytest.raises(ValueError, match="token assignment has wrong length"):
+        normalize_tokens(g, (1, 2, 3))
+    for f in ((1, 0, 1, 1, 1), 0):
+        with pytest.raises(ValueError, match="initial tokens must be positive"):
+            normalize_tokens(g, f)
+
+
+def test_the_composite_painter_refuses_an_s_that_meets_gprime():
+    with pytest.raises(ValueError, match="S overlaps V"):
+        GPrimeFirstPainter(cycle(5), 2, frozenset({0, 1, 2, 3}), frozenset(), (3, 4), {})

@@ -1,11 +1,11 @@
 """Torus embeddings built from explicit rotations, shared by the test modules:
 the six-regular triangulation and C_m x C_n quadrangulation of the m x n
 lattice, and triangulations refined by splitting faces; and seeded random
-rotation systems of any graph."""
+embeddings of any graph."""
 
 import random
 
-from dyncolor.embedding import RotationSystem, embed
+from dyncolor.embedding import EmbeddedGraph, embed
 from dyncolor.graph import Graph
 
 SIX_STEPS = ((0, 1), (-1, 0), (-1, -1), (0, -1), (1, 0), (1, 1))
@@ -43,11 +43,11 @@ def embed_rotation(rot):
 
 
 
-def random_rotation(g: Graph, rng: random.Random) -> RotationSystem:
-    """A rotation system with each vertex's neighbours in seeded random order."""
+def random_embedding(g: Graph, rng: random.Random) -> EmbeddedGraph:
+    """g embedded with each vertex's neighbours in seeded random order."""
     rot = []
     for v in range(g.n):
         order = list(g.neighbors(v))
         rng.shuffle(order)
         rot.append(tuple(order))
-    return RotationSystem(g, tuple(rot))
+    return embed(g, rot)
